@@ -380,6 +380,20 @@ class Instance:
         return " & ".join(str(p) for p in self.premises) + f" -> {self.conclusion}"
 
 
+def mon_tag(op: str, eq: bool = False) -> str:
+    """The tag of a Mon instance (eq: of its Mon= variant)."""
+    return f"Mon={op}" if eq else f"Mon({op})"
+
+
+def mon_tag_op(tag: str) -> Optional[str]:
+    """The operator of a Mon or Mon= tag; None for every other tag."""
+    if tag.startswith("Mon("):
+        return tag[4:-1]
+    if tag.startswith("Mon="):
+        return tag[4:]
+    return None
+
+
 def _guard_atoms(guard: Optional[FlatTerm], args: Iterable[FlatTerm]) -> tuple[Leq, ...]:
     if guard is None:
         return ()
@@ -423,10 +437,10 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
             terms = by_op.get(ax.op, [])
             for t, u in itertools.permutations(terms, 2):
                 plain = [Leq(a, b) for a, b in zip(t.args, u.args)]
-                emit(plain, Leq(t, u), f"Mon({ax.op})")
+                emit(plain, Leq(t, u), mon_tag(ax.op))
                 if mon_eq_variants:
                     both = plain + [Leq(b, a) for a, b in zip(t.args, u.args)]
-                    emit(both, Leq(t, u), f"Mon={ax.op}")
+                    emit(both, Leq(t, u), mon_tag(ax.op, eq=True))
         elif isinstance(ax, K1):
             for t in psi_list:
                 binding = ax.g.match(t)

@@ -10,7 +10,8 @@ Subcommands:
     cross-check  compare the pipeline against the independent oracles
 
 Exit codes: 0 when everything holds / agrees, 1 when some query fails
-or a disagreement is found, 2 on usage, parse, or check errors.
+or a disagreement is found, 2 on usage, parse, or check errors, and 3 on
+an internal error (a fault in loctame, reported in one line).
 """
 
 from __future__ import annotations
@@ -419,16 +420,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_INTERNAL = 3
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LoctameError as exc:
+    except (LoctameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # anything else is a fault in loctame, not in the input; it must
+        # not pass for exit 1 ("a query fails")
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,18 +15,21 @@ edges.  A contradictory fact set entails everything.
 
 combine_solve runs the lattice solver on the concept part of a purified
 problem and feeds it conclusions of mixed clauses whose numeric premises
-hold, until nothing moves.
+hold, until nothing moves.  In `chase` mode the solver fires monotonicity
+(of the concept-only operators) and meet introduction from its trigger
+index instead of from materialized clauses.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import hornsat, reduce as red
-from .algebra import Const, FlatTerm, Leq, Lit
+from .algebra import Const, FlatTerm, Leq, Lit, mon_tag, mon_tag_op
 from .hornsat import AtomKey, HornSolver
 from .reduce import NUM_BOT, PurifiedProblem
 from .syntax import CONCEPT, Interval, LoctameError, NUM
@@ -222,7 +225,7 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
     concept = PurifiedProblem(
         facts=concept_facts, target=target, clauses=concept_clauses,
         defs=purified.defs, meets=purified.meets, consts=consts,
-        ops=purified.ops, op_role=purified.op_role)
+        ops=purified.ops, op_role=purified.op_role, mon=purified.mon)
     return SplitProblem(concept, num_facts, mixed, num_target, num_target_false)
 
 
@@ -237,42 +240,83 @@ class CombineResult:
     movements: list[tuple[str, AtomKey]] = field(default_factory=list)
     iterations: int = 0
     vacuous: bool = False                   # inconsistent numeric facts
+    # the problem the solver was built from; in `chase` mode it lacks the
+    # clause families the solver fires from its trigger index
     sl: Optional[red.SLProblem] = None
+    # microseconds per stage: sl_instantiate (split by sort and unroll the
+    # lattice theory), build, propagate, and exchange when there are mixed
+    # clauses; numeric alone when the numeric side decides the goal
+    micros: dict[str, int] = field(default_factory=dict)
+
+
+def _now() -> int:
+    return time.perf_counter_ns() // 1000
+
+
+def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
+    chase = sl.mode == red.CHASE
+    triggers = None
+    if chase:
+        # blocks follow the materialized clause order: K-instances, then
+        # Mon per operator in declaration order, then meet introduction
+        block = {op: 1 + j for j, op in enumerate(concept.ops)}
+        triggers = hornsat.Triggers(
+            mon=[(block[op], mon_tag(op),
+                  [(t, tuple(a.name for a in concept.defs[t].args)) for t in terms])
+                 for op, terms in concept.mon.items()],
+            meets=concept.meets, meet_block=1 + len(block), universe=sl.universe)
+    solver = HornSolver(transitive=chase, triggers=triggers)
+    for atom, label in sl.facts:
+        solver.add_fact(atom, label)
+    for premises, concl, tag in sl.clauses:
+        solver.add_clause(premises, concl, tag,
+                          block.get(mon_tag_op(tag), 0) if chase else 0)
+    solver.end_build()
+    return solver
 
 
 def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineResult:
     """Decide the purified problem, exchanging facts between the numeric
     and the lattice side until a fixpoint."""
+    micros: dict[str, int] = {}
+    t = _now()
     split = split_problem(purified)
     num_facts = split.num_facts
 
     if num_facts and num_entails(num_facts, FALSE_ATOM):
-        return CombineResult(subsumed=True, result=None, vacuous=True)
+        return CombineResult(subsumed=True, result=None, vacuous=True,
+                             micros={"numeric": _now() - t})
 
     if split.num_target is not None:
-        if split.num_target_false:
-            return CombineResult(subsumed=False, result=None)
-        ok = all(num_entails(num_facts, a) for a in split.num_target)
-        return CombineResult(subsumed=ok, result=None)
+        ok = not split.num_target_false and all(
+            num_entails(num_facts, a) for a in split.num_target)
+        return CombineResult(subsumed=ok, result=None,
+                             micros={"numeric": _now() - t})
 
-    sl = red.sl_instantiate(split.concept, mode)
-    solver = HornSolver(transitive=(mode == red.CHASE))
-    for atom, label in sl.facts:
-        solver.add_fact(atom, label)
-    for premises, concl, tag in sl.clauses:
-        solver.add_clause(premises, concl, tag)
+    sl = red.sl_instantiate(split.concept, mode,
+                            meet_intro=(mode != red.CHASE))
+    micros["sl_instantiate"] = _now() - t
+    t = _now()
+    solver = _build_solver(split.concept, sl)
+    micros["build"] = _now() - t
+    micros["propagate"] = 0
+    if split.mixed:
+        micros["exchange"] = 0
 
-    out = CombineResult(subsumed=False, result=None, sl=sl)
+    out = CombineResult(subsumed=False, result=None, sl=sl, micros=micros)
     pending = list(split.mixed)
     while True:
         out.iterations += 1
         if out.iterations > len(split.mixed) + 1:
             raise LoctameError("combination loop failed to terminate")
+        t = _now()
         res = solver.solve(sl.goal)
+        micros["propagate"] += _now() - t
         out.result = res
         if not res.sat:
             out.subsumed = True
             return out
+        t = _now()
         moved = False
         for mc in pending[:]:
             if (all(num_entails(num_facts, a) for a in mc.num_premises)
@@ -281,5 +325,7 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
                 out.movements.append((mc.tag, mc.concl))
                 pending.remove(mc)
                 moved = True
+        if split.mixed:
+            micros["exchange"] += _now() - t
         if not moved:
             return out

@@ -9,13 +9,27 @@ With transitive=True the solver additionally closes the derived atom set
 under  a<=b, b<=c  =>  a<=c  (used by the chase mode, where transitivity
 is not materialized as clauses).  Each transitivity step is binary and is
 recorded in the derivation like a clause firing, so proofs stay auditable.
+
+The chase mode also hands the solver a `Triggers` index instead of two
+quadratic clause families: monotonicity of the operators whose arguments
+are all concepts, and meet introduction.  A triggered rule fires when its
+last premise is popped, exactly when its materialized clause would have:
+every clause and rule carries a rank (its position in the materialized
+clause list), and the firings of one pop happen in rank order.  A rule
+whose premises all hold while the problem is being built fires then, as a
+materialized clause would when it is added.  Each firing that derives an
+atom is recorded as a clause, so traces and models read the same as with
+the materialized families; only the atoms the rules actually touch are
+interned.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import LoctameError
 
@@ -24,21 +38,105 @@ AtomKey = tuple[str, str]
 # reasons: ("fact", label) | ("clause", clause_index) | ("trans", left, right)
 Reason = tuple
 
+# a rank is block << _RANK_BITS | position within the block; blocks order
+# the clause families the way the materialized clause list does
+_RANK_BITS = 40
+_NEVER = 1 << 62            # the build rank of an atom not derived in the build
 
-@dataclass
+# a triggered rule: (rank, premises, conclusion, tag)
+Rule = tuple[int, tuple[AtomKey, ...], AtomKey, str]
+
+
+@dataclass(slots=True)
 class _Clause:
     premises: tuple[int, ...]
-    concl: int
+    concl: AtomKey                  # interned only when the clause fires
     tag: str
     missing: int
+    rank: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Stats:
     premise_occurrences: int = 0
     decrements: int = 0
     trans_steps: int = 0
-    fired_clauses: int = 0
+    fired_clauses: int = 0          # materialized clauses and triggered rules
+    clauses: int = 0                # materialized clauses added
+    trigger_probes: int = 0         # triggered rules looked up at a pop
+
+
+class Triggers:
+    """Rule families indexed by premise, fired by the solver on demand.
+
+    mon: per operator, its block, its tag and its terms in closure order,
+    each as (constant, argument constants).  The rule for the ordered pair
+    (t, u) of distinct terms is  t.args <= u.args  ->  t <= u  at position
+    index(t) * k + index(u) of the block.  The Mon= variant of a rule (the
+    same conclusion under more premises) is not indexed: it fires no
+    earlier than the rule, so it never derives an atom.
+
+    meets: meet constant -> operand constants, in order, all in meet_block.
+    The rule for the meet m and the constant z != m is  z <= operands(m)
+    ->  z <= m  at position index(m) * |universe| + index(z).
+    """
+
+    def __init__(self, mon: Iterable[tuple[int, str, Sequence[tuple[str, tuple[str, ...]]]]],
+                 meets: dict[str, tuple[str, ...]], meet_block: int,
+                 universe: Sequence[str]):
+        # argument constant -> (family, position, indices of the terms
+        # having that argument there); (family, position, constant) -> same
+        self.mon_by_arg: dict[str, list[tuple[int, int, list[int]]]] = {}
+        self.mon_slot: dict[tuple[int, int, str], list[int]] = {}
+        self.mon: list[tuple[int, str, Sequence[tuple[str, tuple[str, ...]]]]] = []
+        for family, (block, tag, terms) in enumerate(mon):
+            self.mon.append((block << _RANK_BITS, tag, terms))
+            for ti, (_, args) in enumerate(terms):
+                for pos, arg in enumerate(args):
+                    slot = self.mon_slot.get((family, pos, arg))
+                    if slot is None:
+                        slot = self.mon_slot[(family, pos, arg)] = []
+                        self.mon_by_arg.setdefault(arg, []).append((family, pos, slot))
+                    slot.append(ti)
+        self.meets = list(meets.items())
+        self.meet_base = meet_block << _RANK_BITS
+        self.meets_by_operand: dict[str, list[int]] = {}
+        for mi, (_, operands) in enumerate(self.meets):
+            for o in dict.fromkeys(operands):
+                self.meets_by_operand.setdefault(o, []).append(mi)
+        self.universe = {z: zi for zi, z in enumerate(universe)}
+
+    def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
+        """Every rule that has the atom among its premises, once each."""
+        a, b = atom
+        for family, pos, ts in self.mon_by_arg.get(a, ()):
+            us = self.mon_slot.get((family, pos, b))
+            if us is None:
+                continue
+            base, tag, terms = self.mon[family]
+            k = len(terms)
+            for ti in ts:
+                t, targs = terms[ti]
+                for ui in us:
+                    if ui == ti:
+                        continue
+                    u, uargs = terms[ui]
+                    # a rule matching the atom at an earlier position was
+                    # yielded from there
+                    if any(targs[i] == a and uargs[i] == b for i in range(pos)):
+                        continue
+                    yield (base | (ti * k + ui),
+                           tuple(dict.fromkeys(zip(targs, uargs))), (t, u), tag)
+        zi = self.universe.get(a)
+        if zi is None:
+            return
+        width = len(self.universe)
+        for mi in self.meets_by_operand.get(b, ()):
+            m, operands = self.meets[mi]
+            if m != a:
+                yield (self.meet_base | (mi * width + zi),
+                       tuple(dict.fromkeys((a, o) for o in operands)),
+                       (a, m), "meet-intro")
 
 
 @dataclass
@@ -64,7 +162,8 @@ class TraceStep:
 
 
 class HornSolver:
-    def __init__(self, transitive: bool = False):
+    def __init__(self, transitive: bool = False,
+                 triggers: Optional[Triggers] = None):
         self.transitive = transitive
         self.atom_ids: dict[AtomKey, int] = {}
         self.atom_keys: list[AtomKey] = []
@@ -76,6 +175,16 @@ class HornSolver:
         if transitive:
             self.succ: dict[str, set[str]] = {}
             self.pred: dict[str, set[str]] = {}
+        self.triggers = triggers
+        # while building, atoms are stamped with the rank of the step that
+        # derived them (facts: -1), and the triggered rules they may
+        # complete wait in a heap until the build reaches their rank
+        self.building = triggers is not None
+        self._build_rank = -1
+        if triggers is not None:
+            self.popped: set[int] = set()
+            self.built: dict[int, int] = {}
+            self._waiting: list[Rule] = []
 
     # -- construction --------------------------------------------------------
 
@@ -91,12 +200,20 @@ class HornSolver:
         self._derive(self.atom(key), ("fact", label))
 
     def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
-                   tag: str = "clause") -> None:
+                   tag: str = "clause", block: int = 0) -> None:
+        """Add a materialized clause.  The block places it among the
+        triggered rules (see Triggers); clauses of one block keep the
+        order they are added in."""
+        rank = 0
+        if self.triggers is not None:
+            rank = block << _RANK_BITS | self.stats.clauses
+            if self.building:
+                self._build_until(rank)
+        self.stats.clauses += 1
         prem_ids: dict[int, None] = {}
         for p in premises:
             prem_ids.setdefault(self.atom(p), None)
         cid = len(self.clauses)
-        concl_id = self.atom(concl)
         missing = 0
         for pid in prem_ids:
             # premises that are already derived are settled; registering
@@ -105,11 +222,33 @@ class HornSolver:
             if pid not in self.reasons:
                 missing += 1
                 self.occ.setdefault(pid, []).append(cid)
-        clause = _Clause(tuple(prem_ids), concl_id, tag, missing)
+        clause = _Clause(tuple(prem_ids), concl, tag, missing, rank)
         self.clauses.append(clause)
         self.stats.premise_occurrences += len(clause.premises)
         if missing == 0:
+            self._build_rank = rank
             self._fire(cid)
+
+    def end_build(self) -> None:
+        """Fire the triggered rules that the facts and the clauses added so
+        far complete; later facts are settled only once popped.  solve()
+        ends the build itself."""
+        if self.building:
+            self._build_until(_NEVER)
+            self.building = False
+
+    def _build_until(self, rank: int) -> None:
+        waiting = self._waiting
+        last = -1
+        while waiting and waiting[0][0] < rank:
+            rule = heapq.heappop(waiting)
+            if rule[0] == last:          # queued once per premise
+                continue
+            last = rule[0]
+            # everything derived so far ranks below this rule
+            if all(self.has(p) for p in rule[1]):
+                self._build_rank = rule[0]
+                self._fire_rule(rule)
 
     # -- propagation ---------------------------------------------------------
 
@@ -118,11 +257,28 @@ class HornSolver:
             return
         self.reasons[aid] = reason
         self.queue.append(aid)
+        if self.building:
+            rank = self._build_rank
+            self.built[aid] = rank
+            for rule in self.triggers.rules_with(self.atom_keys[aid]):
+                if rule[0] > rank:
+                    heapq.heappush(self._waiting, rule)
 
     def _fire(self, cid: int) -> None:
         clause = self.clauses[cid]
         self.stats.fired_clauses += 1
-        self._derive(clause.concl, ("clause", cid))
+        self._derive(self.atom(clause.concl), ("clause", cid))
+
+    def _fire_rule(self, rule: Rule) -> None:
+        """Fire a triggered rule; only a firing that derives is recorded."""
+        rank, premises, concl, tag = rule
+        self.stats.fired_clauses += 1
+        concl_id = self.atom(concl)
+        if concl_id in self.reasons:
+            return
+        self.clauses.append(_Clause(
+            tuple(self.atom_ids[p] for p in premises), concl, tag, 0, rank))
+        self._derive(concl_id, ("clause", len(self.clauses) - 1))
 
     def has(self, key: AtomKey) -> bool:
         aid = self.atom_ids.get(key)
@@ -131,7 +287,10 @@ class HornSolver:
     def _result(self, sat: bool, goal: Optional[AtomKey]) -> Result:
         # the work bound the algorithm's linearity rests on: each premise
         # occurrence is decremented at most once
-        assert self.stats.decrements <= self.stats.premise_occurrences
+        if self.stats.decrements > self.stats.premise_occurrences:
+            raise LoctameError(
+                f"work bound violated: {self.stats.decrements} decrements "
+                f"for {self.stats.premise_occurrences} premise occurrences")
         return Result(sat, goal, self, self.stats)
 
     def solve(self, goal: Optional[AtomKey] = None) -> Result:
@@ -140,23 +299,63 @@ class HornSolver:
         Can be called again after add_fact/add_clause; propagation resumes
         where it stopped.
         """
+        self.end_build()
         goal_id = self.atom(goal) if goal is not None else None
         if goal_id is not None and goal_id in self.reasons:
             return self._result(False, goal)
         while self.queue:
             aid = self.queue.popleft()
-            for cid in self.occ.get(aid, ()):
-                clause = self.clauses[cid]
-                clause.missing -= 1
-                self.stats.decrements += 1
-                if clause.missing == 0:
-                    self._fire(cid)
+            if self.triggers is not None:
+                self._pop_triggered(aid)
+            else:
+                for cid in self.occ.get(aid, ()):
+                    clause = self.clauses[cid]
+                    clause.missing -= 1
+                    self.stats.decrements += 1
+                    if clause.missing == 0:
+                        self._fire(cid)
             if self.transitive:
                 self._trans_close(aid)
             if goal_id is not None and goal_id in self.reasons:
                 return self._result(False, goal)
         return self._result(goal_id is None or goal_id not in self.reasons,
                             goal)
+
+    def _pop_triggered(self, aid: int) -> None:
+        """Fire what the popped atom completes, clauses and rules together
+        in rank order.  A rule waits on a premise unless that premise was
+        derived in the build before the rule's rank (as a materialized
+        clause added at that rank would); it fires at the pop of the last
+        premise it waits on."""
+        self.popped.add(aid)
+        ready: list[tuple] = []
+        for cid in self.occ.get(aid, ()):
+            clause = self.clauses[cid]
+            clause.missing -= 1
+            self.stats.decrements += 1
+            if clause.missing == 0:
+                ready.append((clause.rank, cid))
+        built, popped, ids = self.built, self.popped, self.atom_ids
+        own = built.get(aid, _NEVER)
+        for rule in self.triggers.rules_with(self.atom_keys[aid]):
+            self.stats.trigger_probes += 1
+            rank = rule[0]
+            if own < rank:
+                continue
+            for p in rule[1]:
+                pid = ids.get(p)
+                if pid is None or (pid not in popped
+                                   and built.get(pid, _NEVER) >= rank):
+                    break
+            else:
+                ready.append(rule)
+        if len(ready) > 1:
+            ready.sort(key=itemgetter(0))
+        for item in ready:
+            if len(item) == 2:
+                self._fire(item[1])
+            else:
+                self._fire_rule(item)
 
     def _trans_close(self, aid: int) -> None:
         a, b = self.atom_keys[aid]

@@ -8,12 +8,21 @@ classify answers all name-against-name queries with a single goal-free
 run: name queries contribute no operator terms to the closure seed, so
 the reduction is the same for every such query and the verdict is just
 membership of the pair in the least model.
+
+In `chase` mode the solver fires two families from its trigger index
+instead of materializing them: Mon over the operators whose arguments are
+all concepts (instantiate leaves those axioms out) and meet introduction.
+K1/K2/K3, Mon over operators with a numeric argument, and the lattice
+facts are materialized.  `instantiate` mode materializes everything, as
+the paper's reduction does.  Report.instances and Report.sl give the full
+reduction in both modes; in `chase` mode they build it on first use.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import algebra as alg
@@ -28,14 +37,48 @@ class Report:
     query: Optional[Query]
     problem: alg.AlgebraicProblem
     psi: list[alg.Apply]
-    instances: list[alg.Instance]
+    # the instances the solver was built from; in `chase` mode without the
+    # Mon instances it fires from its trigger index (purified.mon)
+    built: list[alg.Instance]
     purified: red.PurifiedProblem
     combine: concdom.CombineResult
+    mode: str = red.CHASE
     micros: dict[str, int] = field(default_factory=dict)
 
-    @property
+    @cached_property
+    def instances(self) -> list[alg.Instance]:
+        """Every closure-local axiom instance, Mon= variants included."""
+        if not self.purified.mon:
+            return self.built
+        return alg.instantiate(self.problem.axioms, self.psi)
+
+    @cached_property
     def sl(self) -> Optional[red.SLProblem]:
-        return self.combine.sl
+        """The full ground Horn problem of the reduction.  In `chase` mode
+        it is rebuilt from `instances`; its proxies are the solver's."""
+        if self.combine.sl is None or self.mode != red.CHASE:
+            return self.combine.sl
+        purified = red.flatten_purify(self.instances, self.problem.goal,
+                                      self.problem)
+        return red.sl_instantiate(concdom.split_problem(purified).concept,
+                                  self.mode)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Work counters of the solver run (zero when no solver ran)."""
+        res = self.combine.result
+        solver = res.solver if res is not None else hornsat.HornSolver()
+        st = solver.stats
+        return {
+            "atoms_interned": len(solver.atom_keys),
+            "atoms_derived": len(solver.reasons),
+            "clauses_built": st.clauses,
+            "rules_fired": st.fired_clauses,
+            "premise_occurrences": st.premise_occurrences,
+            "decrements": st.decrements,
+            "trans_steps": st.trans_steps,
+            "trigger_probes": st.trigger_probes,
+        }
 
 
 def _now() -> int:
@@ -43,7 +86,7 @@ def _now() -> int:
 
 
 def _reduce(cbox: CBox, query: Optional[Query], mode: str,
-            normalize: bool, mon_eq_variants: bool = True) -> Report:
+            normalize: bool) -> Report:
     micros: dict[str, int] = {}
     t = _now()
     if normalize:
@@ -58,20 +101,28 @@ def _reduce(cbox: CBox, query: Optional[Query], mode: str,
     micros["closure"] = _now() - t
 
     t = _now()
-    instances = alg.instantiate(problem.axioms, psi, mon_eq_variants)
+    axioms = problem.axioms
+    triggered: dict[str, list[alg.Apply]] = {}
+    if mode == red.CHASE:
+        triggered = {op: [] for op in red.triggered_ops(problem)}
+        for term in psi:
+            if term.op in triggered:
+                triggered[term.op].append(term)
+        axioms = tuple(ax for ax in axioms if not (
+            isinstance(ax, alg.Mon) and ax.op in triggered))
+    instances = alg.instantiate(axioms, psi)
     micros["instantiate"] = _now() - t
 
     t = _now()
-    purified = red.flatten_purify(instances, problem.goal, problem)
+    purified = red.flatten_purify(instances, problem.goal, problem, triggered)
     micros["purify"] = _now() - t
 
-    t = _now()
     combine = concdom.combine_solve(purified, mode)
-    micros["solve"] = _now() - t
+    micros.update(combine.micros)
 
     return Report(subsumed=combine.subsumed, query=query, problem=problem,
-                  psi=psi, instances=instances, purified=purified,
-                  combine=combine, micros=micros)
+                  psi=psi, built=instances, purified=purified,
+                  combine=combine, mode=mode, micros=micros)
 
 
 def check_subsumption(cbox: CBox, query: Query, mode: str = red.CHASE,
@@ -93,7 +144,9 @@ class Classification:
         res = self.report.combine.result
         if self.report.combine.vacuous:
             return True
-        assert res is not None
+        if res is None:
+            raise LoctameError("a goal-free run decided nothing numerically, "
+                               "yet no lattice solver ran")
         return res.holds((a, b))
 
     def pairs(self) -> list[tuple[str, str]]:
@@ -158,8 +211,10 @@ def explain(cbox: CBox, query: Query, mode: str = red.CHASE) -> tuple[Report, li
     for tag, atom in comb.movements:
         lines.append(f"moved from the numeric side [{tag}]: "
                      f"{render_atom(report.purified, atom)}")
-    assert report.sl is not None and report.sl.goal is not None
-    for step in comb.result.solver.trace(report.sl.goal):
+    if comb.sl is None or comb.sl.goal is None:
+        raise LoctameError("a subsumed verdict from the lattice solver "
+                           "without a lattice goal")
+    for step in comb.result.solver.trace(comb.sl.goal):
         rendered = render_atom(report.purified, step.atom)
         if step.kind == "fact" or not step.premises:
             lines.append(f"{rendered}   [{step.label}]")
@@ -181,4 +236,5 @@ def json_report(report: Report) -> dict:
         "psi_size": len(report.psi),
         "clause_count": len(sl.clauses) if sl is not None else 0,
         "micros_per_stage": report.micros,
+        "stats": report.stats,
     }

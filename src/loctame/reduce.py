@@ -13,6 +13,13 @@ Three steps live here:
                   meet introduction; in `instantiate` mode also explicit
                   transitivity and meet congruence, in `chase` mode those
                   two are delegated to the solver).
+
+In `chase` mode two quadratic families are not materialized at all but
+fired by the solver's trigger index (hornsat.Triggers): monotonicity of
+the operators whose arguments are all concepts, and meet introduction.
+flatten_purify still names their terms in the order the materialized
+instances would have, so the proxies, the dumped reduction and every
+derivation read the same in both forms.
 """
 
 from __future__ import annotations
@@ -178,7 +185,8 @@ class _Translator:
         if not tails:
             g, n = self.template(head, 0)
             h, n2 = self.template(ri.rhs, 0)
-            assert n == n2
+            if n != n2:
+                raise CheckError(f"{ri}: the two sides have different arities")
             return K1(g, h, guard)
         f, _ = self.template(head, 0)
         gs = []
@@ -193,7 +201,9 @@ class _Translator:
                 for s in g.slots)) for g in gs]
             return K3(f, tuple(shared), guard)
         h, end = self.template(ri.rhs, 0)
-        assert end == start
+        if end != start:
+            raise CheckError(f"{ri}: the chain and the right-hand side "
+                             "have different arities")
         return K2(f, tuple(gs), h, guard)
 
 
@@ -258,6 +268,10 @@ class PurifiedProblem:
     consts: dict[str, str]
     ops: dict[str, tuple[str, ...]] = field(default_factory=dict)
     op_role: dict[str, str] = field(default_factory=dict)
+    # operator -> proxies of its closure terms, in closure order, for the
+    # operators whose Mon instances were left out of `clauses` (the chase
+    # fires them from the solver's trigger index)
+    mon: dict[str, list[str]] = field(default_factory=dict)
 
     def unfold(self, name: str) -> FlatTerm:
         """Resolve a constant back to the operator/meet term it names."""
@@ -298,7 +312,8 @@ class _Purifier:
             if isinstance(flat, Meet):
                 ops = []
                 for a in flat.args:
-                    assert isinstance(a, Const), "numeric meets never reach purification"
+                    if not isinstance(a, Const):
+                        raise CheckError(f"numeric meet reached purification: {flat}")
                     ops.append(a.name)
                 self.meets[proxy.name] = tuple(ops)
         return proxy
@@ -307,13 +322,29 @@ class _Purifier:
         return Leq(self.purify(a.lhs), self.purify(a.rhs))
 
 
+def triggered_ops(problem: alg.AlgebraicProblem) -> list[str]:
+    """The operators whose monotonicity the chase fires from the solver's
+    trigger index: those whose arguments are all concepts.  Mon over an
+    operator with a numeric argument stays materialized, because its
+    numeric premises are decided by the exchange with the numeric side."""
+    return [op for op, sorts in problem.ops.items()
+            if all(s == CONCEPT for s in sorts)]
+
+
 def flatten_purify(instances: Iterable[Instance], goal: Goal,
-                   problem: alg.AlgebraicProblem) -> PurifiedProblem:
+                   problem: alg.AlgebraicProblem,
+                   triggered: Optional[dict[str, list[Apply]]] = None
+                   ) -> PurifiedProblem:
     """Name every operator/meet term with a proxy constant.
 
     Proxies are handed out in first-encounter order walking the goal, then
     the instances; the definition map is a bijection between proxies and
     the one-level terms they abbreviate.
+
+    triggered maps operators whose Mon instances were left out of
+    `instances` to their closure terms.  Their terms are named where the
+    Mon instances would have been walked (problem.ops order, after the
+    K-instances), so the proxies come out as if they were there.
     """
     pur = _Purifier(problem.consts)
     pur.consts.setdefault(alg.BOT_CONST, CONCEPT)
@@ -321,13 +352,39 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
 
     facts = [pur.atom(a) for a in goal.assumptions]
     target = pur.atom(goal.target) if goal.target is not None else None
-    clauses = [Instance(tuple(pur.atom(p) for p in inst.premises),
-                        pur.atom(inst.conclusion), inst.tag)
-               for inst in instances]
+
+    triggered = triggered or {}
+    rank = {op: j for j, op in enumerate(problem.ops)}
+    pending = [op for op in problem.ops if op in triggered]
+    mon: dict[str, list[str]] = {}
+
+    def walk_mon(op: str) -> None:
+        # instantiate emits t0 <= u for u = t1, t2, ... first (premises
+        # before the conclusion); after those every term has a proxy
+        terms = triggered[op]
+        if len(terms) < 2:
+            return
+        t0 = terms[0]
+        for u in terms[1:]:
+            for a, b in zip(t0.args, u.args):
+                pur.atom(Leq(a, b))
+            pur.atom(Leq(t0, u))
+        mon[op] = [pur.purify(t).name for t in terms]
+
+    clauses = []
+    for inst in instances:
+        if pending:
+            op = alg.mon_tag_op(inst.tag)
+            while op is not None and pending and rank[pending[0]] < rank[op]:
+                walk_mon(pending.pop(0))
+        clauses.append(Instance(tuple(pur.atom(p) for p in inst.premises),
+                                pur.atom(inst.conclusion), inst.tag))
+    for op in pending:
+        walk_mon(op)
     return PurifiedProblem(
         facts=facts, target=target, clauses=clauses,
         defs=pur.defs, meets=pur.meets, consts=pur.consts,
-        ops=problem.ops, op_role=problem.op_role,
+        ops=problem.ops, op_role=problem.op_role, mon=mon,
     )
 
 
@@ -358,12 +415,14 @@ def _atom_key(a: Leq) -> AtomKey:
     return (a.lhs.name, a.rhs.name)
 
 
-def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE) -> SLProblem:
+def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
+                   meet_intro: bool = True) -> SLProblem:
     """Unroll the lattice theory over the constants of a purified problem.
 
     Facts: the inputs, reflexivity, bottom/top bounds, and each meet below
     its operands.  Clauses: the purified axiom instances plus meet
-    introduction (S4).  In `instantiate` mode, transitivity over all
+    introduction (S4), unless meet_intro is off (the chase solver fires it
+    from its trigger index).  In `instantiate` mode, transitivity over all
     ordered triples and congruence between same-arity meet proxies are
     materialized too; in `chase` mode the solver's built-in transitive
     closure covers both.
@@ -401,10 +460,11 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE) -> SLProblem:
     for inst in purified.clauses:
         add_clause([_atom_key(p) for p in inst.premises],
                    _atom_key(inst.conclusion), inst.tag)
-    for m, operands in purified.meets.items():
-        for z in universe:
-            if z != m:
-                add_clause([(z, o) for o in operands], (z, m), "meet-intro")
+    if meet_intro:
+        for m, operands in purified.meets.items():
+            for z in universe:
+                if z != m:
+                    add_clause([(z, o) for o in operands], (z, m), "meet-intro")
     if mode == INSTANTIATE:
         for x, y, z in itertools.permutations(universe, 3):
             add_clause([(x, y), (y, z)], (x, z), "trans")

@@ -18,6 +18,10 @@ Concepts:  names, `top`, `bot`, `C and D`, `exists r . C`,
 intervals `num up 3`, `num down 7/2`, `num [1/2, 5]`.
 
 `equiv` is sugar for two `sub` statements and disappears at parse time.
+
+A concept nests at most MAX_NESTING levels: each `exists` and each pair
+of parentheses (around a sub-concept or a filler list) opens one.  Deeper
+input is a ParseError.
 """
 
 from __future__ import annotations
@@ -89,7 +93,12 @@ class And:
             raise ValueError("conjunction needs at least two conjuncts")
 
     def __str__(self) -> str:
-        return " and ".join(_paren_conjunct(a) for a in self.args)
+        # a nested And is parenthesized to round-trip structurally; no
+        # helper call per level, so the deepest concepts render too
+        parts = []
+        for a in self.args:
+            parts.append(f"({a})" if isinstance(a, And) else str(a))
+        return " and ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,13 @@ class Exists:
 
     def __str__(self) -> str:
         if len(self.fillers) == 1:
-            return f"exists {self.role} . {_paren_filler(self.fillers[0])}"
-        inner = ", ".join(str(f) for f in self.fillers)
-        return f"exists {self.role} . ({inner})"
+            f = self.fillers[0]
+            return (f"exists {self.role} . ({f})" if isinstance(f, And)
+                    else f"exists {self.role} . {f}")
+        parts = []
+        for f in self.fillers:
+            parts.append(str(f))
+        return f"exists {self.role} . ({', '.join(parts)})"
 
 
 @dataclass(frozen=True)
@@ -135,16 +148,6 @@ Concept = Union[Name, Top, Bot, And, Exists, Interval]
 
 def _frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _paren_conjunct(c: Concept) -> str:
-    # conjunction binds loosest; a nested And must be parenthesized to
-    # round-trip structurally
-    return f"({c})" if isinstance(c, And) else str(c)
-
-
-def _paren_filler(c: Concept) -> str:
-    return f"({c})" if isinstance(c, And) else str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +311,17 @@ def _tokenize(text: str) -> Iterator[Token]:
             yield Token("eol", "", lineno, n + 1)
 
 
+# the parser and the recursive passes after it (translation, closure,
+# purification, rendering) handle every concept nested this deep within
+# Python's default recursion limit; 330 levels overflowed the parser
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = list(_tokenize(text))
         self.pos = 0
+        self.nesting = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -375,29 +385,39 @@ class _Parser:
             args.append(self.unary())
         return And(tuple(args))
 
+    def nest(self, tok: Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"concept nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+
     def unary(self) -> Concept:
-        if self.eat("ident", "exists"):
+        if self.at("ident", "exists"):
+            self.nest(self.next())
             role = self.ident("role name")
             self.expect("punct", ".")
-            return Exists(role, self.fillers())
+            c = Exists(role, self.fillers())
+            self.nesting -= 1
+            return c
         return self.primary()
 
     def fillers(self) -> tuple[Concept, ...]:
-        if self.eat("punct", "("):
-            first = self.concept()
-            if self.eat("punct", ")"):
-                return (first,)
-            items = [first]
+        if self.at("punct", "("):
+            self.nest(self.next())
+            items = [self.concept()]
             while self.eat("punct", ","):
                 items.append(self.concept())
             self.expect("punct", ")")
+            self.nesting -= 1
             return tuple(items)
         return (self.unary(),)
 
     def primary(self) -> Concept:
-        if self.eat("punct", "("):
+        if self.at("punct", "("):
+            self.nest(self.next())
             c = self.concept()
             self.expect("punct", ")")
+            self.nesting -= 1
             return c
         if self.eat("ident", "top"):
             return TOP

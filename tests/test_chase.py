@@ -1,0 +1,315 @@
+"""The chase's trigger index against the materialized clause families.
+
+In `chase` mode the solver fires monotonicity and meet introduction from
+an index instead of from materialized clauses.  These tests check that
+nothing a user can see changes: every derivation, least model, movement
+and dumped reduction is the one the full materialized reduction gives.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from loctame import concdom, hornsat, pipeline, randgen
+from loctame import reduce as red
+from loctame.syntax import parse_cbox
+
+
+def _render(report: pipeline.Report, steps: list[hornsat.TraceStep]) -> list[str]:
+    lines = []
+    for step in steps:
+        rendered = pipeline.render_atom(report.purified, step.atom)
+        if step.kind == "fact" or not step.premises:
+            lines.append(f"{rendered}   [{step.label}]")
+        else:
+            prems = "; ".join(pipeline.render_atom(report.purified, p)
+                              for p in step.premises)
+            lines.append(f"{rendered}   [{step.label}: {prems}]")
+    return lines
+
+
+def _materialized(report: pipeline.Report):
+    """Solve the full reduction (report.sl) with every clause materialized,
+    replaying the numeric exchange if there are mixed clauses; returns the
+    result and the movements."""
+    sl = report.sl
+    full = red.flatten_purify(report.instances, report.problem.goal,
+                              report.problem)
+    assert full.defs == report.purified.defs
+    assert full.consts == report.purified.consts
+    split = concdom.split_problem(full)
+    if not split.mixed:
+        return hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
+                                     transitive=True), []
+    solver = hornsat.HornSolver(transitive=True)
+    for atom, label in sl.facts:
+        solver.add_fact(atom, label)
+    for premises, concl, tag in sl.clauses:
+        solver.add_clause(premises, concl, tag)
+    pending, movements = list(split.mixed), []
+    while True:
+        res = solver.solve(sl.goal)
+        if not res.sat:
+            return res, movements
+        moved = False
+        for mc in pending[:]:
+            if (all(concdom.num_entails(split.num_facts, a) for a in mc.num_premises)
+                    and all(solver.has(p) for p in mc.concept_premises)):
+                solver.add_fact(mc.concl, f"moved:{mc.tag}")
+                movements.append((mc.tag, mc.concl))
+                pending.remove(mc)
+                moved = True
+        if not moved:
+            return res, movements
+
+
+def _check_identity(cbox, query) -> bool:
+    """Compare the chase with the materialized reduction on one query;
+    returns whether a derivation was compared (the query is subsumed)."""
+    report, lines = pipeline.explain(cbox, query)
+    comb = report.combine
+    if comb.result is None:
+        assert report.sl is None
+        return False
+    res, movements = _materialized(report)
+    assert movements == comb.movements
+    assert res.sat == comb.result.sat
+    if res.sat:
+        assert res.model() == comb.result.model()
+        return False
+    steps = res.solver.trace(report.sl.goal)
+    assert lines[len(movements):] == _render(report, steps)
+    return True
+
+
+def test_explain_equals_the_materialized_trace_normal_form():
+    traced = 0
+    for seed in range(120):
+        rng = random.Random(11_000 + seed)
+        cbox = randgen.normal_cbox(rng, max_names=10, max_roles=3,
+                                   max_axioms=20)
+        traced += _check_identity(cbox, randgen.random_query(rng, cbox))
+    assert traced >= 25
+
+
+def test_explain_equals_the_materialized_trace_extended():
+    traced = 0
+    for seed in range(120):
+        rng = random.Random(12_000 + seed)
+        cbox = randgen.extended_cbox(rng)
+        traced += _check_identity(cbox, randgen.random_query(rng, cbox))
+    assert traced >= 30
+
+
+def test_explain_equals_the_materialized_trace_numeric():
+    traced = 0
+    for seed in range(150):
+        rng = random.Random(13_000 + seed)
+        cbox = randgen.numeric_cbox(rng)
+        traced += _check_identity(cbox, randgen.numeric_query(rng, cbox))
+    assert traced >= 15
+
+
+def test_fixtures_with_movements_match(freight_cbox, defs_cbox, anatomy_cbox,
+                                       routes_cbox):
+    for cbox in (freight_cbox, defs_cbox, anatomy_cbox, routes_cbox):
+        assert _check_identity(cbox, cbox.queries[0])
+
+
+def test_classification_model_equals_the_materialized_one():
+    cbox = randgen.scaling_family(60)
+    cls = pipeline.classify(cbox)
+    res, _ = _materialized(cls.report)
+    assert res.model() == cls.report.combine.result.model()
+    # the materialized families are what the index saves (988 against
+    # 4,708 atoms here; the gap grows with the size)
+    assert len(cls.report.combine.result.solver.atom_keys) * 4 < \
+        len(res.solver.atom_keys)
+
+
+def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
+    chase = pipeline.check_subsumption(defs_cbox, defs_cbox.queries[0])
+    inst = pipeline.check_subsumption(defs_cbox, defs_cbox.queries[0],
+                                      mode=red.INSTANTIATE)
+    # the solver was built without Mon(f_r1), Mon(f_r2) and meet-intro ...
+    built = {tag for _, _, tag in chase.combine.sl.clauses}
+    assert not any(t.startswith("Mon") or t == "meet-intro" for t in built)
+    assert chase.purified.mon
+    # ... while the report shows the whole reduction, Mon= included
+    assert chase.instances == inst.instances
+    assert {tag for *_, tag in chase.sl.clauses} >= {
+        "Mon(f_r1)", "Mon=f_r1", "meet-intro"}
+
+
+def test_numeric_operators_keep_materialized_monotonicity(freight_cbox):
+    report = pipeline.check_subsumption(freight_cbox, freight_cbox.queries[0])
+    assert not report.purified.mon
+    assert red.triggered_ops(report.problem) == []
+
+
+# ---------------------------------------------------------------------------
+# the solver alone, on random problems
+# ---------------------------------------------------------------------------
+
+def _random_problem(rng: random.Random):
+    consts = [f"c{i}" for i in range(rng.randint(3, 7))]
+    universe = list(consts)
+    families = []
+    for op in range(rng.randint(1, 3)):
+        arity = rng.choice((1, 1, 2))
+        args = list(itertools.product(consts, repeat=arity))
+        rng.shuffle(args)
+        terms = []
+        for a in args[:rng.randint(1, min(5, len(args)))]:
+            name = f"f{op}_{len(terms)}"
+            universe.append(name)
+            terms.append((name, a))
+        families.append((2 * op + 1, f"Mon(f{op})", terms))
+    meets = {}
+    for i in range(rng.randint(0, 3)):
+        name = f"m{i}"
+        meets[name] = tuple(rng.choice(universe) for _ in range(rng.randint(2, 3)))
+    universe += list(meets)
+
+    def atom():
+        return (rng.choice(universe), rng.choice(universe))
+
+    facts = [((z, z), "refl") for z in universe]
+    facts += [(atom(), f"input:{i}") for i in range(rng.randint(1, 8))]
+    facts += [((m, o), "meet-below") for m, ops in meets.items() for o in ops]
+    # block-0 clauses stand for the K-instances, clauses in the blocks
+    # between the families for Mon over operators with a numeric argument;
+    # a block is either materialized or triggered, as in the pipeline
+    extra = []
+    for i in range(rng.randint(0, 8)):
+        if rng.random() < 0.6:
+            premises = tuple(atom() for _ in range(rng.randint(0, 2)))
+            extra.append((0, premises, atom(), f"X{i}"))
+        else:
+            # like Mon over a numeric operator: waits on argument atoms
+            premises = tuple((rng.choice(consts), rng.choice(consts))
+                             for _ in range(rng.randint(1, 2)))
+            extra.append((2 * rng.randint(1, len(families)), premises,
+                          atom(), f"X{i}"))
+    extra.sort(key=lambda c: c[0])
+    goal = atom() if rng.random() < 0.5 else None
+    return families, meets, universe, facts, extra, goal
+
+
+def _materialized_clauses(families, meets, universe, extra):
+    out = [(b, p, c, t) for b, p, c, t in extra]
+    for block, tag, terms in families:
+        for (t, ta), (u, ua) in itertools.permutations(terms, 2):
+            out.append((block, tuple(dict.fromkeys(zip(ta, ua))), (t, u), tag))
+    meet_block = 2 * len(families) + 1
+    for m, ops in meets.items():
+        for z in universe:
+            if z != m:
+                out.append((meet_block, tuple(dict.fromkeys((z, o) for o in ops)),
+                            (z, m), "meet-intro"))
+    out.sort(key=lambda c: c[0])      # stable: keeps the order inside a block
+    return out
+
+
+def _derivations(solver: hornsat.HornSolver) -> list:
+    keys = solver.atom_keys
+    out = []
+    for aid, reason in solver.reasons.items():
+        if reason[0] == "clause":
+            clause = solver.clauses[reason[1]]
+            reason = (clause.tag, tuple(keys[p] for p in clause.premises))
+        elif reason[0] == "trans":
+            reason = ("trans", keys[reason[1]], keys[reason[2]])
+        out.append((keys[aid], reason))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_triggered_rules_derive_like_their_materialized_clauses(seed):
+    rng = random.Random(seed)
+    families, meets, universe, facts, extra, goal = _random_problem(rng)
+
+    plain = hornsat.HornSolver(transitive=True)
+    for a, label in facts:
+        plain.add_fact(a, label)
+    for _, premises, concl, tag in _materialized_clauses(
+            families, meets, universe, extra):
+        plain.add_clause(premises, concl, tag)
+    want = plain.solve(goal)
+
+    triggers = hornsat.Triggers(mon=families, meets=meets,
+                                meet_block=2 * len(families) + 1,
+                                universe=universe)
+    chase = hornsat.HornSolver(transitive=True, triggers=triggers)
+    for a, label in facts:
+        chase.add_fact(a, label)
+    for block, premises, concl, tag in extra:
+        chase.add_clause(premises, concl, tag, block)
+    got = chase.solve(goal)
+
+    assert got.sat == want.sat
+    # same atoms, derived in the same order for the same reasons
+    assert _derivations(chase) == _derivations(plain)
+    if goal is not None and not got.sat:
+        assert chase.trace(goal) == plain.trace(goal)
+
+
+def test_rules_complete_at_build_time_fire_before_solving():
+    triggers = hornsat.Triggers(mon=[(1, "Mon(f)", [("fa", ("a",)), ("fb", ("b",))])],
+                                meets={}, meet_block=2, universe=["a", "b", "fa", "fb"])
+    solver = hornsat.HornSolver(transitive=True, triggers=triggers)
+    solver.add_fact(("a", "b"), "input:0")
+    solver.end_build()
+    assert solver.has(("fa", "fb"))
+    assert not solver.has(("fb", "fa"))
+    step = solver.trace(("fa", "fb"))[-1]
+    assert (step.label, step.premises) == ("Mon(f)", (("a", "b"),))
+
+
+def test_one_pop_fires_in_materialized_order():
+    # a <= b is derived by transitivity, so it is popped after the build;
+    # that pop completes a materialized clause of block 2 and the
+    # triggered Mon rule of block 1, and the rule's conclusion comes first
+    triggers = hornsat.Triggers(mon=[(1, "Mon(f)", [("fa", ("a",)), ("fb", ("b",))])],
+                                meets={}, meet_block=3,
+                                universe=["a", "b", "x", "fa", "fb", "p"])
+    solver = hornsat.HornSolver(transitive=True, triggers=triggers)
+    solver.add_fact(("a", "x"), "input:0")
+    solver.add_fact(("x", "b"), "input:1")
+    solver.add_clause([("a", "b")], ("p", "p"), "Mon(g)", block=2)
+    solver.solve()
+    order = [solver.atom_keys[a] for a in solver.reasons]
+    assert order[:5] == [("a", "x"), ("x", "b"), ("a", "b"), ("fa", "fb"),
+                         ("p", "p")]
+
+
+def test_proxies_follow_the_materialized_walk():
+    # the meets of the two restrictions are first named by the Mon(f_w)
+    # walk, premises before conclusions: (C & D), (E & F), then the terms
+    cbox = parse_cbox("""\
+decl role w : 3
+role w1 = restrict w at 2 to C and D
+role w2 = restrict w at 2 to E and F
+role r o s sub w1
+role r o s sub w2
+A sub exists s . B
+? A sub exists s . B
+""")
+    report = pipeline.check_subsumption(cbox, cbox.queries[0])
+    assert report.purified.mon == {"f_w": ["_t3", "_t4"]}
+    assert [str(report.purified.defs[p]) for p in ("_t1", "_t2")] == \
+        ["(C & D)", "(E & F)"]
+    assert _check_identity(cbox, cbox.queries[0])
+
+
+def test_only_touched_atoms_are_interned():
+    text = "\n".join(f"C{i} sub exists r . C{i + 1}" for i in range(30))
+    cbox = parse_cbox(text + "\n")
+    solver = pipeline.classify(cbox).report.combine.result.solver
+    # 30 operator terms: a materialized Mon(f_r) alone would intern 870
+    # conclusions and as many premises
+    assert len(solver.atom_keys) < 300

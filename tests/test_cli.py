@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from loctame import cli
 from loctame.reduce import parse_reduction
+from loctame.syntax import MAX_NESTING
 from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
                             ROUTES_TEXT, SPLIT_TEXT)
 
@@ -84,9 +86,10 @@ def test_check_json_schema(files, capsys):
     body = json.loads(capsys.readouterr().out)
     assert isinstance(body, list) and len(body) == 1
     assert set(body[0]) == {"query", "verdict", "psi_size", "clause_count",
-                            "micros_per_stage"}
+                            "micros_per_stage", "stats"}
     assert body[0]["verdict"] == "subsumed"
     assert body[0]["psi_size"] == 8
+    assert body[0]["stats"]["atoms_derived"] > 0
 
 
 def test_classify_lists_proper_subsumptions(files, capsys):
@@ -205,3 +208,46 @@ def test_check_reads_stdin(monkeypatch, capsys):
 def test_check_normalize_flag(files, capsys):
     assert cli.main(["check", "--normalize", files["anatomy"]]) == 0
     assert "subsumed" in capsys.readouterr().out
+
+
+def test_emit_reduction_matches_the_recorded_reductions(files, capsys):
+    # the chase fires Mon and meet introduction from an index, yet the
+    # dumped reduction is the full one, byte for byte
+    golden = Path(__file__).resolve().parent / "golden"
+    for name in ("defs", "anatomy", "freight"):
+        assert cli.main(["check", "--emit-reduction", files[name]]) == 0
+        want = (golden / f"{name}.reduction").read_text()
+        assert capsys.readouterr().out == want, name
+
+
+def test_deeply_nested_concept_exits_two(tmp_path, capsys):
+    p = tmp_path / "deep.lt"
+    deep = "(" * 330 + "A" + ")" * 330
+    p.write_text(f"{deep} sub B\n? {deep} sub B\n")
+    assert cli.main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper than" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_nesting_at_the_bound_is_decided(tmp_path, capsys):
+    p = tmp_path / "deep.lt"
+    deep = "exists r . " * MAX_NESTING + "A"
+    p.write_text(f"{deep} sub B\n? {deep} sub B\n")
+    assert cli.main(["check", str(p)]) == 0
+    conj = "(B and " * MAX_NESTING + "A" + ")" * MAX_NESTING
+    p.write_text(f"{conj} sub C\n? {conj} sub C\n")
+    assert cli.main(["check", str(p)]) == 0
+    assert "subsumed" in capsys.readouterr().out
+
+
+def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise KeyError("no such\nthing")
+
+    monkeypatch.setattr(cli.pipeline, "check_subsumption", boom)
+    status = cli.main(["check", files["defs"]])
+    assert status == cli.EXIT_INTERNAL and status not in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError")
+    assert len(err.strip().splitlines()) == 1

@@ -86,11 +86,37 @@ def test_json_report_schema(anatomy_cbox):
     report = pipeline.check_subsumption(anatomy_cbox, anatomy_cbox.queries[0])
     body = pipeline.json_report(report)
     assert set(body) == {"query", "verdict", "psi_size", "clause_count",
-                         "micros_per_stage"}
+                         "micros_per_stage", "stats"}
     assert body["verdict"] == "subsumed"
     assert body["psi_size"] == 8
     assert body["clause_count"] > 0
     assert all(isinstance(v, int) for v in body["micros_per_stage"].values())
+    assert set(body["stats"]) >= {"atoms_interned", "atoms_derived",
+                                  "clauses_built", "rules_fired"}
+    assert all(isinstance(v, int) for v in body["stats"].values())
+
+
+def test_micros_split_the_solve_stage(anatomy_cbox, freight_cbox):
+    report = pipeline.check_subsumption(anatomy_cbox, anatomy_cbox.queries[0])
+    assert set(report.micros) == {"translate", "closure", "instantiate",
+                                  "purify", "sl_instantiate", "build",
+                                  "propagate"}
+    # mixed clauses add the exchange with the numeric side
+    report = pipeline.check_subsumption(freight_cbox, freight_cbox.queries[0])
+    assert "exchange" in report.micros
+
+
+def test_stats_count_the_solver_work(anatomy_cbox):
+    report = pipeline.check_subsumption(anatomy_cbox, anatomy_cbox.queries[0])
+    stats = report.stats
+    solver = report.combine.result.solver
+    assert stats["atoms_interned"] == len(solver.atom_keys)
+    assert stats["atoms_derived"] == len(solver.reasons)
+    assert 0 < stats["atoms_derived"] <= stats["atoms_interned"]
+    assert stats["clauses_built"] == len(report.combine.sl.clauses)
+    # the chase fired Mon and meet introduction without materializing them
+    assert stats["rules_fired"] > 0 and stats["trigger_probes"] > 0
+    assert stats["decrements"] <= stats["premise_occurrences"]
 
 
 def test_explain_names_a_clause_for_every_derivation_step(anatomy_cbox):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loctame import randgen
-from loctame.syntax import (And, CheckError, Exists, GCI, Interval, Name,
-                            ParseError, Query, RoleInclusion, Top, check_cbox,
+from loctame.syntax import (And, CheckError, Exists, GCI, Interval,
+                            MAX_NESTING, Name, ParseError, Query,
+                            RoleInclusion, Top, check_cbox,
                             parse_cbox, parse_concept,
                             parse_interpolation_input, render_cbox,
                             resolve_roles)
@@ -129,3 +130,21 @@ def test_interpolation_input_rejects_misplaced_lines():
             "A: X sub Y\nB: X nsub Y\nB: Y nsub X\n")  # two of them
     with pytest.raises(ParseError):
         parse_interpolation_input("X sub Y\nB: X nsub Y\n")  # untagged GCI
+
+
+@pytest.mark.parametrize("deep", [
+    "(" * 330 + "A" + ")" * 330,
+    "exists r . " * 330 + "A",
+    "exists r . (" * 201 + "A" + ")" * 201,
+])
+def test_nesting_past_the_bound_is_a_parse_error(deep):
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_cbox(f"{deep} sub B\n")
+
+
+def test_nesting_at_the_bound_parses_and_renders():
+    for deep in ("(" * MAX_NESTING + "A" + ")" * MAX_NESTING,
+                 "exists r . (B and " * (MAX_NESTING // 2) + "A"
+                 + ")" * (MAX_NESTING // 2)):
+        cbox = parse_cbox(f"{deep} sub B\n")
+        assert parse_cbox(render_cbox(cbox)) == cbox
