@@ -157,20 +157,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _render_steps(steps: list[hornsat.TraceStep]) -> list[str]:
-    def atom(a: hornsat.AtomKey) -> str:
-        return f"{a[0]} <= {a[1]}"
-
-    lines = []
-    for step in steps:
-        if step.kind == "fact" or not step.premises:
-            lines.append(f"{atom(step.atom)}   [{step.label}]")
-        else:
-            prems = "; ".join(atom(p) for p in step.premises)
-            lines.append(f"{atom(step.atom)}   [{step.label}: {prems}]")
-    return lines
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     sl = red.parse_reduction(_load(args.file))
     result = hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
@@ -191,7 +177,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"goal not derived: {sl.goal[0]} <= {sl.goal[1]}")
     else:
         print(f"goal derived: {sl.goal[0]} <= {sl.goal[1]}")
-        for line in _render_steps(result.solver.trace(sl.goal)):
+        for line in pipeline.render_steps(result.solver.trace(sl.goal),
+                                          lambda a: f"{a[0]} <= {a[1]}"):
             print(f"  {line}")
     if sl.goal is None:
         return 0

@@ -170,10 +170,6 @@ def _atom_sort(a: Leq, consts: dict[str, str]) -> str:
     return ls
 
 
-def _concept_key(a: Leq) -> AtomKey:
-    return (a.lhs.name, a.rhs.name)
-
-
 def split_problem(purified: PurifiedProblem) -> SplitProblem:
     consts = purified.consts
     concept_facts: list[Leq] = []
@@ -205,9 +201,9 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
         if dropped:
             continue
         if nprem:
-            mixed.append(MixedClause(tuple(_concept_key(p) for p in cprem),
-                                     tuple(nprem), _concept_key(inst.conclusion),
-                                     inst.tag))
+            mixed.append(MixedClause(
+                tuple(red._atom_key(p) for p in cprem), tuple(nprem),
+                red._atom_key(inst.conclusion), inst.tag))
         else:
             concept_clauses.append(inst)
 
@@ -304,7 +300,11 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
         micros["exchange"] = 0
 
     out = CombineResult(subsumed=False, result=None, sl=sl, micros=micros)
-    pending = list(split.mixed)
+    # the numeric facts never change, so each clause's numeric premises
+    # are decided once: a clause whose premises fail is dropped, one whose
+    # premises hold is remembered in `passed`
+    pending = list(range(len(split.mixed)))
+    passed: set[int] = set()
     while True:
         out.iterations += 1
         if out.iterations > len(split.mixed) + 1:
@@ -318,13 +318,20 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
             return out
         t = _now()
         moved = False
-        for mc in pending[:]:
-            if (all(num_entails(num_facts, a) for a in mc.num_premises)
-                    and all(solver.has(p) for p in mc.concept_premises)):
+        waiting = []
+        for i in pending:
+            mc = split.mixed[i]
+            if i not in passed:
+                if not all(num_entails(num_facts, a) for a in mc.num_premises):
+                    continue
+                passed.add(i)
+            if all(solver.has(p) for p in mc.concept_premises):
                 solver.add_fact(mc.concl, f"moved:{mc.tag}")
                 out.movements.append((mc.tag, mc.concl))
-                pending.remove(mc)
                 moved = True
+            else:
+                waiting.append(i)
+        pending = waiting
         if split.mixed:
             micros["exchange"] += _now() - t
         if not moved:

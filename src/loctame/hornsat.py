@@ -9,6 +9,8 @@ With transitive=True the solver additionally closes the derived atom set
 under  a<=b, b<=c  =>  a<=c  (used by the chase mode, where transitivity
 is not materialized as clauses).  Each transitivity step is binary and is
 recorded in the derivation like a clause firing, so proofs stay auditable.
+The steps follow the order in which atoms were derived, never string
+hashing, so a derivation reads the same in every process.
 
 The chase mode also hands the solver a `Triggers` index instead of two
 quadratic clause families: monotonicity of the operators whose arguments
@@ -173,8 +175,10 @@ class HornSolver:
         self.clauses: list[_Clause] = []
         self.stats = Stats()
         if transitive:
-            self.succ: dict[str, set[str]] = {}
-            self.pred: dict[str, set[str]] = {}
+            # insertion-ordered, so the transitivity steps and the reasons
+            # they record do not depend on string hashing
+            self.succ: dict[str, dict[str, None]] = {}
+            self.pred: dict[str, dict[str, None]] = {}
         self.triggers = triggers
         # while building, atoms are stamped with the rank of the step that
         # derived them (facts: -1), and the triggered rules they may
@@ -359,8 +363,8 @@ class HornSolver:
 
     def _trans_close(self, aid: int) -> None:
         a, b = self.atom_keys[aid]
-        self.succ.setdefault(a, set()).add(b)
-        self.pred.setdefault(b, set()).add(a)
+        self.succ.setdefault(a, {})[b] = None
+        self.pred.setdefault(b, {})[a] = None
         if a == b:
             return
         # extend to the left, then to the right
@@ -422,6 +426,7 @@ def solve_problem(facts: Iterable[tuple[AtomKey, str]],
                   clauses: Iterable[tuple[tuple[AtomKey, ...], AtomKey, str]],
                   goal: Optional[AtomKey],
                   transitive: bool = False) -> Result:
+    """Build a solver from facts and materialized clauses and solve."""
     solver = HornSolver(transitive=transitive)
     for atom, label in facts:
         solver.add_fact(atom, label)

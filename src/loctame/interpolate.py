@@ -17,23 +17,28 @@ the same axiom applied to the separating term on the other, linked by a
 fresh defined constant (the c_{f(t)} of the underlying method).  Once the
 refutation decomposes into single-sided steps, the interpolant is the set
 of atoms the A side hands across the boundary.
+
+The reduction is the subsumption pipeline's own: flatten_purify names the
+terms, and the defined constants are added to that same purified problem
+(whose unfold renders them) and to a reduce.LatticeTheory, which keeps
+meet introduction materialized here.  `entails`, the verification gate,
+is pipeline.decide in chase mode.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import algebra as alg
-from . import hornsat
+from . import hornsat, pipeline
 from . import reduce as red
 from .algebra import (AlgAxiom, Apply, Const, FlatTerm, Goal, K1, K2, K3,
                       Leq, Lit, Meet, Mon, apply_subterms, axiom_ops,
                       constants_of)
-from .hornsat import AtomKey, HornSolver
+from .hornsat import AtomKey
 from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
-                     GCI, InterpolationInput, LoctameError, Name, Query, Top)
+                     GCI, InterpolationInput, LoctameError, Name, Top)
 
 _CAP = 64
 
@@ -107,12 +112,13 @@ def _atom_ops(atoms: Iterable[Leq]) -> set[str]:
     return out
 
 
-def _atom_consts(atoms: Iterable[Leq]) -> set[str]:
-    out: set[str] = set()
+def _atom_consts(atoms: Iterable[Leq]) -> list[str]:
+    """The constants of the atoms in first-seen order."""
+    out: dict[str, None] = {}
     for a in atoms:
         for side in (a.lhs, a.rhs):
-            out.update(constants_of(side))
-    return out
+            out.update(dict.fromkeys(constants_of(side)))
+    return list(out)
 
 
 def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
@@ -127,6 +133,21 @@ def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
                 if isinstance(slot, alg.FixedSlot):
                     out.append(slot.term)
     return out
+
+
+def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
+                       op_role: dict[str, str]) -> alg.AlgebraicProblem:
+    """The problem the reduction runs on: constants from the atoms and the
+    axioms' ground terms, operators from the Mon axioms (so the chase
+    fires their monotonicity from its trigger index)."""
+    consts = {name: CONCEPT for name in _atom_consts(goal.all_atoms())}
+    for t in _axiom_ground_terms(axioms):
+        for name in constants_of(t):
+            consts.setdefault(name, CONCEPT)
+    ops = {ax.op: (CONCEPT,) * ax.arity
+           for ax in axioms if isinstance(ax, Mon)}
+    return alg.AlgebraicProblem(axioms=axioms, goal=goal, ops=ops,
+                                consts=consts, op_role=dict(op_role))
 
 
 def _axiom_templates(ax: AlgAxiom) -> list[alg.OpTemplate]:
@@ -155,9 +176,9 @@ class _Vocabulary:
 
 
 def _vocabulary(problem: InterpolationProblem) -> _Vocabulary:
-    a_consts = _atom_consts(problem.a_atoms)
+    a_consts = set(_atom_consts(problem.a_atoms))
     b_atoms = problem.b_atoms + (problem.neg,)
-    b_consts = _atom_consts(b_atoms)
+    b_consts = set(_atom_consts(b_atoms))
     theory = {alg.TOP_CONST, alg.BOT_CONST}
     for t in _axiom_ground_terms(problem.axioms):
         theory.update(constants_of(t))
@@ -262,100 +283,45 @@ class _Attempt:
         goal = Goal(problem.a_atoms + problem.b_atoms, problem.neg)
         psi = alg.psi_closure(alg.goal_seeds(goal), problem.axioms)
         instances = alg.instantiate(problem.axioms, psi, mon_eq_variants=False)
+        # the term store: separation adds its defined constants here
+        self.purified = red.flatten_purify(
+            instances, goal,
+            _algebraic_problem(problem.axioms, goal, problem.op_role))
+        purified = self.purified
+        if purified.target is None:
+            raise LoctameError("the refuted atom was lost in purification")
 
-        consts = {name: CONCEPT
-                  for name in _atom_consts(goal.all_atoms())}
-        for t in _axiom_ground_terms(problem.axioms):
-            for name in constants_of(t):
-                consts.setdefault(name, CONCEPT)
-        base = alg.AlgebraicProblem(
-            axioms=problem.axioms, goal=goal, ops={}, consts=consts,
-            op_role=dict(problem.op_role))
-        purified = red.flatten_purify(instances, goal, base)
-
-        self.defs: dict[str, FlatTerm] = dict(purified.defs)
-        self.by_term = {t: n for n, t in self.defs.items()}
-        self.meets: dict[str, tuple[str, ...]] = dict(purified.meets)
-        self.universe: list[str] = list(purified.consts)
+        self.by_term = {t: n for n, t in purified.defs.items()}
         self.counter = 0
         self.defined: dict[str, FlatTerm] = {}
 
+        key = red._atom_key
         n_a = len(problem.a_atoms)
-        self.a_facts = [(self._key(a), "A") for a in purified.facts[:n_a]]
-        self.b_facts = [(self._key(a), "B") for a in purified.facts[n_a:]]
-        assert purified.target is not None
-        self.goal = self._key(purified.target)
-
-        self.theory_facts: list[tuple[AtomKey, str]] = []
-        self.theory_clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
-        self._clause_seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
-        for x in self.universe:
-            self._const_theory(x)
-        for m in self.meets:
-            self._meet_theory(m)
+        self.a_facts = [(key(a), "A") for a in purified.facts[:n_a]]
+        self.b_facts = [(key(a), "B") for a in purified.facts[n_a:]]
+        self.goal = key(purified.target)
+        self.theory = red.LatticeTheory()
+        self.theory.extend(purified.consts, purified.meets)
 
         self._color_memo: dict[str, str] = {}
         self._export_memo: dict[str, bool] = {}
-        self.instances = [
-            _Inst(tuple(self._key(p) for p in inst.premises),
-                  self._key(inst.conclusion), inst.tag,
-                  self._inst_color([self._key(p) for p in inst.premises]
-                                   + [self._key(inst.conclusion)]))
-            for inst in purified.clauses]
-        self._inst_seen = {(frozenset(i.premises), i.concl) for i in self.instances}
+        self.instances: list[_Inst] = []
+        self._inst_seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
+        for inst in purified.clauses:
+            self._add_instance(tuple(key(p) for p in inst.premises),
+                               key(inst.conclusion), inst.tag)
         self._split_done: set[tuple] = set()
 
-    # -- naming and terms ------------------------------------------------------
-
-    @staticmethod
-    def _key(a: Leq) -> AtomKey:
-        assert isinstance(a.lhs, Const) and isinstance(a.rhs, Const)
-        return (a.lhs.name, a.rhs.name)
-
-    def unfold(self, name: str) -> FlatTerm:
-        t = self.defs.get(name)
-        if t is None:
-            return Const(name)
-        if isinstance(t, Apply):
-            return Apply(t.op, tuple(self._unfold_term(a) for a in t.args))
-        if isinstance(t, Meet):
-            return Meet(tuple(self._unfold_term(a) for a in t.args))
-        return t
-
-    def _unfold_term(self, t: FlatTerm) -> FlatTerm:
-        return self.unfold(t.name) if isinstance(t, Const) else t
-
-    def _const_theory(self, name: str) -> None:
-        self.theory_facts.append(((name, name), "refl"))
-        self.theory_facts.append(((alg.BOT_CONST, name), "bound"))
-        self.theory_facts.append(((name, alg.TOP_CONST), "bound"))
-        for m, operands in self.meets.items():
-            if name != m:
-                self._add_theory_clause(
-                    [(name, o) for o in operands], (name, m))
-
-    def _meet_theory(self, m: str) -> None:
-        for o in self.meets[m]:
-            self.theory_facts.append(((m, o), "meet-below"))
-        for z in self.universe:
-            if z != m:
-                self._add_theory_clause(
-                    [(z, o) for o in self.meets[m]], (z, m))
-
-    def _add_theory_clause(self, premises: list[AtomKey], concl: AtomKey) -> None:
-        key = (frozenset(premises), concl)
-        if key not in self._clause_seen:
-            self._clause_seen.add(key)
-            self.theory_clauses.append((tuple(premises), concl, "meet-intro"))
+    # -- defined constants ---------------------------------------------------
 
     def _new_const(self, name: str, term: FlatTerm) -> None:
-        self.defs[name] = term
+        self.purified.defs[name] = term
+        self.purified.consts[name] = CONCEPT
         self.by_term[term] = name
-        self.universe.append(name)
-        self._const_theory(name)
-        if isinstance(term, Meet):
-            self.meets[name] = tuple(a.name for a in term.args)
-            self._meet_theory(name)
+        meets = ({name: tuple(a.name for a in term.args)}
+                 if isinstance(term, Meet) else {})
+        self.purified.meets.update(meets)
+        self.theory.extend([name], meets)
 
     def proxy_for(self, term: FlatTerm) -> str:
         have = self.by_term.get(term)
@@ -364,7 +330,7 @@ class _Attempt:
         name = f"_i{self.counter}"
         self.counter += 1
         self._new_const(name, term)
-        self.defined[name] = self.unfold(name)
+        self.defined[name] = self.purified.unfold(name)
         return name
 
     # -- colors ----------------------------------------------------------------
@@ -373,7 +339,7 @@ class _Attempt:
         memo = self._color_memo.get(name)
         if memo is not None:
             return memo
-        term = self.defs.get(name)
+        term = self.purified.defs.get(name)
         if term is None:
             out = self.vocab.const_color(name)
         else:
@@ -389,8 +355,8 @@ class _Attempt:
         memo = self._export_memo.get(name)
         if memo is not None:
             return memo
-        term = self.unfold(name)
-        out = all(self.color(c) == "S" and self.defs.get(c) is None
+        term = self.purified.unfold(name)
+        out = all(self.color(c) == "S" and self.purified.defs.get(c) is None
                   for c in constants_of(term))
         if out and self.op_strict:
             out = all(t.op in self.vocab.shared_ops for t in apply_subterms(term))
@@ -419,46 +385,39 @@ class _Attempt:
 
     # -- solver runs -------------------------------------------------------------
 
-    def _run(self, facts: Iterable[tuple[AtomKey, str]],
-             clauses: Iterable[tuple[tuple[AtomKey, ...], AtomKey, str]],
-             goal: Optional[AtomKey]) -> hornsat.Result:
-        solver = HornSolver(transitive=True)
-        for atom, label in facts:
-            solver.add_fact(atom, label)
-        for premises, concl, tag in clauses:
-            solver.add_clause(premises, concl, tag)
-        return solver.solve(goal)
-
     def _side_clauses(self, colors: tuple[str, ...]):
         picked = [(i.premises, i.concl, i.tag)
                   for i in self.instances if i.color in colors]
-        return self.theory_clauses + picked
+        return self.theory.clauses + picked
 
     def run(self) -> tuple[list[AtomKey], int]:
         """The layered loop; returns the purified interpolant atoms."""
+        theory = self.theory
         for iteration in range(1, _CAP + 1):
-            joint = self._run(
-                self.a_facts + self.b_facts + self.theory_facts,
-                self._side_clauses(("A", "B", "S", "X")), self.goal)
+            joint = hornsat.solve_problem(
+                [*self.a_facts, *self.b_facts, *theory.facts.items()],
+                self._side_clauses(("A", "B", "S", "X")), self.goal,
+                transitive=True)
             if joint.sat:
                 if iteration == 1:
                     raise NotUnsat("the two sides are jointly satisfiable")
                 raise LoctameError("separation lost the refutation")
 
-            theory_model = self._run(self.theory_facts, self.theory_clauses,
-                                     None).model()
-            ma = self._run(self.a_facts + self.theory_facts,
-                           self._side_clauses(("A", "S")), None)
-            ma_model = ma.model()
+            theory_model = hornsat.solve_problem(
+                theory.facts.items(), theory.clauses, None,
+                transitive=True).model()
+            ma_model = hornsat.solve_problem(
+                [*self.a_facts, *theory.facts.items()],
+                self._side_clauses(("A", "S")), None, transitive=True).model()
             itp = sorted(
                 (x, y) for x, y in ma_model
                 if (x, y) not in theory_model
                 and self.exportable(x) and self.exportable(y))
 
-            mb = self._run(
-                self.b_facts + self.theory_facts
-                + [(a, "itp") for a in itp],
-                self._side_clauses(("B", "S")), self.goal)
+            mb = hornsat.solve_problem(
+                [*self.b_facts, *theory.facts.items(),
+                 *((a, "itp") for a in itp)],
+                self._side_clauses(("B", "S")), self.goal, transitive=True)
             if not mb.sat:
                 atoms = [s.atom for s in mb.solver.trace(self.goal)
                          if s.kind == "fact" and s.label == "itp"]
@@ -494,7 +453,7 @@ class _Attempt:
         """Replace one use of an instance whose premise crosses the sides
         by a monotonicity half and a same-axiom half through a fresh
         defined term."""
-        fdef = self.defs.get(step.atom[0])
+        fdef = self.purified.defs.get(step.atom[0])
         if not isinstance(fdef, Apply) or len(fdef.args) != 1:
             return False
         arg = fdef.args[0]
@@ -503,7 +462,7 @@ class _Attempt:
         if sum(1 for p in step.premises if p[0] == prem[0]) != 1:
             return False          # ambiguous binding; leave untouched
 
-        candidates = [c for c in self.universe if self.exportable(c)]
+        candidates = [c for c in self.theory.universe if self.exportable(c)]
         term = separating_term(prem[0], prem[1], ma_model, mb_model, candidates)
         if term is None:
             term = self._chain_candidate(joint, prem, joint_model)
@@ -555,22 +514,11 @@ class _Attempt:
 # ---------------------------------------------------------------------------
 
 def entails(axioms: Iterable[AlgAxiom], facts: Iterable[Leq], target: Leq) -> bool:
-    """Does the conjunction of facts entail the target over the axioms?"""
-    axioms = tuple(axioms)
+    """Does the conjunction of facts entail the target over the axioms?
+    Decided by the subsumption pipeline's own reduction, in chase mode."""
     goal = Goal(tuple(facts), target)
-    psi = alg.psi_closure(alg.goal_seeds(goal), axioms)
-    instances = alg.instantiate(axioms, psi)
-    consts = {name: CONCEPT for name in _atom_consts(goal.all_atoms())}
-    for t in _axiom_ground_terms(axioms):
-        for name in constants_of(t):
-            consts.setdefault(name, CONCEPT)
-    base = alg.AlgebraicProblem(axioms=axioms, goal=goal, ops={},
-                                consts=consts, op_role={})
-    purified = red.flatten_purify(instances, goal, base)
-    sl = red.sl_instantiate(purified, red.CHASE)
-    result = hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
-                                   transitive=True)
-    return not result.sat
+    problem = _algebraic_problem(tuple(axioms), goal, {})
+    return pipeline.decide(problem, red.CHASE).subsumed
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +547,8 @@ def interpolate(problem: InterpolationProblem,
             raise LoctameError(
                 "no separating term over the shared constants") from None
 
-    interpolant = tuple(Leq(attempt.unfold(x), attempt.unfold(y))
-                        for x, y in keys)
+    unfold = attempt.purified.unfold
+    interpolant = tuple(Leq(unfold(x), unfold(y)) for x, y in keys)
     ops: set[str] = set()
     for atom in interpolant:
         for side in (atom.lhs, atom.rhs):
@@ -656,7 +604,8 @@ def from_input(inp: InterpolationInput) -> InterpolationProblem:
     if any(sorts != (CONCEPT,) for sorts in prob.ops.values()):
         raise CheckError("interpolation supports plain binary roles only")
     n_a = len(inp.a_gcis)
-    assert prob.goal.target is not None
+    if prob.goal.target is None:
+        raise LoctameError("the negated inclusion did not translate")
     return InterpolationProblem(
         axioms=prob.axioms,
         a_atoms=prob.goal.assumptions[:n_a],

@@ -4,6 +4,9 @@ check_subsumption runs the full reduction for one query:
 
     translate -> closure -> instantiate -> purify -> split/solve
 
+decide is everything after translate; interpolation's entailment check
+calls it on problems it builds itself.
+
 classify answers all name-against-name queries with a single goal-free
 run: name queries contribute no operator terms to the closure seed, so
 the reduction is the same for every such query and the verdict is just
@@ -23,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from . import algebra as alg
 from . import concdom, hornsat, normalize as norm
@@ -95,7 +98,17 @@ def _reduce(cbox: CBox, query: Optional[Query], mode: str,
         t = _now()
     problem = red.translate(cbox, query)
     micros["translate"] = _now() - t
+    report = decide(problem, mode)
+    report.query = query
+    micros.update(report.micros)
+    report.micros = micros
+    return report
 
+
+def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
+    """The reduction of a translated problem: closure, instantiation,
+    purification, then the lattice solver with the numeric exchange."""
+    micros: dict[str, int] = {}
     t = _now()
     psi = alg.psi_closure(alg.goal_seeds(problem.goal), problem.axioms)
     micros["closure"] = _now() - t
@@ -120,7 +133,7 @@ def _reduce(cbox: CBox, query: Optional[Query], mode: str,
     combine = concdom.combine_solve(purified, mode)
     micros.update(combine.micros)
 
-    return Report(subsumed=combine.subsumed, query=query, problem=problem,
+    return Report(subsumed=combine.subsumed, query=None, problem=problem,
                   psi=psi, built=instances, purified=purified,
                   combine=combine, mode=mode, micros=micros)
 
@@ -193,6 +206,19 @@ def render_atom(purified: red.PurifiedProblem, atom: hornsat.AtomKey) -> str:
     return f"{purified.unfold(atom[0])} <= {purified.unfold(atom[1])}"
 
 
+def render_steps(steps: list[hornsat.TraceStep],
+                 render: Callable[[hornsat.AtomKey], str]) -> list[str]:
+    """One line per derivation step: the atom, then its label and premises."""
+    lines = []
+    for step in steps:
+        if step.kind == "fact" or not step.premises:
+            lines.append(f"{render(step.atom)}   [{step.label}]")
+        else:
+            prems = "; ".join(render(p) for p in step.premises)
+            lines.append(f"{render(step.atom)}   [{step.label}: {prems}]")
+    return lines
+
+
 def explain(cbox: CBox, query: Query, mode: str = red.CHASE) -> tuple[Report, list[str]]:
     """The verdict together with a step list; proxies are unfolded back to
     operator/meet terms so the steps read in the reduction's own language."""
@@ -214,13 +240,8 @@ def explain(cbox: CBox, query: Query, mode: str = red.CHASE) -> tuple[Report, li
     if comb.sl is None or comb.sl.goal is None:
         raise LoctameError("a subsumed verdict from the lattice solver "
                            "without a lattice goal")
-    for step in comb.result.solver.trace(comb.sl.goal):
-        rendered = render_atom(report.purified, step.atom)
-        if step.kind == "fact" or not step.premises:
-            lines.append(f"{rendered}   [{step.label}]")
-        else:
-            prems = "; ".join(render_atom(report.purified, p) for p in step.premises)
-            lines.append(f"{rendered}   [{step.label}: {prems}]")
+    lines += render_steps(comb.result.solver.trace(comb.sl.goal),
+                          lambda atom: render_atom(report.purified, atom))
     return report, lines
 
 

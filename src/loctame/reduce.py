@@ -14,6 +14,10 @@ Three steps live here:
                   transitivity and meet congruence, in `chase` mode those
                   two are delegated to the solver).
 
+LatticeTheory is the one builder of that theory.  sl_instantiate and
+sl_clause_count unroll it over a purified problem; interpolation extends
+it one defined constant at a time as separation introduces them.
+
 In `chase` mode two quadratic families are not materialized at all but
 fired by the solver's trigger index (hornsat.Triggers): monotonicity of
 the operators whose arguments are all concepts, and meet introduction.
@@ -31,9 +35,9 @@ from typing import Iterable, Optional
 from . import algebra as alg
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
                       K2, K3, Leq, Lit, Meet, Mon, OpTemplate, VarSlot)
-from .syntax import (BOT, CBox, CheckError, CONCEPT, Concept, GCI, Interval,
-                     NUM, Query, RoleEnv, RoleInclusion, And, Bot, Exists,
-                     Name, Top, check_cbox)
+from .syntax import (CBox, CheckError, CONCEPT, Concept, Interval, NUM,
+                     Query, RoleEnv, RoleInclusion, And, Bot, Exists, Name,
+                     Top, check_cbox)
 
 NUM_BOT = "__nbot"
 NUM_TOP_LIT = Lit(Interval(None, None))
@@ -415,67 +419,101 @@ def _atom_key(a: Leq) -> AtomKey:
     return (a.lhs.name, a.rhs.name)
 
 
+class LatticeTheory:
+    """The semilattice theory unrolled over a growing set of constants.
+
+    Facts: reflexivity, bottom/top bounds, and each meet below its
+    operands.  Clauses: meet introduction (S4), unless meet_intro is off
+    (the chase solver fires it from its trigger index).  Facts and clauses
+    are deduplicated, the first label or tag winning, so inputs and axiom
+    instances added first keep their own.
+    """
+
+    def __init__(self, meet_intro: bool = True):
+        self.meet_intro = meet_intro
+        self.universe: list[str] = []
+        self.meets: dict[str, tuple[str, ...]] = {}
+        self.facts: dict[AtomKey, str] = {}
+        self.clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
+        self._seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
+
+    def add_fact(self, atom: AtomKey, label: str) -> None:
+        self.facts.setdefault(atom, label)
+
+    def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
+                   tag: str) -> None:
+        prem = tuple(dict.fromkeys(premises))
+        key = (frozenset(prem), concl)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.clauses.append((prem, concl, tag))
+
+    def extend(self, universe: Iterable[str],
+               meets: dict[str, tuple[str, ...]]) -> None:
+        """Add fresh constants and fresh meets (each meet is one of the
+        constants, here or earlier): refl for each, then the bounds, then
+        meet-below, then meet introduction meet by meet over the constants
+        that pair with it for the first time."""
+        universe = list(universe)
+        add_fact = self.facts.setdefault
+        for x in universe:
+            add_fact((x, x), "refl")
+        for x in universe:
+            add_fact((alg.BOT_CONST, x), "bound")
+            add_fact((x, alg.TOP_CONST), "bound")
+        for m, operands in meets.items():
+            for o in operands:
+                add_fact((m, o), "meet-below")
+        self.universe.extend(universe)
+        self.meets.update(meets)
+        if not self.meet_intro:
+            return
+        for m, operands in self.meets.items():
+            for z in self.universe if m in meets else universe:
+                if z != m:
+                    self.add_clause([(z, o) for o in operands], (z, m),
+                                    "meet-intro")
+
+
+def _lattice_table(purified: PurifiedProblem,
+                   meet_intro: bool) -> LatticeTheory:
+    """The input facts and the purified instances, then the lattice theory
+    over the concept constants."""
+    theory = LatticeTheory(meet_intro)
+    for i, a in enumerate(purified.facts):
+        theory.add_fact(_atom_key(a), f"input:{i}")
+    for inst in purified.clauses:
+        theory.add_clause([_atom_key(p) for p in inst.premises],
+                          _atom_key(inst.conclusion), inst.tag)
+    theory.extend([c for c, s in purified.consts.items() if s == CONCEPT],
+                  purified.meets)
+    return theory
+
+
 def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
                    meet_intro: bool = True) -> SLProblem:
     """Unroll the lattice theory over the constants of a purified problem.
 
-    Facts: the inputs, reflexivity, bottom/top bounds, and each meet below
-    its operands.  Clauses: the purified axiom instances plus meet
-    introduction (S4), unless meet_intro is off (the chase solver fires it
-    from its trigger index).  In `instantiate` mode, transitivity over all
-    ordered triples and congruence between same-arity meet proxies are
-    materialized too; in `chase` mode the solver's built-in transitive
-    closure covers both.
+    Facts: the inputs, then the LatticeTheory facts.  Clauses: the
+    purified axiom instances, then meet introduction unless meet_intro is
+    off.  In `instantiate` mode, transitivity over all ordered triples and
+    congruence between same-arity meet proxies are materialized too; in
+    `chase` mode the solver's built-in transitive closure covers both.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
-    universe = [c for c, s in purified.consts.items() if s == CONCEPT]
-
-    facts: dict[AtomKey, str] = {}
-
-    def add_fact(atom: AtomKey, label: str) -> None:
-        facts.setdefault(atom, label)
-
-    for i, a in enumerate(purified.facts):
-        add_fact(_atom_key(a), f"input:{i}")
-    for x in universe:
-        add_fact((x, x), "refl")
-    for x in universe:
-        add_fact((alg.BOT_CONST, x), "bound")
-        add_fact((x, alg.TOP_CONST), "bound")
-    for m, operands in purified.meets.items():
-        for o in operands:
-            add_fact((m, o), "meet-below")
-
-    clauses: dict[tuple[frozenset[AtomKey], AtomKey], tuple[tuple[AtomKey, ...], str]] = {}
-
-    def add_clause(premises: Iterable[AtomKey], concl: AtomKey, tag: str) -> None:
-        prem: dict[AtomKey, None] = {}
-        for p in premises:
-            prem.setdefault(p, None)
-        key = (frozenset(prem), concl)
-        if key not in clauses:
-            clauses[key] = (tuple(prem), tag)
-
-    for inst in purified.clauses:
-        add_clause([_atom_key(p) for p in inst.premises],
-                   _atom_key(inst.conclusion), inst.tag)
-    if meet_intro:
-        for m, operands in purified.meets.items():
-            for z in universe:
-                if z != m:
-                    add_clause([(z, o) for o in operands], (z, m), "meet-intro")
+    theory = _lattice_table(purified, meet_intro)
     if mode == INSTANTIATE:
-        for x, y, z in itertools.permutations(universe, 3):
-            add_clause([(x, y), (y, z)], (x, z), "trans")
-        _meet_congruence(purified.meets, add_clause)
+        for x, y, z in itertools.permutations(theory.universe, 3):
+            theory.add_clause([(x, y), (y, z)], (x, z), "trans")
+        _meet_congruence(purified.meets, theory.add_clause)
 
     goal = _atom_key(purified.target) if purified.target is not None else None
     return SLProblem(
-        facts=[(a, lbl) for a, lbl in facts.items()],
-        clauses=[(prem, key[1], tag) for key, (prem, tag) in clauses.items()],
+        facts=list(theory.facts.items()),
+        clauses=theory.clauses,
         goal=goal,
-        universe=universe,
+        universe=theory.universe,
         mode=mode,
     )
 
@@ -498,42 +536,26 @@ def _meet_congruence(meets: dict[str, tuple[str, ...]], add_clause) -> None:
 def sl_clause_count(purified: PurifiedProblem, mode: str = INSTANTIATE) -> int:
     """The exact clause count of sl_instantiate without materializing the
     transitivity instances (which grow cubically in the universe)."""
-    universe = [c for c, s in purified.consts.items() if s == CONCEPT]
-    seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
-
-    def add_clause(premises, concl, tag):
-        prem = frozenset(premises)
-        seen.add((prem, concl))
-
-    for inst in purified.clauses:
-        add_clause([_atom_key(p) for p in inst.premises],
-                   _atom_key(inst.conclusion), inst.tag)
-    for m, operands in purified.meets.items():
-        for z in universe:
-            if z != m:
-                add_clause([(z, o) for o in operands], (z, m), "meet-intro")
+    theory = _lattice_table(purified, meet_intro=True)
     if mode == CHASE:
-        return len(seen)
-    _meet_congruence(purified.meets, add_clause)
+        return len(theory.clauses)
+    _meet_congruence(purified.meets, theory.add_clause)
 
-    m = len(universe)
+    m = len(theory.universe)
     s1_total = m * (m - 1) * (m - 2)
     collisions = 0
-    for prem, concl in seen:
-        if len(prem) != 2:
-            continue
-        a, c = concl
-        if a == c:
+    for prem, (a, c), _ in theory.clauses:
+        if len(prem) != 2 or a == c:
             continue
         # the premise pair of the matching transitivity instance is
         # {(a,b),(b,c)} for some b distinct from both
-        for (p1, p2) in (tuple(prem), tuple(reversed(tuple(prem)))):
+        for (p1, p2) in (prem, prem[::-1]):
             if p1[0] == a and p2[1] == c and p1[1] == p2[0]:
                 b = p1[1]
                 if b != a and b != c:
                     collisions += 1
                 break
-    return len(seen) + s1_total - collisions
+    return len(theory.clauses) + s1_total - collisions
 
 
 # ---------------------------------------------------------------------------

@@ -136,3 +136,21 @@ def test_numeric_goal_refuted_numerically():
 def test_unsupported_relation_rejected():
     with pytest.raises(concdom.UnsupportedAtom):
         concdom.num_entails([], concdom.NumAtom("a", "b", rel="lt"))
+
+
+def test_numeric_premises_are_decided_once_per_mixed_clause(freight_cbox,
+                                                            monkeypatch):
+    queries = []
+    real = concdom.num_entails
+
+    def counting(facts, query):
+        queries.append(query)
+        return real(facts, query)
+
+    monkeypatch.setattr(concdom, "num_entails", counting)
+    # goal-free, so the exchange runs a second round after the movements
+    report = pipeline.classify(freight_cbox).report
+    assert report.combine.movements and report.combine.iterations > 1
+    mixed = concdom.split_problem(report.purified).mixed
+    decided = [q for q in queries if q != concdom.FALSE_ATOM]
+    assert len(decided) <= sum(len(mc.num_premises) for mc in mixed)
