@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Container, Iterable, Iterator, Optional, Union
 
 from .syntax import CONCEPT, NUM, Interval, LoctameError
 
@@ -373,6 +373,7 @@ class Instance:
     premises: tuple[Leq, ...]
     conclusion: Leq
     tag: str
+    axiom: int = 0                  # the index of its axiom
 
     def __str__(self) -> str:
         if not self.premises:
@@ -385,15 +386,6 @@ def mon_tag(op: str, eq: bool = False) -> str:
     return f"Mon={op}" if eq else f"Mon({op})"
 
 
-def mon_tag_op(tag: str) -> Optional[str]:
-    """The operator of a Mon or Mon= tag; None for every other tag."""
-    if tag.startswith("Mon("):
-        return tag[4:-1]
-    if tag.startswith("Mon="):
-        return tag[4:]
-    return None
-
-
 def _guard_atoms(guard: Optional[FlatTerm], args: Iterable[FlatTerm]) -> tuple[Leq, ...]:
     if guard is None:
         return ()
@@ -404,9 +396,68 @@ def _binding_args(tpl: OpTemplate, binding: dict[int, FlatTerm]) -> list[FlatTer
     return [binding[i] for i in tpl.var_indices()]
 
 
+def terms_by_op(psi: Iterable[Apply]) -> dict[str, list[Apply]]:
+    """The closure terms of each operator, in closure order."""
+    by_op: dict[str, list[Apply]] = {}
+    for t in psi:
+        by_op.setdefault(t.op, []).append(t)
+    return by_op
+
+
+# a K2/K3 instance joins a head, an f-term with its z arguments, with a
+# choice: its tail terms, its guarded arguments and its right-hand side
+Head = tuple[Apply, tuple[FlatTerm, ...]]
+Choice = tuple[tuple[Apply, ...], tuple[FlatTerm, ...], FlatTerm]
+
+
+def composition(ax: Union[K2, K3], by_op: dict[str, list[Apply]]
+                ) -> tuple[list[Head], list[Choice]]:
+    """The closure-local instances of a K2/K3 axiom as heads x choices.
+
+    K2 chooses one g_i-term per tail (the product in closure order) and
+    guards h's arguments; K3 chooses a y with every g_i(y) in the closure
+    (in sorted(str) order) and guards y.  instantiate emits the instances
+    head-major.
+    """
+    heads = [(t, tuple(_binding_args(ax.f, b))) for t in by_op.get(ax.f.op, [])
+             if (b := ax.f.match(t)) is not None]
+    if not heads:
+        return heads, []
+    if isinstance(ax, K2):
+        per_tail = [[(t, b) for t in by_op.get(g.op, [])
+                     if (b := g.match(t)) is not None] for g in ax.gs]
+        choices = []
+        for combo in itertools.product(*per_tail):
+            xbind: dict[int, FlatTerm] = {}
+            for _, b in combo:
+                xbind.update(b)
+            choices.append((tuple(t for t, _ in combo),
+                            tuple(_binding_args(ax.h, xbind)), ax.h.build(xbind)))
+        return heads, choices
+    # candidate y: every term c such that each g_i(c) is in the closure
+    cands: Optional[set[FlatTerm]] = None
+    for g in ax.gs:
+        here = {next(iter(b.values())) for t in by_op.get(g.op, [])
+                if (b := g.match(t)) is not None}
+        cands = here if cands is None else cands & here
+    return heads, [(tuple(g.build({g.var_indices()[0]: y}) for g in ax.gs), (y,), y)
+                   for y in sorted(cands, key=str)]
+
+
+def composed(ax: Union[K2, K3], head: Head, choice: Choice
+             ) -> tuple[list[Leq], Leq]:
+    """The premises and the conclusion of one K2/K3 instance:
+    z_i <= tail_i for each tail, then x <= guard for each guarded x."""
+    (ft, zs), (tails, guarded, rhs) = head, choice
+    premises = [Leq(z, t) for z, t in zip(zs, tails)]
+    return premises + list(_guard_atoms(ax.guard, guarded)), Leq(ft, rhs)
+
+
 def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
-                mon_eq_variants: bool = True) -> list[Instance]:
-    """All closure-local instances of the axioms, duplicates removed.
+                mon_eq_variants: bool = True,
+                skip: Container[int] = ()) -> list[Instance]:
+    """All closure-local instances of the axioms, duplicates removed, except
+    those of the axioms whose indices are in skip.
 
     Mon yields, for every ordered pair of distinct closure terms with the
     same operator, a plain instance and (with mon_eq_variants) a variant
@@ -414,9 +465,7 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
     closure terms that is 2*k*(k-1) instances.
     """
     psi_list = list(psi)
-    by_op: dict[str, list[Apply]] = {}
-    for t in psi_list:
-        by_op.setdefault(t.op, []).append(t)
+    by_op = terms_by_op(psi_list)
 
     out: list[Instance] = []
     seen: set[tuple[frozenset[Leq], Leq]] = set()
@@ -430,9 +479,11 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
         if key in seen:
             return
         seen.add(key)
-        out.append(Instance(tuple(prem), conclusion, tag))
+        out.append(Instance(tuple(prem), conclusion, tag, i))
 
-    for ax in axioms:
+    for i, ax in enumerate(axioms):
+        if i in skip:
+            continue
         if isinstance(ax, Mon):
             terms = by_op.get(ax.op, [])
             for t, u in itertools.permutations(terms, 2):
@@ -448,55 +499,12 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
                     continue
                 guards = _guard_atoms(ax.guard, _binding_args(ax.h, binding))
                 emit(guards, Leq(t, ax.h.build(binding)), "K1")
-        elif isinstance(ax, K2):
-            f_terms = [(t, b) for t in by_op.get(ax.f.op, [])
-                       if (b := ax.f.match(t)) is not None]
-            per_tail = []
-            for g in ax.gs:
-                per_tail.append([(t, b) for t in by_op.get(g.op, [])
-                                 if (b := g.match(t)) is not None])
-            if not f_terms or any(not c for c in per_tail):
-                continue
-            for (ft, fb), combo in itertools.product(f_terms, itertools.product(*per_tail)):
-                zs = _binding_args(ax.f, fb)
-                xbind: dict[int, FlatTerm] = {}
-                premises = []
-                for z, (gt, gb) in zip(zs, combo):
-                    premises.append(Leq(z, gt))
-                    xbind.update(gb)
-                guards = _guard_atoms(ax.guard, _binding_args(ax.h, xbind))
-                emit(premises + list(guards), Leq(ft, ax.h.build(xbind)), "K2")
-        elif isinstance(ax, K3):
-            f_terms = [(t, b) for t in by_op.get(ax.f.op, [])
-                       if (b := ax.f.match(t)) is not None]
-            if not f_terms:
-                continue
-            # candidate y: every term c such that each g_i(c) is in the closure
-            psi_set = set(psi_list)
-            cands: Optional[set[FlatTerm]] = None
-            for g in ax.gs:
-                here: set[FlatTerm] = set()
-                for t in by_op.get(g.op, []):
-                    b = g.match(t)
-                    if b is not None:
-                        here.add(next(iter(b.values())))
-                cands = here if cands is None else cands & here
-            if not cands:
-                continue
-            for (ft, fb), y in itertools.product(f_terms, sorted(cands, key=str)):
-                zs = _binding_args(ax.f, fb)
-                premises = []
-                ok = True
-                for z, g in zip(zs, ax.gs):
-                    gterm = g.build({g.var_indices()[0]: y})
-                    if gterm not in psi_set:
-                        ok = False
-                        break
-                    premises.append(Leq(z, gterm))
-                if not ok:
-                    continue
-                guards = _guard_atoms(ax.guard, [y])
-                emit(premises + list(guards), Leq(ft, y), "K3")
+        elif isinstance(ax, (K2, K3)):
+            tag = type(ax).__name__
+            heads, choices = composition(ax, by_op)
+            for head in heads:
+                for choice in choices:
+                    emit(*composed(ax, head, choice), tag)
         else:
             raise LoctameError(f"unknown axiom shape {ax!r}")
     return out

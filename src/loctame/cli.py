@@ -109,8 +109,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     elif _wants_dump(args):
         _emit_dumps(cls.report, args)
     else:
-        pairs = [(a, b) for a in names for b in names
-                 if a != b and cls.holds(a, b)]
+        pairs = sorted(cls.pairs())
         for a, b in pairs:
             print(f"{a} sub {b}")
         print(f"# {len(names)} names, {len(pairs)} proper subsumptions")

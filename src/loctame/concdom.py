@@ -15,9 +15,11 @@ edges.  A contradictory fact set entails everything.
 
 combine_solve runs the lattice solver on the concept part of a purified
 problem and feeds it conclusions of mixed clauses whose numeric premises
-hold, until nothing moves.  In `chase` mode the solver fires monotonicity
-(of the concept-only operators) and meet introduction from its trigger
-index instead of from materialized clauses.
+hold, until nothing moves; each endpoint atom is decided once per
+problem.  In `chase` mode the solver fires the K2/K3 instances over
+concept atoms, monotonicity of the concept-only operators and meet
+introduction from its trigger index instead of from materialized
+clauses.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import hornsat, reduce as red
-from .algebra import Const, FlatTerm, Leq, Lit, mon_tag, mon_tag_op
+from .algebra import Const, FlatTerm, Leq, Lit
 from .hornsat import AtomKey, HornSolver
 from .reduce import NUM_BOT, PurifiedProblem
 from .syntax import CONCEPT, Interval, LoctameError, NUM
@@ -221,7 +223,8 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
     concept = PurifiedProblem(
         facts=concept_facts, target=target, clauses=concept_clauses,
         defs=purified.defs, meets=purified.meets, consts=consts,
-        ops=purified.ops, op_role=purified.op_role, mon=purified.mon)
+        ops=purified.ops, op_role=purified.op_role,
+        triggered=purified.triggered)
     return SplitProblem(concept, num_facts, mixed, num_target, num_target_false)
 
 
@@ -253,20 +256,18 @@ def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
     chase = sl.mode == red.CHASE
     triggers = None
     if chase:
-        # blocks follow the materialized clause order: K-instances, then
-        # Mon per operator in declaration order, then meet introduction
-        block = {op: 1 + j for j, op in enumerate(concept.ops)}
+        # a family's block is its axiom's index, as for the materialized
+        # clauses, so ranks follow the materialized clause list; meet
+        # introduction comes after every axiom instance
+        blocks = [*concept.triggered, *sl.blocks]
         triggers = hornsat.Triggers(
-            mon=[(block[op], mon_tag(op),
-                  [(t, tuple(a.name for a in concept.defs[t].args)) for t in terms])
-                 for op, terms in concept.mon.items()],
-            meets=concept.meets, meet_block=1 + len(block), universe=sl.universe)
+            list(concept.triggered.items()), concept.meets,
+            meet_block=1 + max(blocks, default=0), universe=sl.universe)
     solver = HornSolver(transitive=chase, triggers=triggers)
     for atom, label in sl.facts:
         solver.add_fact(atom, label)
-    for premises, concl, tag in sl.clauses:
-        solver.add_clause(premises, concl, tag,
-                          block.get(mon_tag_op(tag), 0) if chase else 0)
+    for (premises, concl, tag), block in zip(sl.clauses, sl.blocks, strict=True):
+        solver.add_clause(premises, concl, tag, block)
     solver.end_build()
     return solver
 
@@ -278,14 +279,22 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
     t = _now()
     split = split_problem(purified)
     num_facts = split.num_facts
+    # the numeric facts never change, so each endpoint atom is decided once
+    verdicts: dict[NumAtom, bool] = {}
 
-    if num_facts and num_entails(num_facts, FALSE_ATOM):
+    def entailed(atom: NumAtom) -> bool:
+        verdict = verdicts.get(atom)
+        if verdict is None:
+            verdict = verdicts[atom] = num_entails(num_facts, atom)
+        return verdict
+
+    if num_facts and entailed(FALSE_ATOM):
         return CombineResult(subsumed=True, result=None, vacuous=True,
                              micros={"numeric": _now() - t})
 
     if split.num_target is not None:
         ok = not split.num_target_false and all(
-            num_entails(num_facts, a) for a in split.num_target)
+            entailed(a) for a in split.num_target)
         return CombineResult(subsumed=ok, result=None,
                              micros={"numeric": _now() - t})
 
@@ -300,11 +309,8 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
         micros["exchange"] = 0
 
     out = CombineResult(subsumed=False, result=None, sl=sl, micros=micros)
-    # the numeric facts never change, so each clause's numeric premises
-    # are decided once: a clause whose premises fail is dropped, one whose
-    # premises hold is remembered in `passed`
+    # a clause whose numeric premises fail is dropped for good
     pending = list(range(len(split.mixed)))
-    passed: set[int] = set()
     while True:
         out.iterations += 1
         if out.iterations > len(split.mixed) + 1:
@@ -321,10 +327,8 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
         waiting = []
         for i in pending:
             mc = split.mixed[i]
-            if i not in passed:
-                if not all(num_entails(num_facts, a) for a in mc.num_premises):
-                    continue
-                passed.add(i)
+            if not all(entailed(a) for a in mc.num_premises):
+                continue
             if all(solver.has(p) for p in mc.concept_premises):
                 solver.add_fact(mc.concl, f"moved:{mc.tag}")
                 out.movements.append((mc.tag, mc.concl))

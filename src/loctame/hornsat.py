@@ -12,17 +12,21 @@ recorded in the derivation like a clause firing, so proofs stay auditable.
 The steps follow the order in which atoms were derived, never string
 hashing, so a derivation reads the same in every process.
 
-The chase mode also hands the solver a `Triggers` index instead of two
-quadratic clause families: monotonicity of the operators whose arguments
-are all concepts, and meet introduction.  A triggered rule fires when its
-last premise is popped, exactly when its materialized clause would have:
-every clause and rule carries a rank (its position in the materialized
-clause list), and the firings of one pop happen in rank order.  A rule
-whose premises all hold while the problem is being built fires then, as a
-materialized clause would when it is added.  Each firing that derives an
-atom is recorded as a clause, so traces and models read the same as with
-the materialized families; only the atoms the rules actually touch are
-interned.
+The chase mode also hands the solver a `Triggers` index instead of the
+clause families that grow with the square of the closure or faster: the
+K2/K3 instances of role compositions (by tail and argument, and by
+guard), monotonicity of the operators whose arguments are all concepts,
+and meet introduction.  A triggered rule fires when its last premise is
+popped, exactly when its materialized clause would have: every clause and
+rule carries a rank (its position in the materialized clause list: one
+block per axiom, in axiom order, then meet introduction), and the firings
+of one pop happen in rank order.  A rule whose premises all hold while
+the problem is being built fires then, as a materialized clause would
+when it is added.  A clause or rule with a twin of lower rank (the same
+premises and conclusion) never fires, as the deduplicated clause list
+holds only the first.  Each firing that derives an atom is recorded as a
+clause, so traces and models read the same as with the materialized
+families; only the atoms the rules actually touch are interned.
 """
 
 from __future__ import annotations
@@ -68,38 +72,77 @@ class Stats:
     trigger_probes: int = 0         # triggered rules looked up at a pop
 
 
+@dataclass(frozen=True)
+class Family:
+    """The rules of one axiom over constants, as a product.
+
+    heads[h] = (head, zs) and choices[c] = (tails, guarded, rhs) make the
+    rule  z_i <= tail_i (each i), x <= guard (each guarded x)  ->
+    head <= rhs  at position h * len(choices) + c of the axiom's block.
+    Within a family no two rules share a conclusion.
+    """
+
+    tag: str
+    heads: tuple[tuple[str, tuple[str, ...]], ...]
+    choices: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...]
+    guard: Optional[str] = None
+
+
+def monotonicity(tag: str, terms: Sequence[tuple[str, tuple[str, ...]]]) -> Family:
+    """Mon over an operator's terms in closure order, each as (constant,
+    argument constants): the rule for (t, u) is  t.args <= u.args  ->
+    t <= u.  The rule for (t, t) concludes what reflexivity gives, so it
+    never derives; nor would the Mon= variant of a rule (the same
+    conclusion under more premises), which is left out."""
+    return Family(tag, tuple(terms), tuple((args, (), t) for t, args in terms))
+
+
 class Triggers:
     """Rule families indexed by premise, fired by the solver on demand.
 
-    mon: per operator, its block, its tag and its terms in closure order,
-    each as (constant, argument constants).  The rule for the ordered pair
-    (t, u) of distinct terms is  t.args <= u.args  ->  t <= u  at position
-    index(t) * k + index(u) of the block.  The Mon= variant of a rule (the
-    same conclusion under more premises) is not indexed: it fires no
-    earlier than the rule, so it never derives an atom.
+    families: per axiom, its block and its Family, indexed by the premises
+    z_i <= tail_i (by tail, position and z) and by guard.
 
     meets: meet constant -> operand constants, in order, all in meet_block.
     The rule for the meet m and the constant z != m is  z <= operands(m)
     ->  z <= m  at position index(m) * |universe| + index(z).
     """
 
-    def __init__(self, mon: Iterable[tuple[int, str, Sequence[tuple[str, tuple[str, ...]]]]],
+    def __init__(self, families: Iterable[tuple[int, Family]],
                  meets: dict[str, tuple[str, ...]], meet_block: int,
                  universe: Sequence[str]):
-        # argument constant -> (family, position, indices of the terms
-        # having that argument there); (family, position, constant) -> same
-        self.mon_by_arg: dict[str, list[tuple[int, int, list[int]]]] = {}
-        self.mon_slot: dict[tuple[int, int, str], list[int]] = {}
-        self.mon: list[tuple[int, str, Sequence[tuple[str, tuple[str, ...]]]]] = []
-        for family, (block, tag, terms) in enumerate(mon):
-            self.mon.append((block << _RANK_BITS, tag, terms))
-            for ti, (_, args) in enumerate(terms):
-                for pos, arg in enumerate(args):
-                    slot = self.mon_slot.get((family, pos, arg))
+        # tail constant -> (family, position, indices of the choices with
+        # that tail there); (family, position, z) -> indices of the heads
+        # with that z there; guard -> (family, guarded constant -> indices
+        # of its choices); per family in block order, its heads and its
+        # right-hand sides by constant
+        self.families: list[tuple[int, Family]] = []
+        self.by_tail: dict[str, list[tuple[int, int, list[int]]]] = {}
+        self.heads_at: dict[tuple[int, int, str], list[int]] = {}
+        self.by_guard: dict[str, list[tuple[int, dict[str, list[int]]]]] = {}
+        self.concluding: list[tuple[int, int, dict[str, int], dict[str, int]]] = []
+        for f, (block, fam) in enumerate(families):
+            self.families.append((block << _RANK_BITS, fam))
+            slots: dict[tuple[int, str], list[int]] = {}
+            guarded: dict[str, list[int]] = {}
+            for ci, (tails, xs, _) in enumerate(fam.choices):
+                for pos, t in enumerate(tails):
+                    slot = slots.get((pos, t))
                     if slot is None:
-                        slot = self.mon_slot[(family, pos, arg)] = []
-                        self.mon_by_arg.setdefault(arg, []).append((family, pos, slot))
-                    slot.append(ti)
+                        slot = slots[(pos, t)] = []
+                        self.by_tail.setdefault(t, []).append((f, pos, slot))
+                    slot.append(ci)
+                for x in dict.fromkeys(xs):
+                    guarded.setdefault(x, []).append(ci)
+            for hi, (_, zs) in enumerate(fam.heads):
+                for pos, z in enumerate(zs):
+                    self.heads_at.setdefault((f, pos, z), []).append(hi)
+            if fam.guard is not None:
+                self.by_guard.setdefault(fam.guard, []).append((f, guarded))
+            self.concluding.append((
+                block, f, {h: hi for hi, (h, _) in enumerate(fam.heads)},
+                {rhs: ci for ci, (*_, rhs) in enumerate(fam.choices)}))
+        self.concluding.sort(key=itemgetter(0))
         self.meets = list(meets.items())
         self.meet_base = meet_block << _RANK_BITS
         self.meets_by_operand: dict[str, list[int]] = {}
@@ -108,27 +151,45 @@ class Triggers:
                 self.meets_by_operand.setdefault(o, []).append(mi)
         self.universe = {z: zi for zi, z in enumerate(universe)}
 
+    def rule(self, f: int, hi: int, ci: int) -> Rule:
+        base, fam = self.families[f]
+        head, zs = fam.heads[hi]
+        tails, guarded, rhs = fam.choices[ci]
+        premises = list(zip(zs, tails))
+        if fam.guard is not None:
+            premises += [(x, fam.guard) for x in guarded]
+        return (base | (hi * len(fam.choices) + ci),
+                tuple(dict.fromkeys(premises)), (head, rhs), fam.tag)
+
     def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
         """Every rule that has the atom among its premises, once each."""
         a, b = atom
-        for family, pos, ts in self.mon_by_arg.get(a, ()):
-            us = self.mon_slot.get((family, pos, b))
-            if us is None:
+        for f, pos, cis in self.by_tail.get(b, ()):
+            his = self.heads_at.get((f, pos, a))
+            if his is None:
                 continue
-            base, tag, terms = self.mon[family]
-            k = len(terms)
-            for ti in ts:
-                t, targs = terms[ti]
-                for ui in us:
-                    if ui == ti:
-                        continue
-                    u, uargs = terms[ui]
+            fam = self.families[f][1]
+            for ci in cis:
+                tails = fam.choices[ci][0]
+                for hi in his:
+                    zs = fam.heads[hi][1]
                     # a rule matching the atom at an earlier position was
                     # yielded from there
-                    if any(targs[i] == a and uargs[i] == b for i in range(pos)):
+                    if any(zs[i] == a and tails[i] == b for i in range(pos)):
                         continue
-                    yield (base | (ti * k + ui),
-                           tuple(dict.fromkeys(zip(targs, uargs))), (t, u), tag)
+                    yield self.rule(f, hi, ci)
+        for f, guarded in self.by_guard.get(b, ()):
+            cis = guarded.get(a)
+            if cis is None:
+                continue
+            fam = self.families[f][1]
+            for ci in cis:
+                tails = fam.choices[ci][0]
+                for hi, (_, zs) in enumerate(fam.heads):
+                    # yielded as a tail premise
+                    if any(z == a and t == b for z, t in zip(zs, tails)):
+                        continue
+                    yield self.rule(f, hi, ci)
         zi = self.universe.get(a)
         if zi is None:
             return
@@ -139,6 +200,24 @@ class Triggers:
                 yield (self.meet_base | (mi * width + zi),
                        tuple(dict.fromkeys((a, o) for o in operands)),
                        (a, m), "meet-intro")
+
+    def earlier_twin(self, rank: int, premises: frozenset[AtomKey],
+                     concl: AtomKey) -> bool:
+        """Has a family of a lower block a rule with these premises and
+        this conclusion?  (A meet-intro rule never has a family rule's
+        premises and conclusion: all its premises have the conclusion's
+        left side, and a family rule has a premise whose left side is an
+        argument of it.)"""
+        block = rank >> _RANK_BITS
+        t, u = concl
+        for other, f, heads, rhs in self.concluding:
+            if other >= block:
+                return False
+            hi, ci = heads.get(t), rhs.get(u)
+            if (hi is not None and ci is not None
+                    and frozenset(self.rule(f, hi, ci)[1]) == premises):
+                return True
+        return False
 
 
 @dataclass
@@ -189,6 +268,8 @@ class HornSolver:
             self.popped: set[int] = set()
             self.built: dict[int, int] = {}
             self._waiting: list[Rule] = []
+            # conclusion -> the materialized clauses concluding it
+            self._concluding: dict[AtomKey, list[int]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -228,6 +309,8 @@ class HornSolver:
                 self.occ.setdefault(pid, []).append(cid)
         clause = _Clause(tuple(prem_ids), concl, tag, missing, rank)
         self.clauses.append(clause)
+        if self.triggers is not None:
+            self._concluding.setdefault(concl, []).append(cid)
         self.stats.premise_occurrences += len(clause.premises)
         if missing == 0:
             self._build_rank = rank
@@ -271,18 +354,38 @@ class HornSolver:
     def _fire(self, cid: int) -> None:
         clause = self.clauses[cid]
         self.stats.fired_clauses += 1
-        self._derive(self.atom(clause.concl), ("clause", cid))
+        concl_id = self.atom(clause.concl)
+        if (self.triggers is not None and concl_id not in self.reasons
+                and self._has_twin(clause.rank, clause.concl,
+                                   (self.atom_keys[p] for p in clause.premises))):
+            return
+        self._derive(concl_id, ("clause", cid))
 
     def _fire_rule(self, rule: Rule) -> None:
         """Fire a triggered rule; only a firing that derives is recorded."""
         rank, premises, concl, tag = rule
         self.stats.fired_clauses += 1
         concl_id = self.atom(concl)
-        if concl_id in self.reasons:
+        if concl_id in self.reasons or self._has_twin(rank, concl, premises):
             return
         self.clauses.append(_Clause(
             tuple(self.atom_ids[p] for p in premises), concl, tag, 0, rank))
         self._derive(concl_id, ("clause", len(self.clauses) - 1))
+
+    def _has_twin(self, rank: int, concl: AtomKey,
+                  premises: Iterable[AtomKey]) -> bool:
+        """Does a clause or rule of lower rank have the same premises and
+        conclusion?  The materialized clause list keeps only the first of
+        such twins, so a later one must not fire, not even where a premise
+        settled in the build would let it fire before the first."""
+        premises = frozenset(premises)
+        keys = self.atom_keys
+        for cid in self._concluding.get(concl, ()):
+            clause = self.clauses[cid]
+            if (clause.rank < rank
+                    and frozenset(keys[p] for p in clause.premises) == premises):
+                return True
+        return self.triggers.earlier_twin(rank, premises, concl)
 
     def has(self, key: AtomKey) -> bool:
         aid = self.atom_ids.get(key)

@@ -12,13 +12,15 @@ run: name queries contribute no operator terms to the closure seed, so
 the reduction is the same for every such query and the verdict is just
 membership of the pair in the least model.
 
-In `chase` mode the solver fires two families from its trigger index
-instead of materializing them: Mon over the operators whose arguments are
-all concepts (instantiate leaves those axioms out) and meet introduction.
-K1/K2/K3, Mon over operators with a numeric argument, and the lattice
-facts are materialized.  `instantiate` mode materializes everything, as
-the paper's reduction does.  Report.instances and Report.sl give the full
-reduction in both modes; in `chase` mode they build it on first use.
+In `chase` mode the solver fires three families from its trigger index
+instead of materializing them (instantiate leaves their axioms out): the
+K2/K3 instances whose premises are all concept atoms, Mon over the
+operators whose arguments are all concepts, and meet introduction.  K1,
+K2 with a guard on a numeric position, Mon over operators with a
+numeric argument, and the lattice facts are materialized.  `instantiate`
+mode materializes everything, as the paper's reduction does.
+Report.instances and Report.sl give the full reduction in both modes; in
+`chase` mode they build it on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Report:
     problem: alg.AlgebraicProblem
     psi: list[alg.Apply]
     # the instances the solver was built from; in `chase` mode without the
-    # Mon instances it fires from its trigger index (purified.mon)
+    # instances it fires from its trigger index (purified.triggered)
     built: list[alg.Instance]
     purified: red.PurifiedProblem
     combine: concdom.CombineResult
@@ -51,7 +53,7 @@ class Report:
     @cached_property
     def instances(self) -> list[alg.Instance]:
         """Every closure-local axiom instance, Mon= variants included."""
-        if not self.purified.mon:
+        if not self.purified.triggered:
             return self.built
         return alg.instantiate(self.problem.axioms, self.psi)
 
@@ -114,16 +116,14 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     micros["closure"] = _now() - t
 
     t = _now()
-    axioms = problem.axioms
-    triggered: dict[str, list[alg.Apply]] = {}
+    triggered: dict[int, red.LeftOut] = {}
     if mode == red.CHASE:
-        triggered = {op: [] for op in red.triggered_ops(problem)}
-        for term in psi:
-            if term.op in triggered:
-                triggered[term.op].append(term)
-        axioms = tuple(ax for ax in axioms if not (
-            isinstance(ax, alg.Mon) and ax.op in triggered))
-    instances = alg.instantiate(axioms, psi)
+        by_op = alg.terms_by_op(psi)
+        for i in red.triggered_axioms(problem):
+            ax = problem.axioms[i]
+            triggered[i] = (by_op.get(ax.op, []) if isinstance(ax, alg.Mon)
+                            else alg.composition(ax, by_op))
+    instances = alg.instantiate(problem.axioms, psi, skip=triggered)
     micros["instantiate"] = _now() - t
 
     t = _now()
@@ -152,19 +152,35 @@ class Classification:
     names: list[str]
     report: Report
 
-    def holds(self, a: str, b: str) -> bool:
-        """Is the name a subsumed by the name b?"""
-        res = self.report.combine.result
+    def _run(self) -> Optional[hornsat.Result]:
+        """The lattice run; None when the numeric axioms are inconsistent,
+        so that everything holds."""
         if self.report.combine.vacuous:
-            return True
+            return None
+        res = self.report.combine.result
         if res is None:
             raise LoctameError("a goal-free run decided nothing numerically, "
                                "yet no lattice solver ran")
-        return res.holds((a, b))
+        return res
+
+    def holds(self, a: str, b: str) -> bool:
+        """Is the name a subsumed by the name b?"""
+        res = self._run()
+        return res is None or res.holds((a, b))
 
     def pairs(self) -> list[tuple[str, str]]:
-        return [(a, b) for a in self.names for b in self.names
-                if a != b and self.holds(a, b)]
+        """Every (a, b) of distinct names with a subsumed by b, in
+        names x names order, read off the least model."""
+        res = self._run()
+        if res is None:
+            return [(a, b) for a in self.names for b in self.names if a != b]
+        index = {name: i for i, name in enumerate(self.names)}
+        above: dict[str, list[str]] = {}
+        for a, b in res.model():
+            if a != b and a in index and b in index:
+                above.setdefault(a, []).append(b)
+        return [(a, b) for a in self.names
+                for b in sorted(above.get(a, ()), key=index.__getitem__)]
 
 
 def concept_names(cbox: CBox) -> list[str]:

@@ -18,21 +18,24 @@ LatticeTheory is the one builder of that theory.  sl_instantiate and
 sl_clause_count unroll it over a purified problem; interpolation extends
 it one defined constant at a time as separation introduces them.
 
-In `chase` mode two quadratic families are not materialized at all but
-fired by the solver's trigger index (hornsat.Triggers): monotonicity of
-the operators whose arguments are all concepts, and meet introduction.
-flatten_purify still names their terms in the order the materialized
-instances would have, so the proxies, the dumped reduction and every
-derivation read the same in both forms.
+In `chase` mode three families are not materialized at all but fired by
+the solver's trigger index (hornsat.Triggers): the K2/K3 instances whose
+premises are all concept atoms, monotonicity of the operators whose
+arguments are all concepts, and meet introduction.  flatten_purify still
+names their terms in the order the materialized instances would have
+(walking, per K2/K3 axiom, the first head with every choice and the first
+choice with every head, which is linear in the closure terms involved),
+so the proxies, the dumped reduction and every derivation read the same
+in both forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
-from . import algebra as alg
+from . import algebra as alg, hornsat
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
                       K2, K3, Leq, Lit, Meet, Mon, OpTemplate, VarSlot)
 from .syntax import (CBox, CheckError, CONCEPT, Concept, Interval, NUM,
@@ -272,10 +275,10 @@ class PurifiedProblem:
     consts: dict[str, str]
     ops: dict[str, tuple[str, ...]] = field(default_factory=dict)
     op_role: dict[str, str] = field(default_factory=dict)
-    # operator -> proxies of its closure terms, in closure order, for the
-    # operators whose Mon instances were left out of `clauses` (the chase
-    # fires them from the solver's trigger index)
-    mon: dict[str, list[str]] = field(default_factory=dict)
+    # axiom index -> the rules of the axioms whose instances `clauses`
+    # leaves out, because the chase fires them from the solver's trigger
+    # index
+    triggered: dict[int, hornsat.Family] = field(default_factory=dict)
 
     def unfold(self, name: str) -> FlatTerm:
         """Resolve a constant back to the operator/meet term it names."""
@@ -299,10 +302,16 @@ class _Purifier:
         self.meets: dict[str, tuple[str, ...]] = {}
         self.consts = dict(consts)
         self.counter = 0
+        # id of a term object already purified -> (the term, its proxy);
+        # holding the term keeps its id from being reused
+        self.by_id: dict[int, tuple[FlatTerm, Const]] = {}
 
     def purify(self, t: FlatTerm) -> FlatTerm:
         if isinstance(t, (Const, Lit)):
             return t
+        seen = self.by_id.get(id(t))
+        if seen is not None:
+            return seen[1]
         flat = (Apply(t.op, tuple(self.purify(a) for a in t.args))
                 if isinstance(t, Apply)
                 else Meet(tuple(self.purify(a) for a in t.args)))
@@ -320,24 +329,49 @@ class _Purifier:
                         raise CheckError(f"numeric meet reached purification: {flat}")
                     ops.append(a.name)
                 self.meets[proxy.name] = tuple(ops)
+        self.by_id[id(t)] = (t, proxy)
         return proxy
 
     def atom(self, a: Leq) -> Leq:
         return Leq(self.purify(a.lhs), self.purify(a.rhs))
 
+    def name(self, t: FlatTerm) -> str:
+        return self.purify(t).name
 
-def triggered_ops(problem: alg.AlgebraicProblem) -> list[str]:
-    """The operators whose monotonicity the chase fires from the solver's
-    trigger index: those whose arguments are all concepts.  Mon over an
-    operator with a numeric argument stays materialized, because its
-    numeric premises are decided by the exchange with the numeric side."""
-    return [op for op, sorts in problem.ops.items()
-            if all(s == CONCEPT for s in sorts)]
+
+# the closure terms of an axiom the chase fires from the trigger index:
+# a Mon axiom's operator terms, a K2/K3 axiom's alg.composition
+LeftOut = Union[list[Apply], tuple[list[alg.Head], list[alg.Choice]]]
+
+
+def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
+    """The axioms whose instances the chase fires from the solver's trigger
+    index: Mon over the operators whose arguments are all concepts, and
+    the K2/K3 axioms whose premises are all concept atoms (every guarded
+    argument is a concept).  The rest stay materialized: a numeric premise
+    of Mon is decided by the exchange with the numeric side, and a guard
+    on a numeric position makes an atom that mixes sorts."""
+    def concept_args(op: str, positions) -> bool:
+        sorts = problem.ops.get(op)
+        return sorts is not None and all(sorts[j] == CONCEPT for j in positions)
+
+    out = []
+    for i, ax in enumerate(problem.axioms):
+        if isinstance(ax, Mon):
+            ok = concept_args(ax.op, range(ax.arity))
+        elif isinstance(ax, K2):
+            ok = ax.guard is None or concept_args(ax.h.op, [
+                j for j, s in enumerate(ax.h.slots) if isinstance(s, VarSlot)])
+        else:
+            ok = isinstance(ax, K3)
+        if ok:
+            out.append(i)
+    return out
 
 
 def flatten_purify(instances: Iterable[Instance], goal: Goal,
                    problem: alg.AlgebraicProblem,
-                   triggered: Optional[dict[str, list[Apply]]] = None
+                   triggered: Optional[dict[int, LeftOut]] = None
                    ) -> PurifiedProblem:
     """Name every operator/meet term with a proxy constant.
 
@@ -345,10 +379,10 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     the instances; the definition map is a bijection between proxies and
     the one-level terms they abbreviate.
 
-    triggered maps operators whose Mon instances were left out of
-    `instances` to their closure terms.  Their terms are named where the
-    Mon instances would have been walked (problem.ops order, after the
-    K-instances), so the proxies come out as if they were there.
+    triggered maps the indices of the axioms whose instances were left out
+    of `instances` to their closure terms.  Their terms are named where
+    their instances would have been walked (in axiom order), so the
+    proxies come out as if they were there.
     """
     pur = _Purifier(problem.consts)
     pur.consts.setdefault(alg.BOT_CONST, CONCEPT)
@@ -358,37 +392,60 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     target = pur.atom(goal.target) if goal.target is not None else None
 
     triggered = triggered or {}
-    rank = {op: j for j, op in enumerate(problem.ops)}
-    pending = [op for op in problem.ops if op in triggered]
-    mon: dict[str, list[str]] = {}
+    pending = sorted(triggered)
+    families: dict[int, hornsat.Family] = {}
 
-    def walk_mon(op: str) -> None:
-        # instantiate emits t0 <= u for u = t1, t2, ... first (premises
-        # before the conclusion); after those every term has a proxy
-        terms = triggered[op]
-        if len(terms) < 2:
+    def walk(i: int) -> None:
+        ax = problem.axioms[i]
+        if isinstance(ax, Mon):
+            # instantiate emits t0 <= u for u = t1, t2, ... first (premises
+            # before the conclusion); after those every term has a proxy
+            terms = triggered[i]
+            if len(terms) < 2:
+                return
+            t0 = terms[0]
+            for u in terms[1:]:
+                for a, b in zip(t0.args, u.args):
+                    pur.atom(Leq(a, b))
+                pur.atom(Leq(t0, u))
+            families[i] = hornsat.monotonicity(alg.mon_tag(ax.op), [
+                (pur.name(t), tuple(map(pur.name, t.args))) for t in terms])
             return
-        t0 = terms[0]
-        for u in terms[1:]:
-            for a, b in zip(t0.args, u.args):
-                pur.atom(Leq(a, b))
-            pur.atom(Leq(t0, u))
-        mon[op] = [pur.purify(t).name for t in terms]
+        # instantiate joins the first head with every choice, then each
+        # later head with every choice; after the first choice of a head
+        # its terms have proxies, and after the first head every choice's
+        heads, choices = triggered[i]
+        if not choices:
+            return
+        for head, choice in itertools.chain(
+                ((heads[0], c) for c in choices),
+                ((h, choices[0]) for h in heads[1:])):
+            premises, conclusion = alg.composed(ax, head, choice)
+            for p in premises:
+                pur.atom(p)
+            pur.atom(conclusion)
+        name = pur.name
+        families[i] = hornsat.Family(
+            type(ax).__name__,
+            tuple((name(t), tuple(map(name, zs))) for t, zs in heads),
+            tuple((tuple(map(name, tails)),
+                   tuple(map(name, guarded)) if ax.guard is not None else (),
+                   name(rhs)) for tails, guarded, rhs in choices),
+            name(ax.guard) if ax.guard is not None else None)
 
     clauses = []
     for inst in instances:
-        if pending:
-            op = alg.mon_tag_op(inst.tag)
-            while op is not None and pending and rank[pending[0]] < rank[op]:
-                walk_mon(pending.pop(0))
+        while pending and pending[0] < inst.axiom:
+            walk(pending.pop(0))
         clauses.append(Instance(tuple(pur.atom(p) for p in inst.premises),
-                                pur.atom(inst.conclusion), inst.tag))
-    for op in pending:
-        walk_mon(op)
+                                pur.atom(inst.conclusion), inst.tag,
+                                inst.axiom))
+    for i in pending:
+        walk(i)
     return PurifiedProblem(
         facts=facts, target=target, clauses=clauses,
         defs=pur.defs, meets=pur.meets, consts=pur.consts,
-        ops=problem.ops, op_role=problem.op_role, mon=mon,
+        ops=problem.ops, op_role=problem.op_role, triggered=families,
     )
 
 
@@ -411,6 +468,9 @@ class SLProblem:
     goal: Optional[AtomKey]
     universe: list[str]
     mode: str
+    # per clause, the index of the axiom it instantiates (0 for the
+    # lattice theory's clauses); the chase ranks clauses by it
+    blocks: list[int] = field(default_factory=list)
 
 
 def _atom_key(a: Leq) -> AtomKey:
@@ -435,18 +495,20 @@ class LatticeTheory:
         self.meets: dict[str, tuple[str, ...]] = {}
         self.facts: dict[AtomKey, str] = {}
         self.clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
+        self.blocks: list[int] = []
         self._seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
 
     def add_fact(self, atom: AtomKey, label: str) -> None:
         self.facts.setdefault(atom, label)
 
     def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
-                   tag: str) -> None:
+                   tag: str, block: int = 0) -> None:
         prem = tuple(dict.fromkeys(premises))
         key = (frozenset(prem), concl)
         if key not in self._seen:
             self._seen.add(key)
             self.clauses.append((prem, concl, tag))
+            self.blocks.append(block)
 
     def extend(self, universe: Iterable[str],
                meets: dict[str, tuple[str, ...]]) -> None:
@@ -484,7 +546,7 @@ def _lattice_table(purified: PurifiedProblem,
         theory.add_fact(_atom_key(a), f"input:{i}")
     for inst in purified.clauses:
         theory.add_clause([_atom_key(p) for p in inst.premises],
-                          _atom_key(inst.conclusion), inst.tag)
+                          _atom_key(inst.conclusion), inst.tag, inst.axiom)
     theory.extend([c for c, s in purified.consts.items() if s == CONCEPT],
                   purified.meets)
     return theory
@@ -515,6 +577,7 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
         goal=goal,
         universe=theory.universe,
         mode=mode,
+        blocks=theory.blocks,
     )
 
 

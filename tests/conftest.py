@@ -58,6 +58,22 @@ Town sub exists r_interm . (Hub, C3)
 ? Town sub exists r . Hub
 """
 
+# guarded compositions: a sequential one (K2), an identity (K3) and a
+# parallel one whose tails bind two variables
+GUARDS_TEXT = """\
+decl role w : 3
+decl role both : 3
+role r o s sub t guard G
+role p o q sub id guard H
+role w o (l, m) sub both guard G
+A sub exists r . exists s . B
+B sub G
+D sub exists p . exists q . E
+E sub H
+K sub exists w . (exists l . B, exists m . G)
+? A and D and K sub exists t . B and E and exists both . (B, G)
+"""
+
 # an unsatisfiable two-sided split whose interpolant needs a defined term
 SPLIT_TEXT = """\
 role r o s sub r
@@ -86,3 +102,8 @@ def freight_cbox():
 @pytest.fixture
 def routes_cbox():
     return parse_cbox(ROUTES_TEXT)
+
+
+@pytest.fixture
+def guards_cbox():
+    return parse_cbox(GUARDS_TEXT)

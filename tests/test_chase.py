@@ -114,8 +114,9 @@ def test_explain_equals_the_materialized_trace_numeric():
 
 
 def test_fixtures_with_movements_match(freight_cbox, defs_cbox, anatomy_cbox,
-                                       routes_cbox):
-    for cbox in (freight_cbox, defs_cbox, anatomy_cbox, routes_cbox):
+                                       routes_cbox, guards_cbox):
+    for cbox in (freight_cbox, defs_cbox, anatomy_cbox, routes_cbox,
+                 guards_cbox):
         assert _check_identity(cbox, cbox.queries[0])
 
 
@@ -137,7 +138,7 @@ def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
     # the solver was built without Mon(f_r1), Mon(f_r2) and meet-intro ...
     built = {tag for _, _, tag in chase.combine.sl.clauses}
     assert not any(t.startswith("Mon") or t == "meet-intro" for t in built)
-    assert chase.purified.mon
+    assert chase.purified.triggered
     # ... while the report shows the whole reduction, Mon= included
     assert chase.instances == inst.instances
     assert {tag for *_, tag in chase.sl.clauses} >= {
@@ -146,18 +147,60 @@ def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
 
 def test_numeric_operators_keep_materialized_monotonicity(freight_cbox):
     report = pipeline.check_subsumption(freight_cbox, freight_cbox.queries[0])
-    assert not report.purified.mon
-    assert red.triggered_ops(report.problem) == []
+    assert not report.purified.triggered
+    assert red.triggered_axioms(report.problem) == []
 
 
 # ---------------------------------------------------------------------------
 # the solver alone, on random problems
 # ---------------------------------------------------------------------------
 
+def _random_composition(rng, k, consts, universe):
+    """A K2/K3 family over constants: n-ary tails, z arguments repeated
+    across positions (as a fixed slot or a shared filler can make them),
+    an optional guard; heads and right-hand sides are fresh constants."""
+    n = rng.randint(1, 3)
+    heads = []
+    for h in range(rng.randint(1, 3)):
+        heads.append((f"k{k}h{h}", tuple(rng.choice(consts) for _ in range(n))))
+    choices = []
+    for c in range(rng.randint(1, 4)):
+        # a tail among the constants often makes a reflexive or an input
+        # premise, so rules fire in the build and settle later premises
+        tails = tuple(rng.choice(consts if rng.random() < 0.5 else universe)
+                      for _ in range(n))
+        guarded = tuple(rng.choice(consts) for _ in range(rng.randint(0, 2)))
+        choices.append((tails, guarded, f"k{k}r{c}"))
+    universe += [h for h, _ in heads] + [r for *_, r in choices]
+    guard = rng.choice(universe) if rng.random() < 0.5 else None
+    return hornsat.Family(rng.choice(("K2", "K3")), tuple(heads),
+                          tuple(choices), guard)
+
+
+def _comp_rules(family):
+    for head, zs in family.heads:
+        for tails, guarded, rhs in family.choices:
+            premises = list(zip(zs, tails))
+            if family.guard is not None:
+                premises += [(x, family.guard) for x in guarded]
+            yield tuple(dict.fromkeys(premises)), (head, rhs)
+
+
 def _random_problem(rng: random.Random):
     consts = [f"c{i}" for i in range(rng.randint(3, 7))]
     universe = list(consts)
+    # the triggered families in block order, family j in block 2j + 1
     families = []
+    for k in range(rng.randint(0, 3)):
+        comps = [f for f in families if isinstance(f, hornsat.Family)]
+        if comps and rng.random() < 0.3:
+            # a second axiom with some of an earlier one's instances
+            twin = rng.choice(comps)
+            families.append(hornsat.Family(
+                "K3" if twin.tag == "K2" else "K2", twin.heads,
+                twin.choices[:rng.randint(1, len(twin.choices))], twin.guard))
+        else:
+            families.append(_random_composition(rng, k, consts, universe))
     for op in range(rng.randint(1, 3)):
         arity = rng.choice((1, 1, 2))
         args = list(itertools.product(consts, repeat=arity))
@@ -167,7 +210,7 @@ def _random_problem(rng: random.Random):
             name = f"f{op}_{len(terms)}"
             universe.append(name)
             terms.append((name, a))
-        families.append((2 * op + 1, f"Mon(f{op})", terms))
+        families.append((f"Mon(f{op})", terms))
     meets = {}
     for i in range(rng.randint(0, 3)):
         name = f"m{i}"
@@ -180,28 +223,54 @@ def _random_problem(rng: random.Random):
     facts = [((z, z), "refl") for z in universe]
     facts += [(atom(), f"input:{i}") for i in range(rng.randint(1, 8))]
     facts += [((m, o), "meet-below") for m, ops in meets.items() for o in ops]
-    # block-0 clauses stand for the K-instances, clauses in the blocks
-    # between the families for Mon over operators with a numeric argument;
-    # a block is either materialized or triggered, as in the pipeline
+    # materialized clauses in the even blocks: block 0 stands for K1,
+    # the others for K1 between triggered axioms or for Mon over operators
+    # with a numeric argument; some repeat a K2/K3 rule of another block,
+    # some derive a premise of one
+    comp_rules = [rule for f in families if isinstance(f, hornsat.Family)
+                  for rule in _comp_rules(f)]
     extra = []
     for i in range(rng.randint(0, 8)):
-        if rng.random() < 0.6:
-            premises = tuple(atom() for _ in range(rng.randint(0, 2)))
-            extra.append((0, premises, atom(), f"X{i}"))
+        block = 2 * rng.randint(0, len(families))
+        if comp_rules and rng.random() < 0.2:
+            premises, concl = rng.choice(comp_rules)
+        elif comp_rules and rng.random() < 0.3:
+            # settles a premise of a K2/K3 rule, maybe in the build
+            premises = tuple(atom() for _ in range(rng.randint(0, 1)))
+            concl = rng.choice(rng.choice(comp_rules)[0] or [atom()])
+        elif rng.random() < 0.6:
+            premises, concl = tuple(atom() for _ in range(rng.randint(0, 2))), atom()
         else:
             # like Mon over a numeric operator: waits on argument atoms
             premises = tuple((rng.choice(consts), rng.choice(consts))
                              for _ in range(rng.randint(1, 2)))
-            extra.append((2 * rng.randint(1, len(families)), premises,
-                          atom(), f"X{i}"))
+            concl = atom()
+        extra.append((block, premises, concl, f"X{i}"))
     extra.sort(key=lambda c: c[0])
     goal = atom() if rng.random() < 0.5 else None
     return families, meets, universe, facts, extra, goal
 
 
+def _first_of_twins(clauses):
+    """Drop every clause with the premises and conclusion of an earlier one,
+    as instantiate and the lattice theory do."""
+    seen, out = set(), []
+    for clause in clauses:
+        key = (frozenset(clause[1]), clause[2])
+        if key not in seen:
+            seen.add(key)
+            out.append(clause)
+    return out
+
+
 def _materialized_clauses(families, meets, universe, extra):
-    out = [(b, p, c, t) for b, p, c, t in extra]
-    for block, tag, terms in families:
+    out = list(extra)
+    for j, family in enumerate(families):
+        block = 2 * j + 1
+        if isinstance(family, hornsat.Family):
+            out += [(block, p, c, family.tag) for p, c in _comp_rules(family)]
+            continue
+        tag, terms = family
         for (t, ta), (u, ua) in itertools.permutations(terms, 2):
             out.append((block, tuple(dict.fromkeys(zip(ta, ua))), (t, u), tag))
     meet_block = 2 * len(families) + 1
@@ -211,7 +280,14 @@ def _materialized_clauses(families, meets, universe, extra):
                 out.append((meet_block, tuple(dict.fromkeys((z, o) for o in ops)),
                             (z, m), "meet-intro"))
     out.sort(key=lambda c: c[0])      # stable: keeps the order inside a block
-    return out
+    return _first_of_twins(out)
+
+
+def _triggers(families, meets, universe):
+    return hornsat.Triggers(
+        [(2 * j + 1, f if isinstance(f, hornsat.Family) else hornsat.monotonicity(*f))
+         for j, f in enumerate(families)],
+        meets, meet_block=2 * len(families) + 1, universe=universe)
 
 
 def _derivations(solver: hornsat.HornSolver) -> list:
@@ -241,13 +317,13 @@ def test_triggered_rules_derive_like_their_materialized_clauses(seed):
         plain.add_clause(premises, concl, tag)
     want = plain.solve(goal)
 
-    triggers = hornsat.Triggers(mon=families, meets=meets,
-                                meet_block=2 * len(families) + 1,
-                                universe=universe)
-    chase = hornsat.HornSolver(transitive=True, triggers=triggers)
+    chase = hornsat.HornSolver(transitive=True,
+                               triggers=_triggers(families, meets, universe))
     for a, label in facts:
         chase.add_fact(a, label)
-    for block, premises, concl, tag in extra:
+    # the materialized clauses drop their own twins, as the lattice
+    # theory does, but not those of triggered rules
+    for block, premises, concl, tag in _first_of_twins(extra):
         chase.add_clause(premises, concl, tag, block)
     got = chase.solve(goal)
 
@@ -259,8 +335,9 @@ def test_triggered_rules_derive_like_their_materialized_clauses(seed):
 
 
 def test_rules_complete_at_build_time_fire_before_solving():
-    triggers = hornsat.Triggers(mon=[(1, "Mon(f)", [("fa", ("a",)), ("fb", ("b",))])],
-                                meets={}, meet_block=2, universe=["a", "b", "fa", "fb"])
+    triggers = hornsat.Triggers(
+        [(1, hornsat.monotonicity("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
+        meets={}, meet_block=2, universe=["a", "b", "fa", "fb"])
     solver = hornsat.HornSolver(transitive=True, triggers=triggers)
     solver.add_fact(("a", "b"), "input:0")
     solver.end_build()
@@ -274,9 +351,9 @@ def test_one_pop_fires_in_materialized_order():
     # a <= b is derived by transitivity, so it is popped after the build;
     # that pop completes a materialized clause of block 2 and the
     # triggered Mon rule of block 1, and the rule's conclusion comes first
-    triggers = hornsat.Triggers(mon=[(1, "Mon(f)", [("fa", ("a",)), ("fb", ("b",))])],
-                                meets={}, meet_block=3,
-                                universe=["a", "b", "x", "fa", "fb", "p"])
+    triggers = hornsat.Triggers(
+        [(1, hornsat.monotonicity("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
+        meets={}, meet_block=3, universe=["a", "b", "x", "fa", "fb", "p"])
     solver = hornsat.HornSolver(transitive=True, triggers=triggers)
     solver.add_fact(("a", "x"), "input:0")
     solver.add_fact(("x", "b"), "input:1")
@@ -300,10 +377,42 @@ A sub exists s . B
 ? A sub exists s . B
 """)
     report = pipeline.check_subsumption(cbox, cbox.queries[0])
-    assert report.purified.mon == {"f_w": ["_t3", "_t4"]}
+    assert {fam.tag: [t for t, _ in fam.heads]
+            for fam in report.purified.triggered.values()
+            if fam.tag.startswith("Mon")} == {"Mon(f_w)": ["_t3", "_t4"]}
     assert [str(report.purified.defs[p]) for p in ("_t1", "_t2")] == \
         ["(C & D)", "(E & F)"]
     assert _check_identity(cbox, cbox.queries[0])
+
+
+def test_a_repeated_axiom_fires_only_where_its_first_copy_does():
+    # the K1 instances of `r sub s` (block 1) derive f_r(x) <= f_s(x) in
+    # the build; the second copy of `r o s sub r` (block 2) would take
+    # that premise as settled and fire before the first copy (block 0),
+    # but the materialized clause list has only the first copy's instances
+    cbox = parse_cbox("""\
+role r o s sub r
+role r sub s
+role r o s sub r
+exists s . B sub exists r . exists r . A
+""")
+    report = pipeline.classify(cbox).report
+    assert {i for i, fam in report.purified.triggered.items()
+            if fam.tag == "K2"} == {0, 2}
+    res, _ = _materialized(report)
+    assert _derivations(report.combine.result.solver) == _derivations(res.solver)
+
+
+def test_scaling_family_instantiates_only_k1():
+    # `r o r sub r` has 10,000 K2 instances over 100 f_r terms here; the
+    # chase fires the 201 of them that derive, and materializes only the
+    # K1 instances of `r sub s`
+    report = pipeline.classify(randgen.scaling_family(300)).report
+    assert {inst.tag for inst in report.built} == {"K1"}
+    solver = report.combine.result.solver
+    assert len(solver.reasons) == 2908
+    # the materialized K2 instances alone interned 10,000 premise atoms
+    assert len(solver.atom_keys) < 2 * len(solver.reasons)
 
 
 def test_only_touched_atoms_are_interned():

@@ -12,7 +12,7 @@ from loctame import cli
 from loctame.reduce import parse_reduction
 from loctame.syntax import MAX_NESTING
 from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
-                            ROUTES_TEXT, SPLIT_TEXT)
+                            GUARDS_TEXT, ROUTES_TEXT, SPLIT_TEXT)
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def files(tmp_path):
     paths = {}
     for name, text in [("defs", DEFS_TEXT), ("anatomy", ANATOMY_TEXT),
                        ("freight", FREIGHT_TEXT), ("routes", ROUTES_TEXT),
-                       ("split", SPLIT_TEXT)]:
+                       ("guards", GUARDS_TEXT), ("split", SPLIT_TEXT)]:
         p = tmp_path / f"{name}.lt"
         p.write_text(text)
         paths[name] = str(p)
@@ -211,10 +211,10 @@ def test_check_normalize_flag(files, capsys):
 
 
 def test_emit_reduction_matches_the_recorded_reductions(files, capsys):
-    # the chase fires Mon and meet introduction from an index, yet the
-    # dumped reduction is the full one, byte for byte
+    # the chase fires Mon, K2, K3 and meet introduction from an index,
+    # yet the dumped reduction is the full one, byte for byte
     golden = Path(__file__).resolve().parent / "golden"
-    for name in ("defs", "anatomy", "freight"):
+    for name in ("defs", "anatomy", "freight", "routes", "guards"):
         assert cli.main(["check", "--emit-reduction", files[name]]) == 0
         want = (golden / f"{name}.reduction").read_text()
         assert capsys.readouterr().out == want, name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loctame import algebra as alg
-from loctame import concdom, oracle, pipeline
+from loctame import concdom, oracle, pipeline, randgen
 from loctame.syntax import Interval, parse_cbox
 
 
@@ -154,3 +154,23 @@ def test_numeric_premises_are_decided_once_per_mixed_clause(freight_cbox,
     mixed = concdom.split_problem(report.purified).mixed
     decided = [q for q in queries if q != concdom.FALSE_ATOM]
     assert len(decided) <= sum(len(mc.num_premises) for mc in mixed)
+
+
+def test_each_endpoint_atom_is_decided_once_per_problem(monkeypatch):
+    decided: list[list] = []
+    real = concdom.num_entails
+
+    def counting(facts, query):
+        decided[-1].append(query)
+        return real(facts, query)
+
+    monkeypatch.setattr(concdom, "num_entails", counting)
+    # the numeric facts are fixed within a problem, and mixed clauses
+    # share endpoint atoms
+    for seed in range(60):
+        rng = random.Random(13_000 + seed)
+        cbox = randgen.numeric_cbox(rng)
+        decided.append([])
+        pipeline.check_subsumption(cbox, randgen.numeric_query(rng, cbox))
+        assert len(decided[-1]) == len(set(decided[-1]))
+    assert sum(map(len, decided)) > 60

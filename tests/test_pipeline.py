@@ -172,3 +172,21 @@ def test_emit_psi_is_sorted(defs_cbox):
     lines = pipeline.emit_psi(report).splitlines()
     assert lines == sorted(lines)
     assert len(lines) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**7))
+def test_pairs_read_off_the_model_are_the_holding_pairs(seed):
+    rng = random.Random(seed)
+    cbox = (randgen.numeric_cbox(rng) if seed % 3 == 0
+            else randgen.normal_cbox(rng, max_names=8, max_roles=3,
+                                     max_axioms=14))
+    cls = pipeline.classify(cbox)
+    assert cls.pairs() == [(a, b) for a in cls.names for b in cls.names
+                           if a != b and cls.holds(a, b)]
+
+
+def test_pairs_of_a_vacuous_classification_are_all_pairs():
+    cls = pipeline.classify(parse_cbox("num up 5 sub num down 3\nA sub B\nC sub A\n"))
+    assert cls.report.combine.vacuous
+    assert cls.pairs() == [(a, b) for a in cls.names for b in cls.names if a != b]

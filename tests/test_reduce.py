@@ -134,3 +134,28 @@ def test_numeric_atoms_stay_off_the_lattice(freight_cbox):
     assert sl is not None
     for (a, b), _ in sl.facts:
         assert not a.startswith("(") and not b.startswith("(")
+
+
+def test_purify_walks_each_term_object_once(monkeypatch):
+    # every mention of a term object purified before is answered from the
+    # memo; re-walking the whole subterm on each mention made about a
+    # million calls here (60 per atom side), growing with the depth
+    depth = 40
+    deep = "exists r . (B and " * depth + "A" + ")" * depth
+    cbox = parse_cbox(f"X sub {deep}\n? X sub {deep}\n")
+    report = pipeline.check_subsumption(cbox, cbox.queries[0])
+    calls = 0
+    purify = red._Purifier.purify
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return purify(self, t)
+
+    monkeypatch.setattr(red._Purifier, "purify", counting)
+    purified = red.flatten_purify(report.instances, report.problem.goal,
+                                  report.problem)
+    sides = 2 * (len(purified.facts) + 1
+                 + sum(len(i.premises) + 1 for i in purified.clauses))
+    # one call per atom side, plus one per argument of each term walked
+    assert calls < sides + 6 * len(purified.defs)
