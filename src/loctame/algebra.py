@@ -179,6 +179,7 @@ def plain_template(op: str, arity: int, start: int = 0) -> OpTemplate:
 class Mon:
     op: str
     arity: int
+    guard = None                    # never guarded, unlike K1-K3
 
     def __str__(self) -> str:
         return f"Mon({self.op}/{self.arity})"
@@ -381,9 +382,9 @@ class Instance:
         return " & ".join(str(p) for p in self.premises) + f" -> {self.conclusion}"
 
 
-def mon_tag(op: str, eq: bool = False) -> str:
-    """The tag of a Mon instance (eq: of its Mon= variant)."""
-    return f"Mon={op}" if eq else f"Mon({op})"
+def instance_tag(ax: AlgAxiom) -> str:
+    """The tag of an axiom's instances: Mon(f) for monotonicity of f."""
+    return f"Mon({ax.op})" if isinstance(ax, Mon) else type(ax).__name__
 
 
 def _guard_atoms(guard: Optional[FlatTerm], args: Iterable[FlatTerm]) -> tuple[Leq, ...]:
@@ -404,21 +405,26 @@ def terms_by_op(psi: Iterable[Apply]) -> dict[str, list[Apply]]:
     return by_op
 
 
-# a K2/K3 instance joins a head, an f-term with its z arguments, with a
-# choice: its tail terms, its guarded arguments and its right-hand side
+# a Mon/K2/K3 instance joins a head, an f-term with its z arguments, with
+# a choice: its tail terms, its guarded arguments and its right-hand side
 Head = tuple[Apply, tuple[FlatTerm, ...]]
 Choice = tuple[tuple[Apply, ...], tuple[FlatTerm, ...], FlatTerm]
+Composition = tuple[list[Head], list[Choice]]
 
 
-def composition(ax: Union[K2, K3], by_op: dict[str, list[Apply]]
-                ) -> tuple[list[Head], list[Choice]]:
-    """The closure-local instances of a K2/K3 axiom as heads x choices.
+def composition(ax: Union[Mon, K2, K3], by_op: dict[str, list[Apply]]
+                ) -> Composition:
+    """The closure-local instances of a Mon/K2/K3 axiom as heads x choices.
 
-    K2 chooses one g_i-term per tail (the product in closure order) and
-    guards h's arguments; K3 chooses a y with every g_i(y) in the closure
-    (in sorted(str) order) and guards y.  instantiate emits the instances
-    head-major.
+    Mon(f) has one head (t, t.args) and one choice (t.args, (), t) per
+    f-term t in closure order; K2 chooses one g_i-term per tail (the
+    product in closure order) and guards h's arguments; K3 chooses a y
+    with every g_i(y) in the closure (in sorted(str) order) and guards y.
+    instantiate emits the instances head-major.
     """
+    if isinstance(ax, Mon):
+        terms = by_op.get(ax.op, [])
+        return [(t, t.args) for t in terms], [(t.args, (), t) for t in terms]
     heads = [(t, tuple(_binding_args(ax.f, b))) for t in by_op.get(ax.f.op, [])
              if (b := ax.f.match(t)) is not None]
     if not heads:
@@ -444,25 +450,27 @@ def composition(ax: Union[K2, K3], by_op: dict[str, list[Apply]]
                    for y in sorted(cands, key=str)]
 
 
-def composed(ax: Union[K2, K3], head: Head, choice: Choice
-             ) -> tuple[list[Leq], Leq]:
-    """The premises and the conclusion of one K2/K3 instance:
-    z_i <= tail_i for each tail, then x <= guard for each guarded x."""
+def composed(ax: Union[Mon, K2, K3], head: Head, choice: Choice
+             ) -> Optional[tuple[list[Leq], Leq]]:
+    """The premises and the conclusion of one Mon/K2/K3 instance:
+    z_i <= tail_i for each tail, then x <= guard for each guarded x.
+    None where Mon would pair a term with itself: reflexivity gives that
+    conclusion."""
     (ft, zs), (tails, guarded, rhs) = head, choice
+    if ft is rhs and isinstance(ax, Mon):
+        return None
     premises = [Leq(z, t) for z, t in zip(zs, tails)]
     return premises + list(_guard_atoms(ax.guard, guarded)), Leq(ft, rhs)
 
 
 def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
-                mon_eq_variants: bool = True,
                 skip: Container[int] = ()) -> list[Instance]:
     """All closure-local instances of the axioms, duplicates removed, except
     those of the axioms whose indices are in skip.
 
-    Mon yields, for every ordered pair of distinct closure terms with the
-    same operator, a plain instance and (with mon_eq_variants) a variant
-    whose premises state equality of the arguments; for operators with k
-    closure terms that is 2*k*(k-1) instances.
+    Mon yields an instance for every ordered pair of distinct closure terms
+    with its operator; for an operator with k closure terms that is
+    k*(k-1) instances.
     """
     psi_list = list(psi)
     by_op = terms_by_op(psi_list)
@@ -484,27 +492,21 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
     for i, ax in enumerate(axioms):
         if i in skip:
             continue
-        if isinstance(ax, Mon):
-            terms = by_op.get(ax.op, [])
-            for t, u in itertools.permutations(terms, 2):
-                plain = [Leq(a, b) for a, b in zip(t.args, u.args)]
-                emit(plain, Leq(t, u), mon_tag(ax.op))
-                if mon_eq_variants:
-                    both = plain + [Leq(b, a) for a, b in zip(t.args, u.args)]
-                    emit(both, Leq(t, u), mon_tag(ax.op, eq=True))
-        elif isinstance(ax, K1):
+        if isinstance(ax, K1):
             for t in psi_list:
                 binding = ax.g.match(t)
                 if binding is None:
                     continue
                 guards = _guard_atoms(ax.guard, _binding_args(ax.h, binding))
                 emit(guards, Leq(t, ax.h.build(binding)), "K1")
-        elif isinstance(ax, (K2, K3)):
-            tag = type(ax).__name__
+        elif isinstance(ax, (Mon, K2, K3)):
+            tag = instance_tag(ax)
             heads, choices = composition(ax, by_op)
             for head in heads:
                 for choice in choices:
-                    emit(*composed(ax, head, choice), tag)
+                    inst = composed(ax, head, choice)
+                    if inst is not None:
+                        emit(*inst, tag)
         else:
             raise LoctameError(f"unknown axiom shape {ax!r}")
     return out

@@ -31,10 +31,14 @@ from .syntax import (Bot, CheckError, LoctameError, Name, Query, Top,
 
 
 def _load(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        name = "standard input" if path == "-" else path
+        raise LoctameError(f"{name} is not UTF-8 text") from None
 
 
 def _parse_query(text: str) -> Query:
@@ -340,15 +344,15 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, emit: bool = False) -> None:
-    sub.add_argument("--mode", choices=(red.INSTANTIATE, red.CHASE),
-                     default=red.CHASE,
-                     help="materialize the lattice theory, or chase it "
-                          "inside the solver (default)")
+def _add_common(sub: argparse.ArgumentParser, mode: bool = True,
+                emit: bool = False) -> None:
+    if mode:
+        sub.add_argument("--mode", choices=(red.INSTANTIATE, red.CHASE),
+                         default=red.CHASE,
+                         help="materialize the lattice theory, or chase it "
+                              "inside the solver (default)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable report on stdout")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="base seed for anything randomized")
     if emit:
         sub.add_argument("--normalize", action="store_true",
                          help="rewrite to normal form first")
@@ -391,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("interpolate",
                         help="ground interpolant for an A:/B: split file")
     p.add_argument("file", help="input file, or - for stdin")
-    _add_common(p)
+    _add_common(p, mode=False)
     p.set_defaults(func=cmd_interpolate)
 
     p = subs.add_parser("cross-check",
@@ -400,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional file whose queries are cross-checked")
     p.add_argument("--samples", type=int, default=0,
                    help="also run this many random instances")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the first random instance")
+    _add_common(p, mode=False)
     p.set_defaults(func=cmd_cross_check)
 
     return parser

@@ -13,10 +13,11 @@ The steps follow the order in which atoms were derived, never string
 hashing, so a derivation reads the same in every process.
 
 The chase mode also hands the solver a `Triggers` index instead of the
-clause families that grow with the square of the closure or faster: the
-K2/K3 instances of role compositions (by tail and argument, and by
-guard), monotonicity of the operators whose arguments are all concepts,
-and meet introduction.  A triggered rule fires when its last premise is
+clause families that grow with the square of the closure or faster: one
+`Family` per Mon/K2/K3 axiom (monotonicity of the operators whose
+arguments are all concepts and the instances of role compositions,
+indexed by tail and argument, and by guard), and meet introduction.
+A triggered rule fires when its last premise is
 popped, exactly when its materialized clause would have: every clause and
 rule carries a rank (its position in the materialized clause list: one
 block per axiom, in axiom order, then meet introduction), and the firings
@@ -79,22 +80,15 @@ class Family:
     heads[h] = (head, zs) and choices[c] = (tails, guarded, rhs) make the
     rule  z_i <= tail_i (each i), x <= guard (each guarded x)  ->
     head <= rhs  at position h * len(choices) + c of the axiom's block.
-    Within a family no two rules share a conclusion.
+    Within a family no two rules share a conclusion.  Mon(f) has one head
+    (t, args) and one choice (args, (), t) per f-term t; its rule for
+    (t, t) concludes what reflexivity gives, so it never derives.
     """
 
     tag: str
     heads: tuple[tuple[str, tuple[str, ...]], ...]
     choices: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...]
     guard: Optional[str] = None
-
-
-def monotonicity(tag: str, terms: Sequence[tuple[str, tuple[str, ...]]]) -> Family:
-    """Mon over an operator's terms in closure order, each as (constant,
-    argument constants): the rule for (t, u) is  t.args <= u.args  ->
-    t <= u.  The rule for (t, t) concludes what reflexivity gives, so it
-    never derives; nor would the Mon= variant of a rule (the same
-    conclusion under more premises), which is left out."""
-    return Family(tag, tuple(terms), tuple((args, (), t) for t, args in terms))
 
 
 class Triggers:

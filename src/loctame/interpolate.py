@@ -282,7 +282,7 @@ class _Attempt:
 
         goal = Goal(problem.a_atoms + problem.b_atoms, problem.neg)
         psi = alg.psi_closure(alg.goal_seeds(goal), problem.axioms)
-        instances = alg.instantiate(problem.axioms, psi, mon_eq_variants=False)
+        instances = alg.instantiate(problem.axioms, psi)
         # the term store: separation adds its defined constants here
         self.purified = red.flatten_purify(
             instances, goal,

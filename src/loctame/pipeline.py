@@ -12,12 +12,12 @@ run: name queries contribute no operator terms to the closure seed, so
 the reduction is the same for every such query and the verdict is just
 membership of the pair in the least model.
 
-In `chase` mode the solver fires three families from its trigger index
-instead of materializing them (instantiate leaves their axioms out): the
-K2/K3 instances whose premises are all concept atoms, Mon over the
-operators whose arguments are all concepts, and meet introduction.  K1,
-K2 with a guard on a numeric position, Mon over operators with a
-numeric argument, and the lattice facts are materialized.  `instantiate`
+In `chase` mode the solver fires, from its trigger index, the instances
+of the Mon/K2/K3 axioms whose premises are all concept atoms (one
+heads x choices family per axiom; instantiate leaves those axioms out)
+and meet introduction, instead of materializing them.  K1, K2 with a
+guard on a numeric position, Mon over operators with a numeric argument,
+and the lattice facts are materialized.  `instantiate`
 mode materializes everything, as the paper's reduction does.
 Report.instances and Report.sl give the full reduction in both modes; in
 `chase` mode they build it on first use.
@@ -52,7 +52,7 @@ class Report:
 
     @cached_property
     def instances(self) -> list[alg.Instance]:
-        """Every closure-local axiom instance, Mon= variants included."""
+        """Every closure-local axiom instance."""
         if not self.purified.triggered:
             return self.built
         return alg.instantiate(self.problem.axioms, self.psi)
@@ -116,13 +116,11 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     micros["closure"] = _now() - t
 
     t = _now()
-    triggered: dict[int, red.LeftOut] = {}
+    triggered: dict[int, alg.Composition] = {}
     if mode == red.CHASE:
         by_op = alg.terms_by_op(psi)
-        for i in red.triggered_axioms(problem):
-            ax = problem.axioms[i]
-            triggered[i] = (by_op.get(ax.op, []) if isinstance(ax, alg.Mon)
-                            else alg.composition(ax, by_op))
+        triggered = {i: alg.composition(problem.axioms[i], by_op)
+                     for i in red.triggered_axioms(problem)}
     instances = alg.instantiate(problem.axioms, psi, skip=triggered)
     micros["instantiate"] = _now() - t
 

@@ -18,22 +18,23 @@ LatticeTheory is the one builder of that theory.  sl_instantiate and
 sl_clause_count unroll it over a purified problem; interpolation extends
 it one defined constant at a time as separation introduces them.
 
-In `chase` mode three families are not materialized at all but fired by
-the solver's trigger index (hornsat.Triggers): the K2/K3 instances whose
-premises are all concept atoms, monotonicity of the operators whose
-arguments are all concepts, and meet introduction.  flatten_purify still
-names their terms in the order the materialized instances would have
-(walking, per K2/K3 axiom, the first head with every choice and the first
-choice with every head, which is linear in the closure terms involved),
-so the proxies, the dumped reduction and every derivation read the same
-in both forms.
+In `chase` mode two kinds of rules are not materialized at all but fired
+by the solver's trigger index (hornsat.Triggers): the instances of the
+Mon/K2/K3 axioms whose premises are all concept atoms (monotonicity of
+the operators whose arguments are all concepts, and the role
+compositions), and meet introduction.  flatten_purify still names their
+terms in the order the materialized instances would have (walking, per
+axiom, the first head with every choice and each later head with its
+first choice, which is linear in the closure terms involved), so the
+proxies, the dumped reduction and every derivation read the same in both
+forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import algebra as alg, hornsat
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
@@ -339,11 +340,6 @@ class _Purifier:
         return self.purify(t).name
 
 
-# the closure terms of an axiom the chase fires from the trigger index:
-# a Mon axiom's operator terms, a K2/K3 axiom's alg.composition
-LeftOut = Union[list[Apply], tuple[list[alg.Head], list[alg.Choice]]]
-
-
 def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
     """The axioms whose instances the chase fires from the solver's trigger
     index: Mon over the operators whose arguments are all concepts, and
@@ -371,7 +367,7 @@ def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
 
 def flatten_purify(instances: Iterable[Instance], goal: Goal,
                    problem: alg.AlgebraicProblem,
-                   triggered: Optional[dict[int, LeftOut]] = None
+                   triggered: Optional[dict[int, alg.Composition]] = None
                    ) -> PurifiedProblem:
     """Name every operator/meet term with a proxy constant.
 
@@ -380,7 +376,7 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     the one-level terms they abbreviate.
 
     triggered maps the indices of the axioms whose instances were left out
-    of `instances` to their closure terms.  Their terms are named where
+    of `instances` to their alg.composition.  Their terms are named where
     their instances would have been walked (in axiom order), so the
     proxies come out as if they were there.
     """
@@ -396,37 +392,29 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     families: dict[int, hornsat.Family] = {}
 
     def walk(i: int) -> None:
+        # instantiate joins each head with every choice, head-major; after
+        # a head's first instance its terms have proxies, and after the
+        # first head every choice's, so a later head stops at its first
         ax = problem.axioms[i]
-        if isinstance(ax, Mon):
-            # instantiate emits t0 <= u for u = t1, t2, ... first (premises
-            # before the conclusion); after those every term has a proxy
-            terms = triggered[i]
-            if len(terms) < 2:
-                return
-            t0 = terms[0]
-            for u in terms[1:]:
-                for a, b in zip(t0.args, u.args):
-                    pur.atom(Leq(a, b))
-                pur.atom(Leq(t0, u))
-            families[i] = hornsat.monotonicity(alg.mon_tag(ax.op), [
-                (pur.name(t), tuple(map(pur.name, t.args))) for t in terms])
-            return
-        # instantiate joins the first head with every choice, then each
-        # later head with every choice; after the first choice of a head
-        # its terms have proxies, and after the first head every choice's
         heads, choices = triggered[i]
-        if not choices:
+        walked = False
+        for n, head in enumerate(heads):
+            for choice in choices:
+                inst = alg.composed(ax, head, choice)
+                if inst is None:
+                    continue
+                premises, conclusion = inst
+                for p in premises:
+                    pur.atom(p)
+                pur.atom(conclusion)
+                walked = True
+                if n:
+                    break
+        if not walked:
             return
-        for head, choice in itertools.chain(
-                ((heads[0], c) for c in choices),
-                ((h, choices[0]) for h in heads[1:])):
-            premises, conclusion = alg.composed(ax, head, choice)
-            for p in premises:
-                pur.atom(p)
-            pur.atom(conclusion)
         name = pur.name
         families[i] = hornsat.Family(
-            type(ax).__name__,
+            alg.instance_tag(ax),
             tuple((name(t), tuple(map(name, zs))) for t, zs in heads),
             tuple((tuple(map(name, tails)),
                    tuple(map(name, guarded)) if ax.guard is not None else (),

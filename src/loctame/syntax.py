@@ -799,49 +799,56 @@ class InterpolationInput:
 
 
 def parse_interpolation_input(text: str) -> InterpolationInput:
-    shared_lines, a_lines, b_lines = [], [], []
-    neg_line: Optional[tuple[int, str]] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith(("A:", "B:")):
-            side, rest = stripped[0], stripped[2:].strip()
-            if re.search(r"\bnsub\b", rest):
-                if side != "B":
-                    raise ParseError("the negated inclusion belongs on the B side",
-                                     lineno, 1)
-                if neg_line is not None:
-                    raise ParseError("more than one 'nsub' line", lineno, 1)
-                neg_line = (lineno, rest)
-            elif side == "A":
-                a_lines.append((lineno, rest))
-            else:
-                b_lines.append((lineno, rest))
+    # each part is parsed from the file's lines with the other parts'
+    # lines blanked and the side tag overwritten in place, so parse errors
+    # carry the file's own line and column
+    lines = text.splitlines()
+    parts: dict[str, list[str]] = {k: [""] * len(lines) for k in "SAB?"}
+    neg_line: Optional[int] = None
+    for i, raw in enumerate(lines):
+        code = raw.split("#", 1)[0]
+        tag = len(code) - len(code.lstrip())
+        side, rest = code[tag:tag + 2], code[tag + 2:]
+        if side not in ("A:", "B:"):
+            parts["S"][i] = code
+        elif re.search(r"\bnsub\b", rest):
+            if side != "B:":
+                raise ParseError("the negated inclusion belongs on the B side",
+                                 i + 1, tag + 1)
+            if neg_line is not None:
+                raise ParseError("more than one 'nsub' line", i + 1, tag + 1)
+            neg_line = i + 1
+            parts["?"][i] = (code[:tag] + "? "
+                             + re.sub(r"\bnsub\b", " sub", rest, count=1))
         else:
-            shared_lines.append((lineno, stripped))
+            parts[side[0]][i] = code[:tag] + "  " + rest
     if neg_line is None:
         raise ParseError("an interpolation problem needs one 'B: C nsub D' line",
-                         len(text.splitlines()) or 1, 1)
+                         len(lines) or 1, 1)
 
-    def parse_side(lines: list[tuple[int, str]]) -> tuple[tuple[GCI, ...], tuple[RoleInclusion, ...]]:
-        box = parse_cbox("\n".join(s for _, s in lines))
+    def parse_part(key: str) -> CBox:
+        return parse_cbox("\n".join(parts[key]))
+
+    def first_line(key: str) -> int:
+        return next((i + 1 for i, s in enumerate(parts[key]) if s.strip()), 1)
+
+    def parse_side(key: str) -> tuple[tuple[GCI, ...], tuple[RoleInclusion, ...]]:
+        box = parse_part(key)
         if box.queries or box.restrictions or box.roles:
             raise ParseError("side-tagged lines may only contain inclusions",
-                             lines[0][0] if lines else 1, 1)
+                             first_line(key), 1)
         return box.gcis, box.role_incls
 
-    a_gcis, a_ris = parse_side(a_lines)
-    b_gcis, b_ris = parse_side(b_lines)
-    shared = parse_cbox("\n".join(s for _, s in shared_lines))
+    a_gcis, a_ris = parse_side("A")
+    b_gcis, b_ris = parse_side("B")
+    shared = parse_part("S")
     if shared.gcis or shared.queries:
         raise ParseError("untagged lines may only declare or relate roles",
-                         shared_lines[0][0] if shared_lines else 1, 1)
+                         first_line("S"), 1)
 
-    neg_text = re.sub(r"\bnsub\b", "sub", neg_line[1], count=1)
-    neg_box = parse_cbox("? " + neg_text)
+    neg_box = parse_part("?")
     if len(neg_box.queries) != 1:
-        raise ParseError("malformed 'nsub' line", neg_line[0], 1)
+        raise ParseError("malformed 'nsub' line", neg_line, 1)
     q = neg_box.queries[0]
     return InterpolationInput(cbox=shared, a_gcis=a_gcis, b_gcis=b_gcis,
                               neg=Query(q.lhs, q.rhs),

@@ -31,16 +31,16 @@ def test_template_match_and_build():
     assert tpl.match(_apply("g", "a", "c")) is None
 
 
-def test_mon_instance_count_with_eq_variants():
-    # k closure terms per operator give 2*k*(k-1) monotonicity instances
+def test_mon_instance_count_is_k_times_k_minus_one():
+    # k closure terms per operator give k*(k-1) monotonicity instances,
+    # one per ordered pair of distinct terms
     psi = [_apply("f", c) for c in "abc"]
     out = alg.instantiate([alg.Mon("f", 1)], psi)
-    plain = [i for i in out if i.tag == "Mon(f)"]
-    eq = [i for i in out if i.tag == "Mon=f"]
-    assert len(plain) == 6 and len(eq) == 6
-    assert len(out) == 2 * 3 * (3 - 1)
-    out = alg.instantiate([alg.Mon("f", 1)], psi, mon_eq_variants=False)
-    assert len(out) == 6
+    assert {i.tag for i in out} == {"Mon(f)"}
+    assert len(out) == 3 * (3 - 1)
+    assert [str(i) for i in out[:2]] == ["a <= b -> f(a) <= f(b)",
+                                         "a <= c -> f(a) <= f(c)"]
+    assert alg.instantiate([alg.Mon("f", 1)], psi[:1]) == []
 
 
 def test_instantiate_dedups():
@@ -111,7 +111,7 @@ def test_k3_instantiation_binds_common_argument():
     # f(a) and g(b): the only candidate y is b
     ax = alg.K3(alg.plain_template("f", 1), (alg.plain_template("g", 1),))
     psi = [_apply("f", "a"), _apply("g", "b")]
-    out = [i for i in alg.instantiate([ax], psi, mon_eq_variants=False)
+    out = [i for i in alg.instantiate([ax], psi)
            if i.tag.startswith("K3")]
     assert len(out) == 1
     inst = out[0]

@@ -220,6 +220,29 @@ def test_emit_reduction_matches_the_recorded_reductions(files, capsys):
         assert capsys.readouterr().out == want, name
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "interpolate"])
+def test_invalid_utf8_exits_two_and_names_the_file(tmp_path, capsys, command):
+    p = tmp_path / "latin1.lt"
+    p.write_bytes(b"A sub B\n? A\xff sub B\n")
+    assert cli.main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpolate", "--mode=instantiate"],
+    ["cross-check", "--mode=chase", "--samples", "1"],
+    ["check", "--seed", "3"],
+    ["solve", "--seed", "3"],
+])
+def test_flags_are_accepted_only_where_they_are_read(files, argv, capsys):
+    # interpolate and cross-check have no --mode, only cross-check a --seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [files["split"]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_deeply_nested_concept_exits_two(tmp_path, capsys):
     p = tmp_path / "deep.lt"
     deep = "(" * 330 + "A" + ")" * 330

@@ -132,6 +132,20 @@ def test_interpolation_input_rejects_misplaced_lines():
         parse_interpolation_input("X sub Y\nB: X nsub Y\n")  # untagged GCI
 
 
+@pytest.mark.parametrize("text, line, col", [
+    # the fourth line of the file, not the third A-side line
+    ("role r o s sub r\nA: D sub exists s . Ax\nA: Ax sub C\nA: E sub\n"
+     "B: exists r . Ax nsub exists r . C\n", 4, 9),
+    ("A: X sub Y\n  B:  X nsub (Y and\n", 2, 20),
+    ("A: X sub Y\nB: X nsub Y\nB: Z sub $\n", 3, 10),
+    ("A: X sub Y\n\nB: X nsub Y\nrole r sub $\n", 4, 12),
+], ids=["side", "negated", "other-side", "untagged"])
+def test_interpolation_parse_errors_carry_file_positions(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_interpolation_input(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("deep", [
     "(" * 330 + "A" + ")" * 330,
     "exists r . " * 330 + "A",
