@@ -256,14 +256,21 @@ class K3:
 AlgAxiom = Union[Mon, K1, K2, K3]
 
 
+def axiom_templates(ax: AlgAxiom) -> list[OpTemplate]:
+    """The operator templates an axiom is written with (Mon has none)."""
+    if isinstance(ax, Mon):
+        return []
+    if isinstance(ax, K1):
+        return [ax.g, ax.h]
+    if isinstance(ax, K2):
+        return [ax.f, *ax.gs, ax.h]
+    return [ax.f, *ax.gs]
+
+
 def axiom_ops(ax: AlgAxiom) -> set[str]:
     if isinstance(ax, Mon):
         return {ax.op}
-    if isinstance(ax, K1):
-        return {ax.g.op, ax.h.op}
-    if isinstance(ax, K2):
-        return {ax.f.op, ax.h.op} | {g.op for g in ax.gs}
-    return {ax.f.op} | {g.op for g in ax.gs}
+    return {tpl.op for tpl in axiom_templates(ax)}
 
 
 @dataclass(frozen=True)

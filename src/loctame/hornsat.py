@@ -81,8 +81,9 @@ class Family:
     rule  z_i <= tail_i (each i), x <= guard (each guarded x)  ->
     head <= rhs  at position h * len(choices) + c of the axiom's block.
     Within a family no two rules share a conclusion.  Mon(f) has one head
-    (t, args) and one choice (args, (), t) per f-term t; its rule for
-    (t, t) concludes what reflexivity gives, so it never derives.
+    (t, args) and one choice (args, (), t) per f-term t.  A rule whose
+    head is its choice's right-hand side, such as Mon's rule for (t, t),
+    concludes what reflexivity gives, so Triggers never yields it.
     """
 
     tag: str
@@ -156,7 +157,8 @@ class Triggers:
                 tuple(dict.fromkeys(premises)), (head, rhs), fam.tag)
 
     def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
-        """Every rule that has the atom among its premises, once each."""
+        """Every rule that has the atom among its premises and concludes
+        more than reflexivity, once each."""
         a, b = atom
         for f, pos, cis in self.by_tail.get(b, ()):
             his = self.heads_at.get((f, pos, a))
@@ -164,12 +166,14 @@ class Triggers:
                 continue
             fam = self.families[f][1]
             for ci in cis:
-                tails = fam.choices[ci][0]
+                tails, _, rhs = fam.choices[ci]
                 for hi in his:
-                    zs = fam.heads[hi][1]
-                    # a rule matching the atom at an earlier position was
-                    # yielded from there
-                    if any(zs[i] == a and tails[i] == b for i in range(pos)):
+                    head, zs = fam.heads[hi]
+                    # a reflexive conclusion never derives, and a rule
+                    # matching the atom at an earlier position was yielded
+                    # from there
+                    if head == rhs or any(zs[i] == a and tails[i] == b
+                                          for i in range(pos)):
                         continue
                     yield self.rule(f, hi, ci)
         for f, guarded in self.by_guard.get(b, ()):
@@ -178,10 +182,11 @@ class Triggers:
                 continue
             fam = self.families[f][1]
             for ci in cis:
-                tails = fam.choices[ci][0]
-                for hi, (_, zs) in enumerate(fam.heads):
-                    # yielded as a tail premise
-                    if any(z == a and t == b for z, t in zip(zs, tails)):
+                tails, _, rhs = fam.choices[ci]
+                for hi, (head, zs) in enumerate(fam.heads):
+                    # reflexive, or yielded as a tail premise
+                    if head == rhs or any(z == a and t == b
+                                          for z, t in zip(zs, tails)):
                         continue
                     yield self.rule(f, hi, ci)
         zi = self.universe.get(a)

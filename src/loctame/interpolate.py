@@ -11,12 +11,17 @@ belonging to the axioms).
 The construction is hierarchical.  Both sides are instantiated over the
 closure of their terms, purified, and chained in the base semilattice,
 with every clause instance assigned to the side whose local constants it
-mentions.  An instance whose premise is entailed only jointly is split at
-a separating term over shared constants: a monotonicity step on one side,
-the same axiom applied to the separating term on the other, linked by a
-fresh defined constant (the c_{f(t)} of the underlying method).  Once the
-refutation decomposes into single-sided steps, the interpolant is the set
-of atoms the A side hands across the boundary.
+mentions.  Each round solves the A side, takes as candidate interpolant
+the atoms of its model over exportable constants that the lattice theory
+alone does not give, and solves the B side with them.  If that refutes
+the goal, the candidate atoms used are the interpolant.  Only otherwise is
+the joint problem solved: to tell jointly satisfiable sides apart, and to
+find the instances whose premise is entailed only jointly.  Each is split
+at a separating term over shared constants: a monotonicity step on one
+side, the same axiom applied to the separating term on the other, linked
+by a fresh defined constant (the c_{f(t)} of the underlying method).  An
+instance with no separating term is left whole; a round that splits
+nothing stalls the attempt.
 
 The reduction is the subsumption pipeline's own: flatten_purify names the
 terms, and the defined constants are added to that same purified problem
@@ -33,9 +38,9 @@ from typing import Iterable, Optional, Sequence
 from . import algebra as alg
 from . import hornsat, pipeline
 from . import reduce as red
-from .algebra import (AlgAxiom, Apply, Const, FlatTerm, Goal, K1, K2, K3,
-                      Leq, Lit, Meet, Mon, apply_subterms, axiom_ops,
-                      constants_of)
+from .algebra import (AlgAxiom, Apply, Const, FlatTerm, Goal, K2, K3, Leq,
+                      Lit, Meet, Mon, apply_subterms, axiom_ops,
+                      axiom_templates, constants_of)
 from .hornsat import AtomKey
 from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
                      GCI, InterpolationInput, LoctameError, Name, Top)
@@ -128,7 +133,7 @@ def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
         guard = getattr(ax, "guard", None)
         if guard is not None:
             out.append(guard)
-        for tpl in _axiom_templates(ax):
+        for tpl in axiom_templates(ax):
             for slot in tpl.slots:
                 if isinstance(slot, alg.FixedSlot):
                     out.append(slot.term)
@@ -148,16 +153,6 @@ def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
            for ax in axioms if isinstance(ax, Mon)}
     return alg.AlgebraicProblem(axioms=axioms, goal=goal, ops=ops,
                                 consts=consts, op_role=dict(op_role))
-
-
-def _axiom_templates(ax: AlgAxiom) -> list[alg.OpTemplate]:
-    if isinstance(ax, Mon):
-        return []
-    if isinstance(ax, K1):
-        return [ax.g, ax.h]
-    if isinstance(ax, K2):
-        return [ax.f, *ax.gs, ax.h]
-    return [ax.f, *ax.gs]
 
 
 @dataclass
@@ -213,7 +208,7 @@ def _validate(problem: InterpolationProblem) -> None:
         if isinstance(ax, (K2, K3)) and len(ax.gs) != 1:
             raise CheckError(
                 f"interpolation supports single-tail compositions only: {ax}")
-        for tpl in _axiom_templates(ax):
+        for tpl in axiom_templates(ax):
             if len(tpl.slots) != 1 or tpl.nvars != 1:
                 raise CheckError(
                     f"interpolation supports unary operators only: {ax}")
@@ -351,15 +346,19 @@ class _Attempt:
         return out
 
     def exportable(self, name: str) -> bool:
-        """May this constant appear in an interpolant atom?"""
+        """May this constant appear in an interpolant atom?  An undefined
+        one if it is shared; a defined one if its arguments may and, under
+        op_strict, its operator is shared."""
         memo = self._export_memo.get(name)
         if memo is not None:
             return memo
-        term = self.purified.unfold(name)
-        out = all(self.color(c) == "S" and self.purified.defs.get(c) is None
-                  for c in constants_of(term))
-        if out and self.op_strict:
-            out = all(t.op in self.vocab.shared_ops for t in apply_subterms(term))
+        term = self.purified.defs.get(name)
+        if term is None:
+            out = self.vocab.const_color(name) == "S"
+        else:
+            out = all(self.exportable(a.name) for a in term.args)
+            if out and self.op_strict and isinstance(term, Apply):
+                out = term.op in self.vocab.shared_ops
         self._export_memo[name] = out
         return out
 
@@ -391,18 +390,14 @@ class _Attempt:
         return self.theory.clauses + picked
 
     def run(self) -> tuple[list[AtomKey], int]:
-        """The layered loop; returns the purified interpolant atoms."""
+        """The layered loop; returns the purified interpolant atoms.
+
+        The joint problem is solved only when the B side with the candidate
+        interpolant does not refute the goal.  A refuting B run implies a
+        joint refutation: the candidate atoms are A-side consequences, and
+        the B side's clauses are among the joint ones."""
         theory = self.theory
         for iteration in range(1, _CAP + 1):
-            joint = hornsat.solve_problem(
-                [*self.a_facts, *self.b_facts, *theory.facts.items()],
-                self._side_clauses(("A", "B", "S", "X")), self.goal,
-                transitive=True)
-            if joint.sat:
-                if iteration == 1:
-                    raise NotUnsat("the two sides are jointly satisfiable")
-                raise LoctameError("separation lost the refutation")
-
             theory_model = hornsat.solve_problem(
                 theory.facts.items(), theory.clauses, None,
                 transitive=True).model()
@@ -423,6 +418,14 @@ class _Attempt:
                          if s.kind == "fact" and s.label == "itp"]
                 return list(dict.fromkeys(atoms)), iteration
 
+            joint = hornsat.solve_problem(
+                [*self.a_facts, *self.b_facts, *theory.facts.items()],
+                self._side_clauses(("A", "B", "S", "X")), self.goal,
+                transitive=True)
+            if joint.sat:
+                if iteration == 1:
+                    raise NotUnsat("the two sides are jointly satisfiable")
+                raise LoctameError("separation lost the refutation")
             if not self._separate(joint, ma_model, mb.model()):
                 raise _Stalled
         raise LoctameError("interpolation did not converge")
@@ -432,7 +435,6 @@ class _Attempt:
     def _separate(self, joint: hornsat.Result, ma_model: set[AtomKey],
                   mb_model: set[AtomKey]) -> bool:
         trace = joint.solver.trace(self.goal)
-        joint_model = joint.model()
         progress = False
         for step in trace:
             if step.kind != "clause" or not step.label.startswith(_INSTANCE_TAGS):
@@ -442,14 +444,12 @@ class _Attempt:
             for prem in step.premises:
                 if prem in ma_model or prem in mb_model:
                     continue
-                if self._split(step, prem, ma_model, mb_model, joint,
-                               joint_model):
+                if self._split(step, prem, ma_model, mb_model):
                     progress = True
         return progress
 
     def _split(self, step: hornsat.TraceStep, prem: AtomKey,
-               ma_model: set[AtomKey], mb_model: set[AtomKey],
-               joint: hornsat.Result, joint_model: set[AtomKey]) -> bool:
+               ma_model: set[AtomKey], mb_model: set[AtomKey]) -> bool:
         """Replace one use of an instance whose premise crosses the sides
         by a monotonicity half and a same-axiom half through a fresh
         defined term."""
@@ -464,8 +464,6 @@ class _Attempt:
 
         candidates = [c for c in self.theory.universe if self.exportable(c)]
         term = separating_term(prem[0], prem[1], ma_model, mb_model, candidates)
-        if term is None:
-            term = self._chain_candidate(joint, prem, joint_model)
         if term is None:
             return False
         t_name = term.name if isinstance(term, Const) else self.proxy_for(term)
@@ -482,31 +480,6 @@ class _Attempt:
         self._add_instance(((t_name, prem[1]),) + rest,
                            (linked, step.atom[1]), step.label)
         return True
-
-    def _chain_candidate(self, joint: hornsat.Result, prem: AtomKey,
-                         joint_model: set[AtomKey]) -> Optional[FlatTerm]:
-        """Fall back to the inequality chain of the joint derivation: any
-        exportable constant strictly inside the chain splits the atom,
-        and later rounds separate the halves further."""
-        solver = joint.solver
-        aid = solver.atom_ids.get(prem)
-        if aid is None:
-            return None
-
-        def chain(aid: int) -> list[str]:
-            reason = solver.reasons[aid]
-            if reason[0] == "trans":
-                left, right = reason[1], reason[2]
-                return chain(left)[:-1] + chain(right)
-            key = solver.atom_keys[aid]
-            return [key[0], key[1]]
-
-        for node in chain(aid)[1:-1]:
-            if node in prem or not self.exportable(node):
-                continue
-            if (prem[0], node) in joint_model and (node, prem[1]) in joint_model:
-                return Const(node)
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,25 @@ def test_scaling_family_instantiates_only_k1():
     assert len(solver.atom_keys) < 2 * len(solver.reasons)
 
 
+def test_no_triggered_rule_concludes_reflexivity(monkeypatch):
+    # Mon's rule for (t, t) concludes what the refl fact gives, so the
+    # trigger index never yields it
+    fired = []
+    fire = hornsat.HornSolver._fire_rule
+
+    def record(self, rule):
+        fired.append(rule)
+        return fire(self, rule)
+
+    monkeypatch.setattr(hornsat.HornSolver, "_fire_rule", record)
+    stats = pipeline.classify(randgen.scaling_family(300)).report.stats
+    assert (stats["rules_fired"], stats["trigger_probes"]) == (201, 950)
+    for seed in range(30):
+        pipeline.classify(randgen.normal_cbox(random.Random(seed)))
+    assert fired
+    assert [rule for rule in fired if rule[2][0] == rule[2][1]] == []
+
+
 def test_only_touched_atoms_are_interned():
     text = "\n".join(f"C{i} sub exists r . C{i + 1}" for i in range(30))
     cbox = parse_cbox(text + "\n")

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import loctame
 from loctame import algebra as alg
+from loctame import hornsat
 from loctame import interpolate as itp
 from loctame import randgen
+from loctame import reduce as red
 from loctame.algebra import Apply, Const, Leq, Meet
-from loctame.syntax import CheckError, parse_interpolation_input
+from loctame.syntax import CheckError, LoctameError, parse_interpolation_input
 
 
 def _sgc_problem() -> itp.InterpolationProblem:
@@ -85,6 +87,91 @@ def test_jointly_satisfiable_sides_raise():
     inp = parse_interpolation_input("A: X sub Y\nB: Z nsub W\n")
     with pytest.raises(itp.NotUnsat):
         itp.interpolate_input(inp)
+
+
+# the first round's candidate interpolant already refutes the goal with B
+FIRST_ROUND_SPLIT = """\
+role r o s sub r
+A: X sub exists r . Y
+A: Y sub Z
+B: W sub X
+B: W nsub exists r . Z
+"""
+
+
+def _count_solver_runs(monkeypatch) -> list:
+    runs = []
+    solve = hornsat.solve_problem
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hornsat, "solve_problem", counted)
+    return runs
+
+
+def test_first_round_split_skips_the_joint_run(monkeypatch):
+    # the lattice theory, the A side and the B side with the candidate:
+    # a refuting B run implies the joint refutation
+    runs = _count_solver_runs(monkeypatch)
+    inp = parse_interpolation_input(FIRST_ROUND_SPLIT)
+    result, gcis = itp.interpolate_input(inp, verify=False)
+    assert result.iterations == 1
+    assert [str(g) for g in gcis] == ["X sub exists r . Z"]
+    assert len(runs) == 3
+
+
+def test_joint_run_after_a_failed_b_run_still_raises(monkeypatch):
+    # the B run does not refute, so the joint run comes fourth and finds
+    # the sides jointly satisfiable
+    runs = _count_solver_runs(monkeypatch)
+    inp = parse_interpolation_input(
+        FIRST_ROUND_SPLIT.replace("nsub exists r", "nsub exists s"))
+    with pytest.raises(itp.NotUnsat):
+        itp.interpolate_input(inp)
+    assert len(runs) == 4
+
+
+def test_first_round_unfolds_no_constant(monkeypatch):
+    problem = itp.from_input(parse_interpolation_input(FIRST_ROUND_SPLIT))
+    attempt = itp._Attempt(problem, itp._vocabulary(problem), op_strict=True)
+
+    def unfold(self, name):
+        raise AssertionError(f"unfolded {name}")
+
+    monkeypatch.setattr(red.PurifiedProblem, "unfold", unfold)
+    keys, iterations = attempt.run()
+    assert keys and iterations == 1
+
+
+# randgen.interpolation_split(random.Random(156448)) under
+# PYTHONHASHSEED=0; the split that seed draws depends on string hashing,
+# so the text is pinned here
+DEFECT_1_SPLIT = """\
+role r sub r
+role r o r sub r
+role r o r sub r
+A: C sub exists r . D
+A: C and A sub F
+A: exists r . B sub A
+A: E sub F
+A: D and F sub B
+A: exists r . A sub B
+B: C sub exists r . B
+B: exists r . F sub E
+B: D sub C
+B: E sub exists r . E
+B: exists r . B sub C
+B: C nsub E
+"""
+
+
+@pytest.mark.xfail(raises=LoctameError, strict=True,
+                   reason="known defect 1: no separating term is found "
+                          "although an interpolant exists")
+def test_known_defect_split_interpolates():
+    itp.interpolate_input(parse_interpolation_input(DEFECT_1_SPLIT))
 
 
 def test_nary_roles_are_rejected():

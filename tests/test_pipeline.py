@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -190,3 +192,15 @@ def test_pairs_of_a_vacuous_classification_are_all_pairs():
     cls = pipeline.classify(parse_cbox("num up 5 sub num down 3\nA sub B\nC sub A\n"))
     assert cls.report.combine.vacuous
     assert cls.pairs() == [(a, b) for a in cls.names for b in cls.names if a != b]
+
+
+def test_traced_functions_are_still_defined():
+    # bench/tracing.py wraps each (owner, attr) it lists by looking it up
+    # in owner.__dict__, so a rename breaks `bench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for owner, attr, name, _ in tracing.WRAPPED
+               if attr not in owner.__dict__]
+    assert missing == []
