@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Union
 
-from .syntax import CONCEPT, NUM, Interval, LoctameError
+from .syntax import Interval, LoctameError
 
 BOT_CONST = "__bot"
 TOP_CONST = "__top"
@@ -302,14 +302,6 @@ class AlgebraicProblem:
     op_role: dict[str, str]
 
 
-def term_sort(t: FlatTerm, consts: dict[str, str]) -> str:
-    if isinstance(t, Const):
-        return consts[t.name]
-    if isinstance(t, Lit):
-        return NUM
-    return CONCEPT
-
-
 # ---------------------------------------------------------------------------
 # closure
 # ---------------------------------------------------------------------------
@@ -329,7 +321,8 @@ def psi_closure(seeds: Iterable[Apply], axioms: Iterable[AlgAxiom]) -> list[Appl
 
     K1 adds h(x) whenever g(x) is present; K2 adds h(x1..xn) whenever all
     g_i(x_i) are present.  Mon and K3 conclusions introduce no new
-    operator terms.  Returns the closure in deterministic insertion order.
+    operator terms.  Each round matches the axioms against a snapshot of
+    the closure.  Returns the closure in deterministic insertion order.
     """
     psi: dict[Apply, None] = {}
     for s in seeds:
@@ -341,32 +334,17 @@ def psi_closure(seeds: Iterable[Apply], axioms: Iterable[AlgAxiom]) -> list[Appl
     changed = True
     while changed:
         changed = False
-        terms = list(psi)
-        for ax in k1s:
-            for t in terms:
-                binding = ax.g.match(t)
-                if binding is None:
-                    continue
-                new = ax.h.build(binding)
-                if new not in psi:
-                    psi[new] = None
-                    changed = True
-        for ax in k2s:
-            # candidate bindings per tail, then the product
-            per_tail: list[list[dict[int, FlatTerm]]] = []
-            for g in ax.gs:
-                cands = [b for t in terms if (b := g.match(t)) is not None]
-                per_tail.append(cands)
-            if any(not c for c in per_tail):
-                continue
-            for combo in itertools.product(*per_tail):
-                binding: dict[int, FlatTerm] = {}
-                for b in combo:
-                    binding.update(b)
-                new = ax.h.build(binding)
-                if new not in psi:
-                    psi[new] = None
-                    changed = True
+        by_op = terms_by_op(psi)
+        new = itertools.chain(
+            (ax.h.build(binding) for ax in k1s
+             for t in by_op.get(ax.g.op, [])
+             if (binding := ax.g.match(t)) is not None),
+            (ax.h.build(xbind) for ax in k2s
+             for _, xbind in _tail_product(ax, by_op)))
+        for t in new:
+            if t not in psi:
+                psi[t] = None
+                changed = True
     return list(psi)
 
 
@@ -412,6 +390,19 @@ def terms_by_op(psi: Iterable[Apply]) -> dict[str, list[Apply]]:
     return by_op
 
 
+def _tail_product(ax: K2, by_op: dict[str, list[Apply]]
+                  ) -> Iterator[tuple[tuple[Apply, ...], dict[int, FlatTerm]]]:
+    """One g_i-term per tail of a K2 axiom, the product in closure order:
+    the tail terms and the binding of the x-variables they give."""
+    per_tail = [[(t, b) for t in by_op.get(g.op, [])
+                 if (b := g.match(t)) is not None] for g in ax.gs]
+    for combo in itertools.product(*per_tail):
+        xbind: dict[int, FlatTerm] = {}
+        for _, b in combo:
+            xbind.update(b)
+        yield tuple(t for t, _ in combo), xbind
+
+
 # a Mon/K2/K3 instance joins a head, an f-term with its z arguments, with
 # a choice: its tail terms, its guarded arguments and its right-hand side
 Head = tuple[Apply, tuple[FlatTerm, ...]]
@@ -437,16 +428,9 @@ def composition(ax: Union[Mon, K2, K3], by_op: dict[str, list[Apply]]
     if not heads:
         return heads, []
     if isinstance(ax, K2):
-        per_tail = [[(t, b) for t in by_op.get(g.op, [])
-                     if (b := g.match(t)) is not None] for g in ax.gs]
-        choices = []
-        for combo in itertools.product(*per_tail):
-            xbind: dict[int, FlatTerm] = {}
-            for _, b in combo:
-                xbind.update(b)
-            choices.append((tuple(t for t, _ in combo),
-                            tuple(_binding_args(ax.h, xbind)), ax.h.build(xbind)))
-        return heads, choices
+        return heads, [(tails, tuple(_binding_args(ax.h, xbind)),
+                        ax.h.build(xbind))
+                       for tails, xbind in _tail_product(ax, by_op)]
     # candidate y: every term c such that each g_i(c) is in the closure
     cands: Optional[set[FlatTerm]] = None
     for g in ax.gs:

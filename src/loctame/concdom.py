@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -206,8 +206,10 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
             mixed.append(MixedClause(
                 tuple(red._atom_key(p) for p in cprem), tuple(nprem),
                 red._atom_key(inst.conclusion), inst.tag))
-        else:
+        elif len(cprem) == len(inst.premises):
             concept_clauses.append(inst)
+        else:                          # its numeric premises plainly hold
+            concept_clauses.append(replace(inst, premises=tuple(cprem)))
 
     num_target: Optional[list[NumAtom]] = None
     num_target_false = False
@@ -220,11 +222,9 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
             num_target = conv
         target = None
 
-    concept = PurifiedProblem(
-        facts=concept_facts, target=target, clauses=concept_clauses,
-        defs=purified.defs, meets=purified.meets, consts=consts,
-        ops=purified.ops, op_role=purified.op_role,
-        triggered=purified.triggered)
+    # the concept side shares the term table
+    concept = replace(purified, facts=concept_facts, target=target,
+                      clauses=concept_clauses)
     return SplitProblem(concept, num_facts, mixed, num_target, num_target_false)
 
 

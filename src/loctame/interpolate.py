@@ -24,10 +24,11 @@ instance with no separating term is left whole; a round that splits
 nothing stalls the attempt.
 
 The reduction is the subsumption pipeline's own: flatten_purify names the
-terms, and the defined constants are added to that same purified problem
-(whose unfold renders them) and to a reduce.LatticeTheory, which keeps
-meet introduction materialized here.  `entails`, the verification gate,
-is pipeline.decide in chase mode.
+terms in the purified problem's term table, separation names its defined
+constants in that same table (whose unfold renders them), and each one is
+added to a reduce.LatticeTheory, which keeps meet introduction
+materialized here.  `entails`, the verification gate, is pipeline.decide
+in chase mode.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
                      GCI, InterpolationInput, LoctameError, Name, Top)
 
 _CAP = 64
+
+# the prefix of the defined constants separation adds to the term table
+DEFINED_PREFIX = "_i"
 
 
 class NotUnsat(LoctameError):
@@ -278,17 +282,13 @@ class _Attempt:
         goal = Goal(problem.a_atoms + problem.b_atoms, problem.neg)
         psi = alg.psi_closure(alg.goal_seeds(goal), problem.axioms)
         instances = alg.instantiate(problem.axioms, psi)
-        # the term store: separation adds its defined constants here
+        # the term table: separation names its defined constants here too
         self.purified = red.flatten_purify(
             instances, goal,
             _algebraic_problem(problem.axioms, goal, problem.op_role))
         purified = self.purified
         if purified.target is None:
             raise LoctameError("the refuted atom was lost in purification")
-
-        self.by_term = {t: n for n, t in purified.defs.items()}
-        self.counter = 0
-        self.defined: dict[str, FlatTerm] = {}
 
         key = red._atom_key
         n_a = len(problem.a_atoms)
@@ -309,23 +309,14 @@ class _Attempt:
 
     # -- defined constants ---------------------------------------------------
 
-    def _new_const(self, name: str, term: FlatTerm) -> None:
-        self.purified.defs[name] = term
-        self.purified.consts[name] = CONCEPT
-        self.by_term[term] = name
-        meets = ({name: tuple(a.name for a in term.args)}
-                 if isinstance(term, Meet) else {})
-        self.purified.meets.update(meets)
-        self.theory.extend([name], meets)
-
     def proxy_for(self, term: FlatTerm) -> str:
-        have = self.by_term.get(term)
-        if have is not None:
-            return have
-        name = f"_i{self.counter}"
-        self.counter += 1
-        self._new_const(name, term)
-        self.defined[name] = self.purified.unfold(name)
+        """The constant naming a one-level term, defined on first use."""
+        table = self.purified
+        fresh = term not in table.by_term
+        name = table.define(term, DEFINED_PREFIX).name
+        if fresh:
+            meets = {name: table.meets[name]} if name in table.meets else {}
+            self.theory.extend([name], meets)
         return name
 
     # -- colors ----------------------------------------------------------------
@@ -498,13 +489,12 @@ def entails(axioms: Iterable[AlgAxiom], facts: Iterable[Leq], target: Leq) -> bo
 # the operation
 # ---------------------------------------------------------------------------
 
-def interpolate(problem: InterpolationProblem,
-                verify: bool = True) -> InterpolationResult:
+def interpolate(problem: InterpolationProblem) -> InterpolationResult:
     """Compute a ground interpolant; raises NotUnsat when the sides are
     jointly satisfiable.
 
-    With verify (the default), both defining entailments are re-checked
-    through the standard reduction before the result is returned.
+    Both defining entailments are re-checked through the standard
+    reduction before the result is returned.
     """
     _validate(problem)
     vocab = _vocabulary(problem)
@@ -536,11 +526,11 @@ def interpolate(problem: InterpolationProblem,
         shared_consts=vocab.shared_consts,
         shared_ops=vocab.shared_ops,
         iterations=iterations,
-        defined=dict(attempt.defined),
+        defined={name: unfold(name) for name in attempt.purified.defs
+                 if name.startswith(DEFINED_PREFIX)},
         ops_shared=ops <= vocab.shared_ops,
     )
-    if verify:
-        _verify(problem, result)
+    _verify(problem, result)
     return result
 
 
@@ -612,8 +602,8 @@ def interpolant_gcis(result: InterpolationResult,
             for a in result.interpolant]
 
 
-def interpolate_input(inp: InterpolationInput,
-                      verify: bool = True) -> tuple[InterpolationResult, list[GCI]]:
+def interpolate_input(inp: InterpolationInput
+                      ) -> tuple[InterpolationResult, list[GCI]]:
     problem = from_input(inp)
-    result = interpolate(problem, verify=verify)
+    result = interpolate(problem)
     return result, interpolant_gcis(result, problem.op_role)

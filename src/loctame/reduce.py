@@ -11,12 +11,19 @@ Three steps live here:
   sl_instantiate  the semilattice theory itself is unrolled over the
                   occurring constants (reflexivity, bounds, meet bounds,
                   meet introduction; in `instantiate` mode also explicit
-                  transitivity and meet congruence, in `chase` mode those
-                  two are delegated to the solver).
+                  transitivity, which `chase` mode delegates to the
+                  solver).
 
-LatticeTheory is the one builder of that theory.  sl_instantiate and
-sl_clause_count unroll it over a purified problem; interpolation extends
-it one defined constant at a time as separation introduces them.
+PurifiedProblem is the one table of defined constants: `define` names a
+one-level term (purification's proxies _t0, _t1, ... and the defined
+constants c_{f(t)} that interpolation's separation adds, _i0, _i1, ...),
+and `unfold` renders a constant back as a term, each defined constant
+once, so shared subterms stay shared.
+
+LatticeTheory is the one builder of the semilattice theory.
+sl_instantiate and sl_clause_count unroll it over a purified problem;
+interpolation extends it one defined constant at a time as separation
+introduces them.
 
 In `chase` mode two kinds of rules are not materialized at all but fired
 by the solver's trigger index (hornsat.Triggers): the instances of the
@@ -263,46 +270,72 @@ def _incl_sort(lhs: Concept, rhs: Concept, env: RoleEnv) -> str:
 
 @dataclass
 class PurifiedProblem:
-    """Ground Horn problem whose atoms relate constants and literals only."""
+    """Ground Horn problem whose atoms relate constants and literals only,
+    and the one table of the constants that name terms: purification's
+    proxies and the defined constants interpolation adds."""
 
-    facts: list[Leq]
-    target: Optional[Leq]
-    clauses: list[Instance]
+    facts: list[Leq] = field(default_factory=list)
+    target: Optional[Leq] = None
+    clauses: list[Instance] = field(default_factory=list)
     # proxy constant -> the (one-level) term it stands for
-    defs: dict[str, FlatTerm]
+    defs: dict[str, FlatTerm] = field(default_factory=dict)
     # meet proxies -> operand constant names
-    meets: dict[str, tuple[str, ...]]
+    meets: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # every constant in play -> sort
-    consts: dict[str, str]
+    consts: dict[str, str] = field(default_factory=dict)
     ops: dict[str, tuple[str, ...]] = field(default_factory=dict)
     op_role: dict[str, str] = field(default_factory=dict)
     # axiom index -> the rules of the axioms whose instances `clauses`
     # leaves out, because the chase fires them from the solver's trigger
     # index
     triggered: dict[int, hornsat.Family] = field(default_factory=dict)
+    # the inverse of defs
+    by_term: dict[FlatTerm, Const] = field(default_factory=dict)
+    # proxy prefix -> how many constants it has numbered
+    numbered: dict[str, int] = field(default_factory=dict)
+    # defined constant -> its unfolded term, filled by unfold
+    unfolded: dict[str, FlatTerm] = field(default_factory=dict)
+
+    def define(self, term: FlatTerm, prefix: str = "_t") -> Const:
+        """The constant naming a one-level operator/meet term: the one
+        already naming it, else the next fresh `prefix` constant."""
+        proxy = self.by_term.get(term)
+        if proxy is not None:
+            return proxy
+        meet = isinstance(term, Meet)
+        if meet and not all(isinstance(a, Const) for a in term.args):
+            raise CheckError(f"numeric meet reached purification: {term}")
+        n = self.numbered.get(prefix, 0)
+        self.numbered[prefix] = n + 1
+        proxy = self.by_term[term] = Const(f"{prefix}{n}")
+        self.defs[proxy.name] = term
+        self.consts[proxy.name] = CONCEPT
+        if meet:
+            self.meets[proxy.name] = tuple(a.name for a in term.args)
+        return proxy
 
     def unfold(self, name: str) -> FlatTerm:
-        """Resolve a constant back to the operator/meet term it names."""
+        """Resolve a constant back to the operator/meet term it names.
+        Each defined constant is unfolded once, so shared subterms stay
+        shared."""
+        out = self.unfolded.get(name)
+        if out is not None:
+            return out
         t = self.defs.get(name)
         if t is None:
             return Const(name)
-        if isinstance(t, Apply):
-            return Apply(t.op, tuple(self._unfold_term(a) for a in t.args))
-        if isinstance(t, Meet):
-            return Meet(tuple(self._unfold_term(a) for a in t.args))
-        return t
-
-    def _unfold_term(self, t: FlatTerm) -> FlatTerm:
-        return self.unfold(t.name) if isinstance(t, Const) else t
+        args = tuple(self.unfold(a.name) if isinstance(a, Const) else a
+                     for a in t.args)
+        out = self.unfolded[name] = (Apply(t.op, args) if isinstance(t, Apply)
+                                     else Meet(args))
+        return out
 
 
 class _Purifier:
-    def __init__(self, consts: dict[str, str]):
-        self.defs_by_term: dict[FlatTerm, Const] = {}
-        self.defs: dict[str, FlatTerm] = {}
-        self.meets: dict[str, tuple[str, ...]] = {}
-        self.consts = dict(consts)
-        self.counter = 0
+    """The tree walk of purification; the table names what it meets."""
+
+    def __init__(self, table: PurifiedProblem):
+        self.table = table
         # id of a term object already purified -> (the term, its proxy);
         # holding the term keeps its id from being reused
         self.by_id: dict[int, tuple[FlatTerm, Const]] = {}
@@ -316,20 +349,7 @@ class _Purifier:
         flat = (Apply(t.op, tuple(self.purify(a) for a in t.args))
                 if isinstance(t, Apply)
                 else Meet(tuple(self.purify(a) for a in t.args)))
-        proxy = self.defs_by_term.get(flat)
-        if proxy is None:
-            proxy = Const(f"_t{self.counter}")
-            self.counter += 1
-            self.defs_by_term[flat] = proxy
-            self.defs[proxy.name] = flat
-            self.consts[proxy.name] = CONCEPT
-            if isinstance(flat, Meet):
-                ops = []
-                for a in flat.args:
-                    if not isinstance(a, Const):
-                        raise CheckError(f"numeric meet reached purification: {flat}")
-                    ops.append(a.name)
-                self.meets[proxy.name] = tuple(ops)
+        proxy = self.table.define(flat)
         self.by_id[id(t)] = (t, proxy)
         return proxy
 
@@ -380,16 +400,18 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     their instances would have been walked (in axiom order), so the
     proxies come out as if they were there.
     """
-    pur = _Purifier(problem.consts)
-    pur.consts.setdefault(alg.BOT_CONST, CONCEPT)
-    pur.consts.setdefault(alg.TOP_CONST, CONCEPT)
+    table = PurifiedProblem(consts=dict(problem.consts), ops=problem.ops,
+                            op_role=problem.op_role)
+    table.consts.setdefault(alg.BOT_CONST, CONCEPT)
+    table.consts.setdefault(alg.TOP_CONST, CONCEPT)
+    pur = _Purifier(table)
 
-    facts = [pur.atom(a) for a in goal.assumptions]
-    target = pur.atom(goal.target) if goal.target is not None else None
+    table.facts = [pur.atom(a) for a in goal.assumptions]
+    if goal.target is not None:
+        table.target = pur.atom(goal.target)
 
     triggered = triggered or {}
     pending = sorted(triggered)
-    families: dict[int, hornsat.Family] = {}
 
     def walk(i: int) -> None:
         # instantiate joins each head with every choice, head-major; after
@@ -413,7 +435,7 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
         if not walked:
             return
         name = pur.name
-        families[i] = hornsat.Family(
+        table.triggered[i] = hornsat.Family(
             alg.instance_tag(ax),
             tuple((name(t), tuple(map(name, zs))) for t, zs in heads),
             tuple((tuple(map(name, tails)),
@@ -421,20 +443,15 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
                    name(rhs)) for tails, guarded, rhs in choices),
             name(ax.guard) if ax.guard is not None else None)
 
-    clauses = []
     for inst in instances:
         while pending and pending[0] < inst.axiom:
             walk(pending.pop(0))
-        clauses.append(Instance(tuple(pur.atom(p) for p in inst.premises),
-                                pur.atom(inst.conclusion), inst.tag,
-                                inst.axiom))
+        table.clauses.append(Instance(
+            tuple(pur.atom(p) for p in inst.premises),
+            pur.atom(inst.conclusion), inst.tag, inst.axiom))
     for i in pending:
         walk(i)
-    return PurifiedProblem(
-        facts=facts, target=target, clauses=clauses,
-        defs=pur.defs, meets=pur.meets, consts=pur.consts,
-        ops=problem.ops, op_role=problem.op_role, triggered=families,
-    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +563,9 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
 
     Facts: the inputs, then the LatticeTheory facts.  Clauses: the
     purified axiom instances, then meet introduction unless meet_intro is
-    off.  In `instantiate` mode, transitivity over all ordered triples and
-    congruence between same-arity meet proxies are materialized too; in
-    `chase` mode the solver's built-in transitive closure covers both.
+    off.  In `instantiate` mode, transitivity over all ordered triples is
+    materialized too; in `chase` mode the solver's built-in transitive
+    closure covers it.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -556,7 +573,6 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     if mode == INSTANTIATE:
         for x, y, z in itertools.permutations(theory.universe, 3):
             theory.add_clause([(x, y), (y, z)], (x, z), "trans")
-        _meet_congruence(purified.meets, theory.add_clause)
 
     goal = _atom_key(purified.target) if purified.target is not None else None
     return SLProblem(
@@ -569,28 +585,12 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     )
 
 
-def _meet_congruence(meets: dict[str, tuple[str, ...]], add_clause) -> None:
-    by_arity: dict[int, list[str]] = {}
-    for m, operands in meets.items():
-        by_arity.setdefault(len(operands), []).append(m)
-    for arity, ms in by_arity.items():
-        for m1, m2 in itertools.permutations(ms, 2):
-            a1 = sorted(meets[m1])
-            a2 = sorted(meets[m2])
-            premises = []
-            for x, y in zip(a1, a2):
-                premises.append((x, y))
-                premises.append((y, x))
-            add_clause(premises, (m1, m2), "meet-cong")
-
-
 def sl_clause_count(purified: PurifiedProblem, mode: str = INSTANTIATE) -> int:
     """The exact clause count of sl_instantiate without materializing the
     transitivity instances (which grow cubically in the universe)."""
     theory = _lattice_table(purified, meet_intro=True)
     if mode == CHASE:
         return len(theory.clauses)
-    _meet_congruence(purified.meets, theory.add_clause)
 
     m = len(theory.universe)
     s1_total = m * (m - 1) * (m - 2)

@@ -111,7 +111,7 @@ def test_criterion_03_semi_galois_interpolant_verified_both_ways():
         b_atoms=(Leq(Const("b"), Const("d")),),
         neg=Leq(Apply("f", (Const("b"),)), Const("c")),
     )
-    result = itp.interpolate(problem)    # verify=True re-derives both sides
+    result = itp.interpolate(problem)    # re-derives both sides
     assert result.interpolant == (Leq(Apply("f", (Const("d"),)), Const("c")),)
     for atom in result.interpolant:
         assert itp.entails(problem.axioms, problem.a_atoms, atom)

@@ -110,6 +110,45 @@ def test_combine_solve_moves_monotonicity_conclusions(freight_cbox):
     assert report.combine.iterations >= 1
 
 
+PLAINLY_TRUE_PREMISE = """\
+decl role hw : (concept, concept, num)
+A sub exists hw . (B, num up 4 and num down 3)
+? A sub exists hw . (B, num up 9)
+"""
+
+
+@pytest.mark.parametrize("mode", ["chase", "instantiate"])
+def test_a_plainly_true_numeric_premise_is_dropped(mode):
+    # `num up 4 and num down 3` is the numeric bottom, which lies below
+    # [9,+inf), so Mon(f_hw) needs only B <= B; the numeric premise it
+    # drops must not reach the lattice layer
+    cbox = parse_cbox(PLAINLY_TRUE_PREMISE)
+    report, lines = pipeline.explain(cbox, cbox.queries[0], mode=mode)
+    assert report.subsumed
+    assert any("[Mon(f_hw): B <= B]" in line for line in lines)
+
+
+NESTED_MOVEMENTS = """\
+decl role hw : (concept, concept, num)
+A sub exists hw . (exists hw . (B, num up 3), num up 5)
+? A sub exists hw . (exists hw . (B, num up 1), num up 2)
+"""
+
+
+@pytest.mark.parametrize("mode", ["chase", "instantiate"])
+def test_a_mixed_clause_waits_for_its_concept_premise(mode):
+    # the outer Mon instance's numeric premise holds at once, but its
+    # concept premise is the inner instance's conclusion, moved in round 1
+    cbox = parse_cbox(NESTED_MOVEMENTS)
+    report = pipeline.check_subsumption(cbox, cbox.queries[0], mode=mode)
+    assert report.subsumed
+    inner, outer = [report.purified.unfold(lhs)
+                    for _, (lhs, _) in report.combine.movements]
+    assert str(inner) == "f_hw(B, [3,+inf))"
+    assert str(outer) == "f_hw(f_hw(B, [3,+inf)), [5,+inf))"
+    assert report.combine.iterations == 3
+
+
 def test_combine_vacuous_when_numeric_side_is_inconsistent():
     cbox = parse_cbox("num up 5 sub num down 3\n? A sub B\n")
     report = pipeline.check_subsumption(cbox, cbox.queries[0])

@@ -51,7 +51,7 @@ def test_semi_galois_interpolant_is_the_operator_image_of_the_shared_constant():
 
 def test_interpolant_verification_both_directions():
     problem = _sgc_problem()
-    result = itp.interpolate(problem, verify=False)
+    result = itp.interpolate(problem)
     # A entails every interpolant atom
     for atom in result.interpolant:
         assert itp.entails(problem.axioms, problem.a_atoms, atom)
@@ -116,7 +116,7 @@ def test_first_round_split_skips_the_joint_run(monkeypatch):
     # a refuting B run implies the joint refutation
     runs = _count_solver_runs(monkeypatch)
     inp = parse_interpolation_input(FIRST_ROUND_SPLIT)
-    result, gcis = itp.interpolate_input(inp, verify=False)
+    result, gcis = itp.interpolate_input(inp)
     assert result.iterations == 1
     assert [str(g) for g in gcis] == ["X sub exists r . Z"]
     assert len(runs) == 3
@@ -212,7 +212,7 @@ def test_random_splits_interpolate_and_verify(seed):
     if inp is None:
         return
     try:
-        result, gcis = itp.interpolate_input(inp)   # verify=True re-checks
+        result, gcis = itp.interpolate_input(inp)   # re-checks both entailments
     except itp.NotUnsat:
         return
     for atom in result.interpolant:

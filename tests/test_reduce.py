@@ -83,6 +83,46 @@ def test_clause_count_matches_materialization(seed):
         assert red.sl_clause_count(purified, mode) == len(sl.clauses)
 
 
+def test_clause_count_subtracts_a_clause_that_is_a_transitivity_instance():
+    # the K2 instance C <= f_s(f_r(C)); f_r(C) <= C -> f_r(C) <= f_s(f_r(C))
+    # is also the transitivity instance through C, and is listed once
+    cbox = parse_cbox("role r o s sub s guard C\nA sub exists r . C\n"
+                      "B sub exists s . exists r . C\n? A sub B\n")
+    purified = _purified(cbox, cbox.queries[0])
+    sl = red.sl_instantiate(purified, red.INSTANTIATE)
+    m = len(sl.universe)
+    assert m == 7
+    assert sum(1 for *_, tag in sl.clauses if tag == "trans") \
+        == m * (m - 1) * (m - 2) - 1
+    (premises, concl), = [(p, c) for p, c, tag in sl.clauses if tag == "K2"]
+    show = lambda atom: pipeline.render_atom(purified, atom)  # noqa: E731
+    assert sorted(map(show, premises)) == ["C <= f_s(f_r(C))", "f_r(C) <= C"]
+    assert show(concl) == "f_r(C) <= f_s(f_r(C))"
+    assert red.sl_clause_count(purified, red.INSTANTIATE) == len(sl.clauses)
+
+
+def test_numeric_conjunction_intersects_to_one_literal():
+    cbox = parse_cbox("decl role hw : (concept, num)\n"
+                      "A sub exists hw . (num [1, 2] and num up 0)\n")
+    prob = red.translate(cbox)
+    rhs = prob.goal.assumptions[0].rhs
+    assert isinstance(rhs, alg.Apply)
+    assert str(rhs.args[0]) == "[1,2]"
+
+
+def test_unfold_keeps_shared_subterms_shared():
+    # each meet's operands are the previous constant twice: unfolded as a
+    # tree the term doubles in size with every level
+    defs = {"c1": alg.Meet((alg.Const("c0"), alg.Const("c0")))}
+    for i in range(2, 13):
+        prev = alg.Const(f"c{i - 1}")
+        defs[f"c{i}"] = alg.Meet((prev, prev))
+    table = red.PurifiedProblem(defs=defs)
+    u = table.unfold("c12")
+    assert u.args[0] is u.args[1]
+    assert table.unfold("c12") is u
+
+
 def test_sl_instantiate_fact_labels(anatomy_cbox):
     purified = _purified(anatomy_cbox, anatomy_cbox.queries[0])
     sl = red.sl_instantiate(purified, red.CHASE)
