@@ -162,8 +162,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     sl = red.parse_reduction(_load(args.file))
+    # a dump does not say which mode made it: a `chase` dump leaves
+    # transitivity to the solver, and an `instantiate` dump's transitivity
+    # clauses are redundant under it
     result = hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
-                                   transitive=args.mode == red.CHASE)
+                                   transitive=True)
     if result.sat:
         hornsat.model_check(result, sl.facts, sl.clauses, sl.goal)
     model = sorted(result.model())
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="run the solver on a reduction dump")
     p.add_argument("file", help="fact/clause/goal lines, or - for stdin")
-    _add_common(p)
+    _add_common(p, mode=False)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("interpolate",

@@ -9,23 +9,25 @@ with None standing for the missing bound.  An inequality atom between
 numeric terms therefore converts to zero, one or two endpoint atoms - or
 to falsity when a bounded end would have to cover an unbounded one.
 
-num_entails decides endpoint atoms by reachability over the known
-endpoints, with the numeric order between literal endpoints folded in as
-edges.  A contradictory fact set entails everything.
+Every numeric position holds an interval literal or the numeric bottom,
+which convert_leq resolves, so every endpoint atom compares two
+rationals: the numeric base theory is ground.  split_problem decides each
+endpoint atom once, by comparison (num_entails): a failing numeric fact
+makes the problem vacuous, a numeric goal is settled outright, and a
+mixed clause with a failing numeric premise is dropped.  What remains of
+a mixed clause is its concept premises and its concept conclusion.
 
-combine_solve runs the lattice solver on the concept part of a purified
-problem and feeds it conclusions of mixed clauses whose numeric premises
-hold, until nothing moves; each endpoint atom is decided once per
-problem.  In `chase` mode the solver fires the K2/K3 instances over
-concept atoms, monotonicity of the concept-only operators and meet
-introduction from its trigger index instead of from materialized
-clauses.
+combine_solve runs the lattice solver on the concept part of the problem
+and moves in the conclusions of the mixed clauses whose concept premises
+hold, round by round, until nothing moves.  In `chase` mode the solver
+fires the K2/K3 instances over concept atoms, monotonicity of the
+concept-only operators and meet introduction from its trigger index
+instead of from materialized clauses.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -86,55 +88,22 @@ def convert_leq(lhs: FlatTerm, rhs: FlatTerm) -> Optional[list[NumAtom]]:
     return atoms
 
 
-def _check_rel(atom: NumAtom) -> None:
+def _compare(atom: NumAtom) -> bool:
+    """The truth of an endpoint atom between two rationals."""
     if atom.rel != "le":
         raise UnsupportedAtom(f"unsupported numeric relation {atom.rel!r}")
+    if not isinstance(atom.lhs, Fraction) or not isinstance(atom.rhs, Fraction):
+        raise UnsupportedAtom(f"not an atom between rationals: {atom}")
+    return atom.lhs <= atom.rhs
 
 
 def num_entails(facts: Iterable[NumAtom], query: NumAtom) -> bool:
     """Does the conjunction of the facts entail the query over the ordered
-    rationals?  Entailment is reachability along fact edges and the
-    numeric order between literals; an inconsistent fact set (some q
-    reaching some p < q) entails everything."""
-    _check_rel(query)
-    edges: dict[NumTerm, set[NumTerm]] = {}
-    nodes: set[NumTerm] = {query.lhs, query.rhs}
-    for f in facts:
-        _check_rel(f)
-        edges.setdefault(f.lhs, set()).add(f.rhs)
-        nodes.add(f.lhs)
-        nodes.add(f.rhs)
-    literals = sorted(n for n in nodes if isinstance(n, Fraction))
-
-    def reachable(src: NumTerm, dst: NumTerm) -> bool:
-        if src == dst:
-            return True
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            succs = set(edges.get(x, ()))
-            if isinstance(x, Fraction):
-                succs.update(q for q in literals if x <= q)
-            for y in succs:
-                if y == dst:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
-
-    if (isinstance(query.lhs, Fraction) and isinstance(query.rhs, Fraction)
-            and query.lhs <= query.rhs):
-        return True
-    if reachable(query.lhs, query.rhs):
-        return True
-    # vacuous truth: the facts force q <= p for literals with p < q
-    for i, p in enumerate(literals):
-        for q in literals[i + 1:]:
-            if reachable(q, p):
-                return True
-    return False
+    rationals?  Every endpoint must be a rational, so each atom is a
+    comparison: a false fact makes everything entailed, and otherwise the
+    query's own comparison decides."""
+    consistent = all([_compare(f) for f in facts])
+    return _compare(query) or not consistent
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +112,8 @@ def num_entails(facts: Iterable[NumAtom], query: NumAtom) -> bool:
 
 @dataclass(frozen=True)
 class MixedClause:
+    """A clause whose numeric premises all hold: what is left of it."""
     concept_premises: tuple[AtomKey, ...]
-    num_premises: tuple[NumAtom, ...]
     concl: AtomKey
     tag: str
 
@@ -154,8 +123,8 @@ class SplitProblem:
     concept: PurifiedProblem          # numeric atoms stripped
     num_facts: list[NumAtom]
     mixed: list[MixedClause]
-    num_target: Optional[list[NumAtom]] = None   # set when the goal is numeric
-    num_target_false: bool = False
+    vacuous: bool = False             # a numeric fact fails
+    num_verdict: Optional[bool] = None    # set when the goal is numeric
 
 
 def _atom_sort(a: Leq, consts: dict[str, str]) -> str:
@@ -173,7 +142,22 @@ def _atom_sort(a: Leq, consts: dict[str, str]) -> str:
 
 
 def split_problem(purified: PurifiedProblem) -> SplitProblem:
+    """Separate the numeric atoms from the concept atoms and decide each
+    numeric one, every endpoint atom once."""
     consts = purified.consts
+    verdicts: dict[NumAtom, bool] = {}
+
+    def holds(atoms: Optional[list[NumAtom]]) -> bool:
+        if atoms is None:
+            return False
+        for a in atoms:
+            verdict = verdicts.get(a)
+            if verdict is None:
+                verdict = verdicts[a] = num_entails((), a)
+            if not verdict:
+                return False
+        return True
+
     concept_facts: list[Leq] = []
     num_facts: list[NumAtom] = []
     for a in purified.facts:
@@ -182,6 +166,7 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
             num_facts.extend(conv if conv is not None else [FALSE_ATOM])
         else:
             concept_facts.append(a)
+    vacuous = not holds(num_facts)
 
     concept_clauses = []
     mixed: list[MixedClause] = []
@@ -189,43 +174,35 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
         if _atom_sort(inst.conclusion, consts) != CONCEPT:
             raise LoctameError(f"numeric conclusion not supported: {inst}")
         cprem: list[Leq] = []
-        nprem: list[NumAtom] = []
-        dropped = False
+        endpoint_atoms = 0
         for p in inst.premises:
-            if _atom_sort(p, consts) == NUM:
-                conv = convert_leq(p.lhs, p.rhs)
-                if conv is None:       # an unsatisfiable premise
-                    dropped = True
-                    break
-                nprem.extend(conv)
-            else:
+            if _atom_sort(p, consts) == CONCEPT:
                 cprem.append(p)
-        if dropped:
-            continue
-        if nprem:
-            mixed.append(MixedClause(
-                tuple(red._atom_key(p) for p in cprem), tuple(nprem),
-                red._atom_key(inst.conclusion), inst.tag))
-        elif len(cprem) == len(inst.premises):
-            concept_clauses.append(inst)
-        else:                          # its numeric premises plainly hold
-            concept_clauses.append(replace(inst, premises=tuple(cprem)))
+                continue
+            conv = convert_leq(p.lhs, p.rhs)
+            if not holds(conv):       # the clause can never fire
+                break
+            endpoint_atoms += len(conv)
+        else:
+            if endpoint_atoms:
+                mixed.append(MixedClause(
+                    tuple(red._atom_key(p) for p in cprem),
+                    red._atom_key(inst.conclusion), inst.tag))
+            elif len(cprem) == len(inst.premises):
+                concept_clauses.append(inst)
+            else:                      # its numeric premises plainly hold
+                concept_clauses.append(replace(inst, premises=tuple(cprem)))
 
-    num_target: Optional[list[NumAtom]] = None
-    num_target_false = False
+    num_verdict: Optional[bool] = None
     target = purified.target
     if target is not None and _atom_sort(target, consts) == NUM:
-        conv = convert_leq(target.lhs, target.rhs)
-        if conv is None:
-            num_target, num_target_false = [], True
-        else:
-            num_target = conv
+        num_verdict = holds(convert_leq(target.lhs, target.rhs))
         target = None
 
     # the concept side shares the term table
     concept = replace(purified, facts=concept_facts, target=target,
                       clauses=concept_clauses)
-    return SplitProblem(concept, num_facts, mixed, num_target, num_target_false)
+    return SplitProblem(concept, num_facts, mixed, vacuous, num_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +250,15 @@ def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
 
 
 def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineResult:
-    """Decide the purified problem, exchanging facts between the numeric
-    and the lattice side until a fixpoint."""
+    """Decide the purified problem: the numeric side settles what it can,
+    then the lattice solver runs, taking in the conclusions of the mixed
+    clauses whose concept premises hold until nothing moves."""
     micros: dict[str, int] = {}
     t = _now()
     split = split_problem(purified)
-    num_facts = split.num_facts
-    # the numeric facts never change, so each endpoint atom is decided once
-    verdicts: dict[NumAtom, bool] = {}
-
-    def entailed(atom: NumAtom) -> bool:
-        verdict = verdicts.get(atom)
-        if verdict is None:
-            verdict = verdicts[atom] = num_entails(num_facts, atom)
-        return verdict
-
-    if num_facts and entailed(FALSE_ATOM):
-        return CombineResult(subsumed=True, result=None, vacuous=True,
-                             micros={"numeric": _now() - t})
-
-    if split.num_target is not None:
-        ok = not split.num_target_false and all(
-            entailed(a) for a in split.num_target)
-        return CombineResult(subsumed=ok, result=None,
+    if split.vacuous or split.num_verdict is not None:
+        return CombineResult(subsumed=split.vacuous or split.num_verdict,
+                             result=None, vacuous=split.vacuous,
                              micros={"numeric": _now() - t})
 
     sl = red.sl_instantiate(split.concept, mode,
@@ -309,8 +272,7 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
         micros["exchange"] = 0
 
     out = CombineResult(subsumed=False, result=None, sl=sl, micros=micros)
-    # a clause whose numeric premises fail is dropped for good
-    pending = list(range(len(split.mixed)))
+    pending = split.mixed
     while True:
         out.iterations += 1
         if out.iterations > len(split.mixed) + 1:
@@ -323,20 +285,15 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
             out.subsumed = True
             return out
         t = _now()
-        moved = False
         waiting = []
-        for i in pending:
-            mc = split.mixed[i]
-            if not all(entailed(a) for a in mc.num_premises):
-                continue
+        for mc in pending:
             if all(solver.has(p) for p in mc.concept_premises):
                 solver.add_fact(mc.concl, f"moved:{mc.tag}")
                 out.movements.append((mc.tag, mc.concl))
-                moved = True
             else:
-                waiting.append(i)
-        pending = waiting
+                waiting.append(mc)
         if split.mixed:
             micros["exchange"] += _now() - t
-        if not moved:
+        if len(waiting) == len(pending):
             return out
+        pending = waiting

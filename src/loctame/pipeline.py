@@ -69,6 +69,30 @@ class Report:
                                   self.mode)
 
     @property
+    def clause_count(self) -> int:
+        """len(self.sl.clauses), without rebuilding the full reduction in
+        `chase` mode: the solver's clauses, each triggered rule that is no
+        twin of one counted before (Mon skips its (t, t) rule, as
+        alg.composed does), and meet introduction for every meet and
+        every other constant."""
+        sl = self.combine.sl
+        if sl is None:
+            return 0
+        if self.mode != red.CHASE:
+            return len(sl.clauses)
+        keys = {(frozenset(p), c) for p, c, _ in sl.clauses}
+        for fam in self.purified.triggered.values():
+            mon = fam.tag.startswith("Mon(")
+            for head, zs in fam.heads:
+                for tails, guarded, rhs in fam.choices:
+                    if mon and head == rhs:
+                        continue
+                    keys.add((frozenset([*zip(zs, tails),
+                                         *((x, fam.guard) for x in guarded)]),
+                              (head, rhs)))
+        return len(keys) + len(self.purified.meets) * (len(sl.universe) - 1)
+
+    @property
     def stats(self) -> dict[str, int]:
         """Work counters of the solver run (zero when no solver ran)."""
         res = self.combine.result
@@ -109,7 +133,7 @@ def _reduce(cbox: CBox, query: Optional[Query], mode: str,
 
 def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     """The reduction of a translated problem: closure, instantiation,
-    purification, then the lattice solver with the numeric exchange."""
+    purification, then the numeric decisions and the lattice solver."""
     micros: dict[str, int] = {}
     t = _now()
     psi = alg.psi_closure(alg.goal_seeds(problem.goal), problem.axioms)
@@ -264,12 +288,11 @@ def emit_psi(report: Report) -> str:
 
 
 def json_report(report: Report) -> dict:
-    sl = report.sl
     return {
         "query": str(report.query) if report.query is not None else None,
         "verdict": "subsumed" if report.subsumed else "not-subsumed",
         "psi_size": len(report.psi),
-        "clause_count": len(sl.clauses) if sl is not None else 0,
+        "clause_count": report.clause_count,
         "micros_per_stage": report.micros,
         "stats": report.stats,
     }

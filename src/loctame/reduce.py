@@ -283,8 +283,6 @@ class PurifiedProblem:
     meets: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # every constant in play -> sort
     consts: dict[str, str] = field(default_factory=dict)
-    ops: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    op_role: dict[str, str] = field(default_factory=dict)
     # axiom index -> the rules of the axioms whose instances `clauses`
     # leaves out, because the chase fires them from the solver's trigger
     # index
@@ -365,7 +363,7 @@ def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
     index: Mon over the operators whose arguments are all concepts, and
     the K2/K3 axioms whose premises are all concept atoms (every guarded
     argument is a concept).  The rest stay materialized: a numeric premise
-    of Mon is decided by the exchange with the numeric side, and a guard
+    of Mon is decided when concdom splits the problem by sort, and a guard
     on a numeric position makes an atom that mixes sorts."""
     def concept_args(op: str, positions) -> bool:
         sorts = problem.ops.get(op)
@@ -400,8 +398,7 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
     their instances would have been walked (in axiom order), so the
     proxies come out as if they were there.
     """
-    table = PurifiedProblem(consts=dict(problem.consts), ops=problem.ops,
-                            op_role=problem.op_role)
+    table = PurifiedProblem(consts=dict(problem.consts))
     table.consts.setdefault(alg.BOT_CONST, CONCEPT)
     table.consts.setdefault(alg.TOP_CONST, CONCEPT)
     pur = _Purifier(table)

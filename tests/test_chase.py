@@ -34,8 +34,9 @@ def _render(report: pipeline.Report, steps: list[hornsat.TraceStep]) -> list[str
 
 def _materialized(report: pipeline.Report):
     """Solve the full reduction (report.sl) with every clause materialized,
-    replaying the numeric exchange if there are mixed clauses; returns the
-    result and the movements."""
+    moving in the conclusions of the mixed clauses (whose numeric premises
+    hold) as their concept premises come to hold; returns the result and
+    the movements."""
     sl = report.sl
     full = red.flatten_purify(report.instances, report.problem.goal,
                               report.problem)
@@ -57,8 +58,7 @@ def _materialized(report: pipeline.Report):
             return res, movements
         moved = False
         for mc in pending[:]:
-            if (all(concdom.num_entails(split.num_facts, a) for a in mc.num_premises)
-                    and all(solver.has(p) for p in mc.concept_premises)):
+            if all(solver.has(p) for p in mc.concept_premises):
                 solver.add_fact(mc.concl, f"moved:{mc.tag}")
                 movements.append((mc.tag, mc.concl))
                 pending.remove(mc)

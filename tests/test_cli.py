@@ -142,6 +142,24 @@ def test_solve_round_trip_derives_the_goal(files, tmp_path, capsys):
     assert "goal derived" in out
 
 
+@pytest.mark.parametrize("name", [
+    "defs", "anatomy", "routes", "guards",
+    # the dump leaves out the mixed clauses, whose conclusions check moves
+    # in from the numeric side, so solve cannot derive the goal
+    pytest.param("freight", marks=pytest.mark.xfail(
+        strict=True, reason="a dump holds no mixed clauses")),
+])
+def test_solve_gives_the_verdict_of_check_on_both_dumps(files, tmp_path,
+                                                        capsys, name):
+    want = cli.main(["check", files[name]])
+    for mode in ("chase", "instantiate"):
+        capsys.readouterr()
+        cli.main(["check", "--emit-reduction", f"--mode={mode}", files[name]])
+        red_file = tmp_path / f"{name}.{mode}.red"
+        red_file.write_text(capsys.readouterr().out)
+        assert cli.main(["solve", str(red_file)]) == want, mode
+
+
 def test_solve_underivable_goal_exits_one(tmp_path, capsys):
     p = tmp_path / "open.red"
     p.write_text("fact a <= b\ngoal b <= a\n")
@@ -234,9 +252,11 @@ def test_invalid_utf8_exits_two_and_names_the_file(tmp_path, capsys, command):
     ["cross-check", "--mode=chase", "--samples", "1"],
     ["check", "--seed", "3"],
     ["solve", "--seed", "3"],
+    ["solve", "--mode=chase"],
 ])
 def test_flags_are_accepted_only_where_they_are_read(files, argv, capsys):
-    # interpolate and cross-check have no --mode, only cross-check a --seed
+    # interpolate, cross-check and solve have no --mode, only cross-check
+    # a --seed
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [files["split"]])
     assert exc.value.code == 2

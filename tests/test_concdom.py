@@ -1,4 +1,4 @@
-"""Numeric entailment and the two-sorted combination loop."""
+"""Numeric decisions at split time and the two-sorted combination loop."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from loctame import algebra as alg
 from loctame import concdom, oracle, pipeline, randgen
-from loctame.syntax import Interval, parse_cbox
+from loctame.syntax import CONCEPT, Interval, NUM, parse_cbox
 
 
 def _lit(lo, hi):
@@ -39,17 +39,19 @@ def test_convert_leq_cases():
 
 
 def test_num_entails_chain():
-    a, b = "a", "b"
-    facts = [concdom.NumAtom(a, Fraction(3)), concdom.NumAtom(Fraction(5), b)]
-    assert concdom.num_entails(facts, concdom.NumAtom(a, b))
-    assert not concdom.num_entails(facts, concdom.NumAtom(b, a))
+    one, three, five = Fraction(1), Fraction(3), Fraction(5)
+    facts = [concdom.NumAtom(one, three), concdom.NumAtom(three, five)]
+    # consistent ground facts entail exactly the true comparisons
+    assert concdom.num_entails(facts, concdom.NumAtom(one, five))
+    assert not concdom.num_entails(facts, concdom.NumAtom(five, one))
 
 
 def test_num_entails_vacuous_on_inconsistency():
-    facts = [concdom.NumAtom(Fraction(7), "x"),
-             concdom.NumAtom("x", Fraction(2))]
-    # 7 <= x <= 2 is unsatisfiable, so everything follows
-    assert concdom.num_entails(facts, concdom.NumAtom("p", "q"))
+    facts = [concdom.NumAtom(Fraction(1), Fraction(3)),
+             concdom.NumAtom(Fraction(7), Fraction(2))]
+    # 7 <= 2 is false, so everything follows
+    assert concdom.num_entails(facts, concdom.NumAtom(Fraction(5), Fraction(1)))
+    assert concdom.num_entails(facts[1:], concdom.FALSE_ATOM)
 
 
 def test_num_entails_literal_order_is_free():
@@ -57,9 +59,22 @@ def test_num_entails_literal_order_is_free():
     assert not concdom.num_entails([], concdom.NumAtom(Fraction(2), Fraction(1)))
 
 
+@pytest.mark.parametrize("facts, query", [
+    ([], concdom.NumAtom("x", Fraction(2))),
+    ([], concdom.NumAtom(Fraction(2), "x")),
+    # a named fact is rejected even where the query alone would decide
+    ([concdom.NumAtom("x", Fraction(2))],
+     concdom.NumAtom(Fraction(1), Fraction(2))),
+])
+def test_num_entails_rejects_a_named_endpoint(facts, query):
+    # no input produces a named numeric term: every numeric position holds
+    # an interval literal or the numeric bottom
+    with pytest.raises(concdom.UnsupportedAtom):
+        concdom.num_entails(facts, query)
+
+
 def _random_num_problem(rng: random.Random):
-    terms: list = [f"v{i}" for i in range(rng.randint(1, 4))]
-    terms += [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+    terms = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
     facts = [concdom.NumAtom(rng.choice(terms), rng.choice(terms))
              for _ in range(rng.randint(0, 8))]
     query = concdom.NumAtom(rng.choice(terms), rng.choice(terms))
@@ -74,6 +89,21 @@ def test_num_entails_agrees_with_closure_mirror(seed):
         oracle.num_entails_dbm(facts, query)
 
 
+def _is_numeric(atom: alg.Leq, purified) -> bool:
+    side = atom.lhs
+    return isinstance(side, alg.Lit) or purified.consts[side.name] == NUM
+
+
+def _numeric_premise_atoms(purified) -> list:
+    """The endpoint atoms of every numeric premise of the clauses."""
+    out = []
+    for inst in purified.clauses:
+        for p in inst.premises:
+            if _is_numeric(p, purified):
+                out += concdom.convert_leq(p.lhs, p.rhs) or []
+    return out
+
+
 def test_split_problem_sorts_atoms(freight_cbox):
     q = freight_cbox.queries[0]
     from loctame import reduce as red
@@ -83,8 +113,13 @@ def test_split_problem_sorts_atoms(freight_cbox):
                                   prob.goal, prob)
     split = concdom.split_problem(purified)
     assert split.mixed, "monotonicity over numeric arguments must be mixed"
+    numeric = {inst.tag for inst in purified.clauses
+               if any(_is_numeric(p, purified) for p in inst.premises)}
     for mc in split.mixed:
-        assert mc.num_premises and mc.concl
+        # what is left of a clause with numeric premises: concept atoms only
+        assert mc.tag in numeric and mc.concl
+        for a, b in (*mc.concept_premises, mc.concl):
+            assert purified.consts[a] == purified.consts[b] == CONCEPT
     # no interval endpoint ever leaks into the concept-side problem
     for fact in split.concept.facts:
         assert not isinstance(fact.lhs, alg.Lit)
@@ -190,9 +225,8 @@ def test_numeric_premises_are_decided_once_per_mixed_clause(freight_cbox,
     # goal-free, so the exchange runs a second round after the movements
     report = pipeline.classify(freight_cbox).report
     assert report.combine.movements and report.combine.iterations > 1
-    mixed = concdom.split_problem(report.purified).mixed
-    decided = [q for q in queries if q != concdom.FALSE_ATOM]
-    assert len(decided) <= sum(len(mc.num_premises) for mc in mixed)
+    assert queries and len(queries) == len(set(queries))
+    assert len(queries) <= len(_numeric_premise_atoms(report.purified))
 
 
 def test_each_endpoint_atom_is_decided_once_per_problem(monkeypatch):
@@ -213,3 +247,54 @@ def test_each_endpoint_atom_is_decided_once_per_problem(monkeypatch):
         pipeline.check_subsumption(cbox, randgen.numeric_query(rng, cbox))
         assert len(decided[-1]) == len(set(decided[-1]))
     assert sum(map(len, decided)) > 60
+
+
+NUMERIC_SORT_INPUTS = [
+    "num up 5 sub num up 3\n? A sub A\n",           # a fact that holds
+    "num up 3 sub num up 5\n? A sub B\n",           # one that fails
+    "num [1, 2] sub num down 0\n? A sub B\n",
+    "num up 4 and num down 3 sub num up 9\n? A sub B\n",
+    "? num up 6 sub num up 2\n",
+    "? num up 2 sub num up 6\n",
+    "? num up 4 and num down 3 sub num [1, 2]\n",
+    "? num [1, 2] sub num up 4 and num down 3\n",
+    PLAINLY_TRUE_PREMISE,
+    NESTED_MOVEMENTS,
+]
+
+
+def _endpoints_seen(run) -> list:
+    """Every endpoint the pipeline hands num_entails while run() runs."""
+    seen = []
+    real = concdom.num_entails
+
+    def recording(facts, query):
+        facts = list(facts)
+        for atom in (*facts, query):
+            seen.extend((atom.lhs, atom.rhs))
+        return real(facts, query)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concdom, "num_entails", recording)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("text", NUMERIC_SORT_INPUTS)
+def test_numeric_sort_inclusions_reach_num_entails_as_rationals(text):
+    cbox = parse_cbox(text)
+    seen = _endpoints_seen(lambda: [
+        pipeline.check_subsumption(cbox, cbox.queries[0], mode=mode)
+        for mode in ("chase", "instantiate")])
+    assert all(type(x) is Fraction for x in seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**7))
+def test_random_numeric_inputs_reach_num_entails_as_rationals(seed):
+    rng = random.Random(seed)
+    cbox = randgen.numeric_cbox(rng)
+    query = randgen.numeric_query(rng, cbox)
+    seen = _endpoints_seen(lambda: (pipeline.check_subsumption(cbox, query),
+                                    pipeline.classify(cbox)))
+    assert all(type(x) is Fraction for x in seen)

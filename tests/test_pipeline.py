@@ -9,7 +9,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from loctame import algebra as alg
-from loctame import oracle, pipeline, randgen
+from loctame import interpolate as interp
+from loctame import oracle, pipeline, randgen, syntax
 from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
@@ -194,13 +195,57 @@ def test_pairs_of_a_vacuous_classification_are_all_pairs():
     assert cls.pairs() == [(a, b) for a in cls.names for b in cls.names if a != b]
 
 
-def test_traced_functions_are_still_defined():
-    # bench/tracing.py wraps each (owner, attr) it lists by looking it up
-    # in owner.__dict__, so a rename breaks `bench/run.py --trace 1`
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_are_still_defined():
+    # bench/tracing.py wraps each (owner, attr) it lists by looking it up
+    # in owner.__dict__, so a rename breaks `bench/run.py --trace 1`
+    tracing = _load_tracing()
     missing = [name for owner, attr, name, _ in tracing.WRAPPED
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_traced_functions_are_still_reached():
+    # a traced function that is defined but no longer called would leave
+    # its layer reading zero without any error
+    from tests.conftest import ANATOMY_TEXT, FREIGHT_TEXT, SPLIT_TEXT
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        freight = syntax.parse_cbox(FREIGHT_TEXT)
+        pipeline.explain(freight, freight.queries[0])
+        numeric = syntax.parse_cbox("num up 5 sub num up 4\n"
+                                    "? num up 6 sub num up 2\n")
+        pipeline.check_subsumption(numeric, numeric.queries[0])
+        pipeline.classify(syntax.parse_cbox(ANATOMY_TEXT)).pairs()
+        interp.interpolate_input(syntax.parse_interpolation_input(SPLIT_TEXT))
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    assert [name for _, _, name, _ in tracing.WRAPPED
+            if name not in recorded] == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**7))
+def test_clause_count_is_the_size_of_the_full_reduction(seed):
+    rng = random.Random(seed)
+    cbox = randgen.normal_cbox(rng, max_names=8, max_roles=3, max_axioms=14)
+    reports = [pipeline.classify(cbox).report]
+    for make_cbox, make_query in ((randgen.extended_cbox, randgen.random_query),
+                                  (randgen.numeric_cbox, randgen.numeric_query)):
+        cbox = make_cbox(rng)
+        query = make_query(rng, cbox)
+        reports += [pipeline.check_subsumption(cbox, query, mode=mode)
+                    for mode in (red.CHASE, red.INSTANTIATE)]
+    for report in reports:
+        sl = report.sl
+        assert report.clause_count == (len(sl.clauses) if sl else 0)
