@@ -23,7 +23,7 @@ def count_for(n: int) -> int:
     psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
     purified = red.flatten_purify(
         alg.instantiate(prob.axioms, psi), prob.goal, prob)
-    return red.sl_clause_count(purified, red.INSTANTIATE)
+    return red.sl_clause_count(purified)
 
 
 def main(argv: list[str] | None = None) -> int:

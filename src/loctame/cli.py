@@ -66,10 +66,7 @@ def _emit_dumps(report: pipeline.Report, args: argparse.Namespace,
     if args.emit_psi:
         sys.stdout.write(pipeline.emit_psi(report))
     if args.emit_reduction:
-        if report.sl is None:
-            print("# no lattice problem: the goal was decided numerically")
-        else:
-            sys.stdout.write(red.render_reduction(report.sl))
+        sys.stdout.write(pipeline.emit_reduction(report))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,8 @@ class CombineResult:
     # the problem the solver was built from; in `chase` mode it lacks the
     # clause families the solver fires from its trigger index
     sl: Optional[red.SLProblem] = None
+    # the mixed clauses whose numeric premises hold
+    mixed: list[MixedClause] = field(default_factory=list)
     # microseconds per stage: sl_instantiate (split by sort and unroll the
     # lattice theory), build, propagate, and exchange when there are mixed
     # clauses; numeric alone when the numeric side decides the goal
@@ -271,7 +273,8 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
     if split.mixed:
         micros["exchange"] = 0
 
-    out = CombineResult(subsumed=False, result=None, sl=sl, micros=micros)
+    out = CombineResult(subsumed=False, result=None, sl=sl, mixed=split.mixed,
+                        micros=micros)
     pending = split.mixed
     while True:
         out.iterations += 1

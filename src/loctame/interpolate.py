@@ -25,15 +25,16 @@ nothing stalls the attempt.
 
 The reduction is the subsumption pipeline's own: flatten_purify names the
 terms in the purified problem's term table, separation names its defined
-constants in that same table (whose unfold renders them), and each one is
-added to a reduce.LatticeTheory, which keeps meet introduction
-materialized here.  `entails`, the verification gate, is pipeline.decide
-in chase mode.
+constants in that same table (whose unfold renders them), and each round
+unrolls the lattice theory over the table with reduce.sl_instantiate,
+meet introduction materialized.  The A side resumes the run of the theory
+alone.  `entails`, the verification gate, is pipeline.decide in chase
+mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from . import algebra as alg
@@ -295,8 +296,6 @@ class _Attempt:
         self.a_facts = [(key(a), "A") for a in purified.facts[:n_a]]
         self.b_facts = [(key(a), "B") for a in purified.facts[n_a:]]
         self.goal = key(purified.target)
-        self.theory = red.LatticeTheory()
-        self.theory.extend(purified.consts, purified.meets)
 
         self._color_memo: dict[str, str] = {}
         self._export_memo: dict[str, bool] = {}
@@ -306,18 +305,6 @@ class _Attempt:
             self._add_instance(tuple(key(p) for p in inst.premises),
                                key(inst.conclusion), inst.tag)
         self._split_done: set[tuple] = set()
-
-    # -- defined constants ---------------------------------------------------
-
-    def proxy_for(self, term: FlatTerm) -> str:
-        """The constant naming a one-level term, defined on first use."""
-        table = self.purified
-        fresh = term not in table.by_term
-        name = table.define(term, DEFINED_PREFIX).name
-        if fresh:
-            meets = {name: table.meets[name]} if name in table.meets else {}
-            self.theory.extend([name], meets)
-        return name
 
     # -- colors ----------------------------------------------------------------
 
@@ -376,9 +363,8 @@ class _Attempt:
     # -- solver runs -------------------------------------------------------------
 
     def _side_clauses(self, colors: tuple[str, ...]):
-        picked = [(i.premises, i.concl, i.tag)
-                  for i in self.instances if i.color in colors]
-        return self.theory.clauses + picked
+        return [(i.premises, i.concl, i.tag)
+                for i in self.instances if i.color in colors]
 
     def run(self) -> tuple[list[AtomKey], int]:
         """The layered loop; returns the purified interpolant atoms.
@@ -386,33 +372,39 @@ class _Attempt:
         The joint problem is solved only when the B side with the candidate
         interpolant does not refute the goal.  A refuting B run implies a
         joint refutation: the candidate atoms are A-side consequences, and
-        the B side's clauses are among the joint ones."""
-        theory = self.theory
+        the B side's clauses are among the joint ones.  The A side resumes
+        the run of the theory alone: both models are least models, so they
+        are the ones separate runs would give."""
         for iteration in range(1, _CAP + 1):
-            theory_model = hornsat.solve_problem(
-                theory.facts.items(), theory.clauses, None,
-                transitive=True).model()
-            ma_model = hornsat.solve_problem(
-                [*self.a_facts, *theory.facts.items()],
-                self._side_clauses(("A", "S")), None, transitive=True).model()
+            theory = red.sl_instantiate(replace(
+                self.purified, facts=[], target=None, clauses=[]))
+            theory_run = hornsat.solve_problem(theory.facts, theory.clauses,
+                                               None, transitive=True)
+            theory_model = theory_run.model()
+            solver = theory_run.solver
+            for atom, label in self.a_facts:
+                solver.add_fact(atom, label)
+            for premises, concl, tag in self._side_clauses(("A", "S")):
+                solver.add_clause(premises, concl, tag)
+            ma_model = solver.solve().model()
             itp = sorted(
                 (x, y) for x, y in ma_model
                 if (x, y) not in theory_model
                 and self.exportable(x) and self.exportable(y))
 
             mb = hornsat.solve_problem(
-                [*self.b_facts, *theory.facts.items(),
-                 *((a, "itp") for a in itp)],
-                self._side_clauses(("B", "S")), self.goal, transitive=True)
+                [*self.b_facts, *theory.facts, *((a, "itp") for a in itp)],
+                theory.clauses + self._side_clauses(("B", "S")), self.goal,
+                transitive=True)
             if not mb.sat:
                 atoms = [s.atom for s in mb.solver.trace(self.goal)
                          if s.kind == "fact" and s.label == "itp"]
                 return list(dict.fromkeys(atoms)), iteration
 
             joint = hornsat.solve_problem(
-                [*self.a_facts, *self.b_facts, *theory.facts.items()],
-                self._side_clauses(("A", "B", "S", "X")), self.goal,
-                transitive=True)
+                [*self.a_facts, *self.b_facts, *theory.facts],
+                theory.clauses + self._side_clauses(("A", "B", "S", "X")),
+                self.goal, transitive=True)
             if joint.sat:
                 if iteration == 1:
                     raise NotUnsat("the two sides are jointly satisfiable")
@@ -453,18 +445,20 @@ class _Attempt:
         if sum(1 for p in step.premises if p[0] == prem[0]) != 1:
             return False          # ambiguous binding; leave untouched
 
-        candidates = [c for c in self.theory.universe if self.exportable(c)]
+        candidates = [c for c in self.purified.consts if self.exportable(c)]
         term = separating_term(prem[0], prem[1], ma_model, mb_model, candidates)
         if term is None:
             return False
-        t_name = term.name if isinstance(term, Const) else self.proxy_for(term)
+        define = self.purified.define
+        t_name = (term.name if isinstance(term, Const)
+                  else define(term, DEFINED_PREFIX).name)
 
         done_key = (step.atom, frozenset(step.premises), prem, t_name)
         if done_key in self._split_done:
             return False
         self._split_done.add(done_key)
 
-        linked = self.proxy_for(Apply(fdef.op, (Const(t_name),)))
+        linked = define(Apply(fdef.op, (Const(t_name),)), DEFINED_PREFIX).name
         rest = tuple(p for p in step.premises if p != prem)
         self._add_instance(((prem[0], t_name),), (step.atom[0], linked),
                            f"Mon({fdef.op})")

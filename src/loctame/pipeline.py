@@ -26,7 +26,7 @@ Report.instances and Report.sl give the full reduction in both modes; in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -285,6 +285,18 @@ def explain(cbox: CBox, query: Query, mode: str = red.CHASE) -> tuple[Report, li
 
 def emit_psi(report: Report) -> str:
     return "\n".join(sorted(str(t) for t in report.psi)) + "\n"
+
+
+def emit_reduction(report: Report) -> str:
+    """The full reduction as text, each mixed clause whose numeric premises
+    hold after the concept clauses as its concept premises and conclusion,
+    so that `solve` reads the whole problem."""
+    sl = report.sl
+    if sl is None:
+        return "# no lattice problem: the goal was decided numerically\n"
+    mixed = [(mc.concept_premises, mc.concl, mc.tag)
+             for mc in report.combine.mixed]
+    return red.render_reduction(replace(sl, clauses=sl.clauses + mixed))
 
 
 def json_report(report: Report) -> dict:

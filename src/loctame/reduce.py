@@ -20,10 +20,9 @@ constants c_{f(t)} that interpolation's separation adds, _i0, _i1, ...),
 and `unfold` renders a constant back as a term, each defined constant
 once, so shared subterms stay shared.
 
-LatticeTheory is the one builder of the semilattice theory.
-sl_instantiate and sl_clause_count unroll it over a purified problem;
-interpolation extends it one defined constant at a time as separation
-introduces them.
+sl_instantiate is the one builder of the semilattice theory: the
+pipeline unrolls it over a purified problem, and interpolation over its
+term table alone, once per round, as separation adds defined constants.
 
 In `chase` mode two kinds of rules are not materialized at all but fired
 by the solver's trigger index (hornsat.Triggers): the instances of the
@@ -481,118 +480,75 @@ def _atom_key(a: Leq) -> AtomKey:
     return (a.lhs.name, a.rhs.name)
 
 
-class LatticeTheory:
-    """The semilattice theory unrolled over a growing set of constants.
-
-    Facts: reflexivity, bottom/top bounds, and each meet below its
-    operands.  Clauses: meet introduction (S4), unless meet_intro is off
-    (the chase solver fires it from its trigger index).  Facts and clauses
-    are deduplicated, the first label or tag winning, so inputs and axiom
-    instances added first keep their own.
-    """
-
-    def __init__(self, meet_intro: bool = True):
-        self.meet_intro = meet_intro
-        self.universe: list[str] = []
-        self.meets: dict[str, tuple[str, ...]] = {}
-        self.facts: dict[AtomKey, str] = {}
-        self.clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
-        self.blocks: list[int] = []
-        self._seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
-
-    def add_fact(self, atom: AtomKey, label: str) -> None:
-        self.facts.setdefault(atom, label)
-
-    def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
-                   tag: str, block: int = 0) -> None:
-        prem = tuple(dict.fromkeys(premises))
-        key = (frozenset(prem), concl)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.clauses.append((prem, concl, tag))
-            self.blocks.append(block)
-
-    def extend(self, universe: Iterable[str],
-               meets: dict[str, tuple[str, ...]]) -> None:
-        """Add fresh constants and fresh meets (each meet is one of the
-        constants, here or earlier): refl for each, then the bounds, then
-        meet-below, then meet introduction meet by meet over the constants
-        that pair with it for the first time."""
-        universe = list(universe)
-        add_fact = self.facts.setdefault
-        for x in universe:
-            add_fact((x, x), "refl")
-        for x in universe:
-            add_fact((alg.BOT_CONST, x), "bound")
-            add_fact((x, alg.TOP_CONST), "bound")
-        for m, operands in meets.items():
-            for o in operands:
-                add_fact((m, o), "meet-below")
-        self.universe.extend(universe)
-        self.meets.update(meets)
-        if not self.meet_intro:
-            return
-        for m, operands in self.meets.items():
-            for z in self.universe if m in meets else universe:
-                if z != m:
-                    self.add_clause([(z, o) for o in operands], (z, m),
-                                    "meet-intro")
-
-
-def _lattice_table(purified: PurifiedProblem,
-                   meet_intro: bool) -> LatticeTheory:
-    """The input facts and the purified instances, then the lattice theory
-    over the concept constants."""
-    theory = LatticeTheory(meet_intro)
-    for i, a in enumerate(purified.facts):
-        theory.add_fact(_atom_key(a), f"input:{i}")
-    for inst in purified.clauses:
-        theory.add_clause([_atom_key(p) for p in inst.premises],
-                          _atom_key(inst.conclusion), inst.tag, inst.axiom)
-    theory.extend([c for c, s in purified.consts.items() if s == CONCEPT],
-                  purified.meets)
-    return theory
-
-
 def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
                    meet_intro: bool = True) -> SLProblem:
-    """Unroll the lattice theory over the constants of a purified problem.
+    """Unroll the lattice theory over the concept constants of a purified
+    problem; the one builder of the theory.
 
-    Facts: the inputs, then the LatticeTheory facts.  Clauses: the
-    purified axiom instances, then meet introduction unless meet_intro is
-    off.  In `instantiate` mode, transitivity over all ordered triples is
-    materialized too; in `chase` mode the solver's built-in transitive
-    closure covers it.
+    Facts: the inputs, then reflexivity, the bottom/top bounds and each
+    meet below its operands.  Clauses: the purified axiom instances, then
+    meet introduction (S4) unless meet_intro is off (the chase solver fires
+    it from its trigger index).  In `instantiate` mode, transitivity over
+    all ordered triples is materialized too; in `chase` mode the solver's
+    built-in transitive closure covers it.  Facts and clauses are
+    deduplicated, the first label or tag winning, so inputs and axiom
+    instances keep their own.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
-    theory = _lattice_table(purified, meet_intro)
+    facts: dict[AtomKey, str] = {}
+    clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
+    blocks: list[int] = []
+    seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
+
+    def add_clause(premises: Iterable[AtomKey], concl: AtomKey, tag: str,
+                   block: int = 0) -> None:
+        prem = tuple(dict.fromkeys(premises))
+        key = (frozenset(prem), concl)
+        if key not in seen:
+            seen.add(key)
+            clauses.append((prem, concl, tag))
+            blocks.append(block)
+
+    add_fact = facts.setdefault
+    for i, a in enumerate(purified.facts):
+        add_fact(_atom_key(a), f"input:{i}")
+    for inst in purified.clauses:
+        add_clause([_atom_key(p) for p in inst.premises],
+                   _atom_key(inst.conclusion), inst.tag, inst.axiom)
+    universe = [c for c, s in purified.consts.items() if s == CONCEPT]
+    for x in universe:
+        add_fact((x, x), "refl")
+    for x in universe:
+        add_fact((alg.BOT_CONST, x), "bound")
+        add_fact((x, alg.TOP_CONST), "bound")
+    for m, operands in purified.meets.items():
+        for o in operands:
+            add_fact((m, o), "meet-below")
+    if meet_intro:
+        for m, operands in purified.meets.items():
+            for z in universe:
+                if z != m:
+                    add_clause([(z, o) for o in operands], (z, m),
+                               "meet-intro")
     if mode == INSTANTIATE:
-        for x, y, z in itertools.permutations(theory.universe, 3):
-            theory.add_clause([(x, y), (y, z)], (x, z), "trans")
+        for x, y, z in itertools.permutations(universe, 3):
+            add_clause([(x, y), (y, z)], (x, z), "trans")
 
     goal = _atom_key(purified.target) if purified.target is not None else None
-    return SLProblem(
-        facts=list(theory.facts.items()),
-        clauses=theory.clauses,
-        goal=goal,
-        universe=theory.universe,
-        mode=mode,
-        blocks=theory.blocks,
-    )
+    return SLProblem(facts=list(facts.items()), clauses=clauses, goal=goal,
+                     universe=universe, mode=mode, blocks=blocks)
 
 
-def sl_clause_count(purified: PurifiedProblem, mode: str = INSTANTIATE) -> int:
-    """The exact clause count of sl_instantiate without materializing the
-    transitivity instances (which grow cubically in the universe)."""
-    theory = _lattice_table(purified, meet_intro=True)
-    if mode == CHASE:
-        return len(theory.clauses)
-
-    m = len(theory.universe)
+def sl_clause_count(purified: PurifiedProblem) -> int:
+    """The exact clause count of sl_instantiate in `instantiate` mode
+    without materializing the transitivity instances (which grow cubically
+    in the universe)."""
+    sl = sl_instantiate(purified, CHASE)
+    m = len(sl.universe)
     s1_total = m * (m - 1) * (m - 2)
     collisions = 0
-    for prem, (a, c), _ in theory.clauses:
+    for prem, (a, c), _ in sl.clauses:
         if len(prem) != 2 or a == c:
             continue
         # the premise pair of the matching transitivity instance is
@@ -603,7 +559,7 @@ def sl_clause_count(purified: PurifiedProblem, mode: str = INSTANTIATE) -> int:
                 if b != a and b != c:
                     collisions += 1
                 break
-    return len(theory.clauses) + s1_total - collisions
+    return len(sl.clauses) + s1_total - collisions
 
 
 # ---------------------------------------------------------------------------

@@ -710,10 +710,6 @@ def check_cbox(cbox: CBox) -> RoleEnv:
     """Validate arities and sorts; returns the resolved role environment."""
     env = resolve_roles(cbox)
 
-    def check_concept_position(c: Concept, what: str) -> None:
-        if concept_sort(c, env) != CONCEPT:
-            raise CheckError(f"{what} must have sort 'concept': {c}")
-
     for g in cbox.gcis:
         ls, rs = concept_sort(g.lhs, env), concept_sort(g.rhs, env)
         if ls != rs and not isinstance(g.lhs, (Top, Bot)) and not isinstance(g.rhs, (Top, Bot)):

@@ -188,7 +188,7 @@ def test_criterion_07_instantiated_clause_count_grows_cubically():
         psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
         purified = red.flatten_purify(
             alg.instantiate(prob.axioms, psi), prob.goal, prob)
-        counts[n] = red.sl_clause_count(purified, red.INSTANTIATE)
+        counts[n] = red.sl_clause_count(purified)
     coeffs = [counts[n] / n**3 for n in sizes]
     assert max(coeffs) <= 2 * min(coeffs), coeffs
     for n in sizes[:-1]:

@@ -144,10 +144,9 @@ def test_solve_round_trip_derives_the_goal(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", [
     "defs", "anatomy", "routes", "guards",
-    # the dump leaves out the mixed clauses, whose conclusions check moves
-    # in from the numeric side, so solve cannot derive the goal
-    pytest.param("freight", marks=pytest.mark.xfail(
-        strict=True, reason="a dump holds no mixed clauses")),
+    # the dump holds the mixed clauses, whose conclusions check moves in
+    # from the numeric side
+    "freight",
 ])
 def test_solve_gives_the_verdict_of_check_on_both_dumps(files, tmp_path,
                                                         capsys, name):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -99,38 +100,58 @@ B: W nsub exists r . Z
 """
 
 
-def _count_solver_runs(monkeypatch) -> list:
-    runs = []
-    solve = hornsat.solve_problem
+def _count_solver_runs(monkeypatch) -> tuple[list, list]:
+    """The solvers the rounds build (hornsat.solve_problem calls) and the
+    runs they make (HornSolver.solve calls); the verification's own runs
+    are left out."""
+    builds, runs, rounds = [], [], []
+    run, build = itp._Attempt.run, hornsat.solve_problem
+    solve = hornsat.HornSolver.solve
 
-    def counted(*args, **kwargs):
-        runs.append(args)
-        return solve(*args, **kwargs)
+    def counted_run(self):
+        rounds.append(self)
+        try:
+            return run(self)
+        finally:
+            rounds.pop()
 
-    monkeypatch.setattr(hornsat, "solve_problem", counted)
-    return runs
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counted_solve(self, *args, **kwargs):
+        if rounds:
+            runs.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(itp._Attempt, "run", counted_run)
+    monkeypatch.setattr(hornsat, "solve_problem", counted_build)
+    monkeypatch.setattr(hornsat.HornSolver, "solve", counted_solve)
+    return builds, runs
 
 
 def test_first_round_split_skips_the_joint_run(monkeypatch):
-    # the lattice theory, the A side and the B side with the candidate:
-    # a refuting B run implies the joint refutation
-    runs = _count_solver_runs(monkeypatch)
+    # the lattice theory, the A side resuming that run, and the B side
+    # with the candidate: a refuting B run implies the joint refutation
+    builds, runs = _count_solver_runs(monkeypatch)
     inp = parse_interpolation_input(FIRST_ROUND_SPLIT)
     result, gcis = itp.interpolate_input(inp)
     assert result.iterations == 1
     assert [str(g) for g in gcis] == ["X sub exists r . Z"]
     assert len(runs) == 3
+    assert len(builds) == 2
 
 
 def test_joint_run_after_a_failed_b_run_still_raises(monkeypatch):
-    # the B run does not refute, so the joint run comes fourth and finds
-    # the sides jointly satisfiable
-    runs = _count_solver_runs(monkeypatch)
+    # the B run does not refute, so the joint run comes fourth, on a third
+    # solver, and finds the sides jointly satisfiable
+    builds, runs = _count_solver_runs(monkeypatch)
     inp = parse_interpolation_input(
         FIRST_ROUND_SPLIT.replace("nsub exists r", "nsub exists s"))
     with pytest.raises(itp.NotUnsat):
         itp.interpolate_input(inp)
     assert len(runs) == 4
+    assert len(builds) == 3
 
 
 def test_first_round_unfolds_no_constant(monkeypatch):
@@ -263,18 +284,60 @@ B: A nsub B
 """
 
 
-def _interpolate_in_child(hash_seed: str) -> str:
+# runs each argv through cli.main in one process and prints, per command,
+# its exit code and its output as JSON
+_CLI_SCRIPT = """\
+import contextlib, io, json, sys
+from loctame import cli
+out = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append((argv, code, buf.getvalue()))
+json.dump(out, sys.stdout)
+"""
+
+
+def _cli_in_child(hash_seed: str, argvs: list[list[str]]) -> list:
     src = str(Path(loctame.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "loctame.cli", "interpolate", "-"],
-        input=HASH_SENSITIVE_SPLIT, env=env, capture_output=True, text=True,
-        timeout=120)
+        [sys.executable, "-c", _CLI_SCRIPT], input=json.dumps(argvs),
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    out = []
+    for argv, code, text in json.loads(proc.stdout):
+        if "--json" in argv:
+            # timings differ from run to run
+            body = json.loads(text)
+            for report in body if isinstance(body, list) else [body]:
+                del report["micros_per_stage"]
+            text = json.dumps(body)
+        out.append((argv, code, text))
+    return out
 
 
-def test_interpolant_does_not_depend_on_string_hashing():
-    assert _interpolate_in_child("0") == _interpolate_in_child("1")
+def test_interpolant_does_not_depend_on_string_hashing(tmp_path):
+    from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
+                                GUARDS_TEXT, ROUTES_TEXT, SPLIT_TEXT)
+    argvs = []
+    for name, text in [("defs", DEFS_TEXT), ("anatomy", ANATOMY_TEXT),
+                       ("freight", FREIGHT_TEXT), ("routes", ROUTES_TEXT),
+                       ("guards", GUARDS_TEXT)]:
+        f = tmp_path / f"{name}.lt"
+        f.write_text(text)
+        argvs += [[cmd, str(f)] for cmd in ("check", "explain", "classify")]
+        argvs += [["check", "--emit-reduction", f"--mode={mode}", str(f)]
+                  for mode in ("chase", "instantiate")]
+        argvs += [["classify", "--json", str(f)], ["explain", "--json", str(f)]]
+    for name, text in [("hash", HASH_SENSITIVE_SPLIT), ("split", SPLIT_TEXT),
+                       ("first", FIRST_ROUND_SPLIT)]:
+        f = tmp_path / f"{name}.itp"
+        f.write_text(text)
+        argvs.append(["interpolate", str(f)])
+    runs = _cli_in_child("0", argvs)
+    assert runs == _cli_in_child("1", argvs)
+    assert all(code in (0, 1) for _, code, _ in runs)

@@ -78,9 +78,8 @@ def test_clause_count_matches_materialization(seed):
     rng = random.Random(seed)
     cbox = randgen.normal_cbox(rng, max_names=6, max_axioms=10)
     purified = _purified(cbox, randgen.random_query(rng, cbox))
-    for mode in (red.CHASE, red.INSTANTIATE):
-        sl = red.sl_instantiate(purified, mode)
-        assert red.sl_clause_count(purified, mode) == len(sl.clauses)
+    sl = red.sl_instantiate(purified, red.INSTANTIATE)
+    assert red.sl_clause_count(purified) == len(sl.clauses)
 
 
 def test_clause_count_subtracts_a_clause_that_is_a_transitivity_instance():
@@ -98,7 +97,7 @@ def test_clause_count_subtracts_a_clause_that_is_a_transitivity_instance():
     show = lambda atom: pipeline.render_atom(purified, atom)  # noqa: E731
     assert sorted(map(show, premises)) == ["C <= f_s(f_r(C))", "f_r(C) <= C"]
     assert show(concl) == "f_r(C) <= f_s(f_r(C))"
-    assert red.sl_clause_count(purified, red.INSTANTIATE) == len(sl.clauses)
+    assert red.sl_clause_count(purified) == len(sl.clauses)
 
 
 def test_numeric_conjunction_intersects_to_one_literal():

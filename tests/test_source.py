@@ -18,3 +18,22 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_nested_function_is_used():
+    # a helper defined inside a function body that the body never names
+    # is dead code
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {node.id for node in ast.walk(outer)
+                     if isinstance(node, ast.Name)}
+            found += [f"{path.name}:{inner.lineno} {inner.name}"
+                      for stmt in outer.body for inner in ast.walk(stmt)
+                      if isinstance(inner, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                      and inner.name not in names]
+    assert found == []
