@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import hornsat, oracle, pipeline, randgen
 from . import reduce as red
@@ -52,52 +53,64 @@ def _parse_query(text: str) -> Query:
 
 
 # ---------------------------------------------------------------------------
-# dumps shared by check / classify / explain
+# output shared by the commands
 # ---------------------------------------------------------------------------
+
+# a command returns its exit status and its output, so that the status is
+# decided before anything is written
+Outcome = tuple[int, str]
+
 
 def _wants_dump(args: argparse.Namespace) -> bool:
     return args.emit_psi or args.emit_reduction
 
 
-def _emit_dumps(report: pipeline.Report, args: argparse.Namespace,
-                header: Optional[str] = None) -> None:
-    if header is not None:
-        print(f"# {header}")
+def _dumps(report: pipeline.Report, args: argparse.Namespace,
+           header: Optional[str] = None) -> str:
+    out = f"# {header}\n" if header is not None else ""
     if args.emit_psi:
-        sys.stdout.write(pipeline.emit_psi(report))
+        out += pipeline.emit_psi(report)
     if args.emit_reduction:
-        sys.stdout.write(pipeline.emit_reduction(report))
+        out += pipeline.emit_reduction(report)
+    return out
+
+
+def _json(body) -> str:
+    return json.dumps(body, indent=2) + "\n"
+
+
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Outcome:
     cbox = parse_cbox(_load(args.file))
     if not cbox.queries:
         raise CheckError("the file has no queries (add `? C sub D` lines)")
     reports = [pipeline.check_subsumption(cbox, q, mode=args.mode,
                                           normalize=args.normalize)
                for q in cbox.queries]
+    status = 0 if all(r.subsumed for r in reports) else 1
     if args.json:
-        print(json.dumps([pipeline.json_report(r) for r in reports], indent=2))
-    elif _wants_dump(args):
+        return status, _json([pipeline.json_report(r) for r in reports])
+    if _wants_dump(args):
         many = len(reports) > 1
-        for r in reports:
-            _emit_dumps(r, args, header=str(r.query) if many else None)
-    else:
-        for r in reports:
-            verdict = "subsumed" if r.subsumed else "not subsumed"
-            print(f"{r.query}: {verdict}")
-    return 0 if all(r.subsumed for r in reports) else 1
+        return status, "".join(_dumps(r, args, str(r.query) if many else None)
+                               for r in reports)
+    return status, _lines(
+        f"{r.query}: {'subsumed' if r.subsumed else 'not subsumed'}"
+        for r in reports)
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Outcome:
     cbox = parse_cbox(_load(args.file))
     cls = pipeline.classify(cbox, mode=args.mode, normalize=args.normalize)
     names = sorted(cls.names)
@@ -106,22 +119,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
         body["names"] = names
         body["subsumers"] = {a: sorted(b for b in names if cls.holds(a, b))
                              for a in names}
-        print(json.dumps(body, indent=2))
-    elif _wants_dump(args):
-        _emit_dumps(cls.report, args)
-    else:
-        pairs = sorted(cls.pairs())
-        for a, b in pairs:
-            print(f"{a} sub {b}")
-        print(f"# {len(names)} names, {len(pairs)} proper subsumptions")
-    return 0
+        return 0, _json(body)
+    if _wants_dump(args):
+        return 0, _dumps(cls.report, args)
+    pairs = sorted(cls.pairs())
+    return 0, _lines([*(f"{a} sub {b}" for a, b in pairs),
+                      f"# {len(names)} names, {len(pairs)} proper subsumptions"])
 
 
 # ---------------------------------------------------------------------------
 # explain
 # ---------------------------------------------------------------------------
 
-def cmd_explain(args: argparse.Namespace) -> int:
+def cmd_explain(args: argparse.Namespace) -> Outcome:
     cbox = parse_cbox(_load(args.file))
     if args.query is not None:
         queries = [_parse_query(args.query)]
@@ -131,33 +141,28 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not queries:
         raise CheckError("nothing to explain: pass a query or add `?` lines")
 
-    all_hold = True
-    out = []
-    for q in queries:
-        report, lines = pipeline.explain(cbox, q, mode=args.mode)
-        all_hold &= report.subsumed
-        if args.json:
-            body = pipeline.json_report(report)
-            body["derivation"] = lines
-            out.append(body)
-        elif _wants_dump(args):
-            _emit_dumps(report, args,
-                        header=str(q) if len(queries) > 1 else None)
-        else:
-            verdict = "subsumed" if report.subsumed else "not subsumed"
-            print(f"{q}: {verdict}")
-            for line in lines:
-                print(f"  {line}")
+    explained = [pipeline.explain(cbox, q, mode=args.mode) for q in queries]
+    status = 0 if all(report.subsumed for report, _ in explained) else 1
     if args.json:
-        print(json.dumps(out, indent=2))
-    return 0 if all_hold else 1
+        return status, _json([{**pipeline.json_report(report),
+                               "derivation": lines}
+                              for report, lines in explained])
+    if _wants_dump(args):
+        many = len(queries) > 1
+        return status, "".join(_dumps(report, args, str(q) if many else None)
+                               for q, (report, _) in zip(queries, explained))
+    out = []
+    for q, (report, lines) in zip(queries, explained):
+        out.append(f"{q}: {'subsumed' if report.subsumed else 'not subsumed'}")
+        out += [f"  {line}" for line in lines]
+    return status, _lines(out)
 
 
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> Outcome:
     sl = red.parse_reduction(_load(args.file))
     # a dump does not say which mode made it: a `chase` dump leaves
     # transitivity to the solver, and an `instantiate` dump's transitivity
@@ -166,53 +171,45 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                    transitive=True)
     if result.sat:
         hornsat.model_check(result, sl.facts, sl.clauses, sl.goal)
+    status = 1 if sl.goal is not None and result.sat else 0
     model = sorted(result.model())
     if args.json:
-        print(json.dumps({
+        return status, _json({
             "verdict": "sat" if result.sat else "goal-derived",
             "goal": f"{sl.goal[0]} <= {sl.goal[1]}" if sl.goal else None,
             "atoms": len(model),
-        }, indent=2))
-    elif sl.goal is None:
-        for a, b in model:
-            print(f"{a} <= {b}")
-    elif result.sat:
-        print(f"goal not derived: {sl.goal[0]} <= {sl.goal[1]}")
-    else:
-        print(f"goal derived: {sl.goal[0]} <= {sl.goal[1]}")
-        for line in pipeline.render_steps(result.solver.trace(sl.goal),
-                                          lambda a: f"{a[0]} <= {a[1]}"):
-            print(f"  {line}")
+        })
     if sl.goal is None:
-        return 0
-    return 1 if result.sat else 0
+        return status, _lines(f"{a} <= {b}" for a, b in model)
+    goal = f"{sl.goal[0]} <= {sl.goal[1]}"
+    if result.sat:
+        return status, _lines([f"goal not derived: {goal}"])
+    steps = pipeline.render_steps(result.solver.trace(sl.goal),
+                                  lambda a: f"{a[0]} <= {a[1]}")
+    return status, _lines([f"goal derived: {goal}",
+                           *(f"  {line}" for line in steps)])
 
 
 # ---------------------------------------------------------------------------
 # interpolate
 # ---------------------------------------------------------------------------
 
-def cmd_interpolate(args: argparse.Namespace) -> int:
+def cmd_interpolate(args: argparse.Namespace) -> Outcome:
     inp = parse_interpolation_input(_load(args.file))
     try:
         result, gcis = interpolate_input(inp)
     except NotUnsat as exc:
         print(f"no interpolant: {exc}", file=sys.stderr)
-        return 1
+        return 1, ""
     if args.json:
-        print(json.dumps({
+        return 0, _json({
             "interpolant": [str(g) for g in gcis],
             "iterations": result.iterations,
             "ops_shared": result.ops_shared,
             "shared_names": sorted(n for n in result.shared_consts
                                    if not n.startswith("__")),
-        }, indent=2))
-    elif not gcis:
-        print("top")
-    else:
-        for g in gcis:
-            print(g)
-    return 0
+        })
+    return 0, _lines([str(g) for g in gcis] if gcis else ["top"])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def _check_sample(seed: int, failures: list[str], lines: list[str]) -> int:
     return checked
 
 
-def cmd_cross_check(args: argparse.Namespace) -> int:
+def cmd_cross_check(args: argparse.Namespace) -> Outcome:
     failures: list[str] = []
     lines: list[str] = []
     checks = 0
@@ -325,19 +322,16 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     if checks == 0:
         raise CheckError("nothing to cross-check: pass a file with queries "
                          "or --samples N")
+    status = 1 if failures else 0
     if args.json:
-        print(json.dumps({
+        return status, _json({
             "checks": checks,
             "samples": args.samples,
             "failures": failures,
-        }, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        verdict = "FAIL" if failures else "PASS"
-        print(f"cross-check {verdict}: {checks} checks, "
-              f"{len(failures)} failures")
-    return 1 if failures else 0
+        })
+    verdict = "FAIL" if failures else "PASS"
+    return status, _lines([*lines, f"cross-check {verdict}: {checks} checks, "
+                                   f"{len(failures)} failures"])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +412,7 @@ EXIT_INTERNAL = 3
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, out = args.func(args)
     except (LoctameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -428,6 +422,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: not an input error.  What is still
+        # buffered goes to devnull, so the flush at exit does not raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -264,7 +264,7 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
                              micros={"numeric": _now() - t})
 
     sl = red.sl_instantiate(split.concept, mode,
-                            meet_intro=(mode != red.CHASE))
+                            triggered=(mode != red.CHASE))
     micros["sl_instantiate"] = _now() - t
     t = _now()
     solver = _build_solver(split.concept, sl)

@@ -17,6 +17,8 @@ clause families that grow with the square of the closure or faster: one
 `Family` per Mon/K2/K3 axiom (monotonicity of the operators whose
 arguments are all concepts and the instances of role compositions,
 indexed by tail and argument, and by guard), and meet introduction.
+`Family.rule` spells out each rule, for the index and the written-out
+reduction alike.
 A triggered rule fires when its last premise is
 popped, exactly when its materialized clause would have: every clause and
 rule carries a rank (its position in the materialized clause list: one
@@ -91,6 +93,26 @@ class Family:
     choices: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...]
     guard: Optional[str] = None
 
+    def rule(self, hi: int, ci: int
+             ) -> tuple[int, tuple[AtomKey, ...], AtomKey]:
+        """The rule joining head hi and choice ci: its position, premises
+        (tails, then guard atoms, without repeats) and conclusion."""
+        head, zs = self.heads[hi]
+        tails, guarded, rhs = self.choices[ci]
+        premises = list(zip(zs, tails))
+        if self.guard is not None:
+            premises += [(x, self.guard) for x in guarded]
+        return (hi * len(self.choices) + ci, tuple(dict.fromkeys(premises)),
+                (head, rhs))
+
+    def rules(self) -> Iterator[tuple[int, tuple[AtomKey, ...], AtomKey]]:
+        """Every rule in position order, leaving out Mon's (t, t) rules as
+        algebra.composed does."""
+        mon = self.tag.startswith("Mon(")
+        return (self.rule(hi, ci) for hi, (head, _) in enumerate(self.heads)
+                for ci, (*_, rhs) in enumerate(self.choices)
+                if not (mon and head == rhs))
+
 
 class Triggers:
     """Rule families indexed by premise, fired by the solver on demand.
@@ -115,7 +137,8 @@ class Triggers:
         self.by_tail: dict[str, list[tuple[int, int, list[int]]]] = {}
         self.heads_at: dict[tuple[int, int, str], list[int]] = {}
         self.by_guard: dict[str, list[tuple[int, dict[str, list[int]]]]] = {}
-        self.concluding: list[tuple[int, int, dict[str, int], dict[str, int]]] = []
+        self.concluding: list[tuple[int, Family, dict[str, int],
+                                    dict[str, int]]] = []
         for f, (block, fam) in enumerate(families):
             self.families.append((block << _RANK_BITS, fam))
             slots: dict[tuple[int, str], list[int]] = {}
@@ -135,7 +158,7 @@ class Triggers:
             if fam.guard is not None:
                 self.by_guard.setdefault(fam.guard, []).append((f, guarded))
             self.concluding.append((
-                block, f, {h: hi for hi, (h, _) in enumerate(fam.heads)},
+                block, fam, {h: hi for hi, (h, _) in enumerate(fam.heads)},
                 {rhs: ci for ci, (*_, rhs) in enumerate(fam.choices)}))
         self.concluding.sort(key=itemgetter(0))
         self.meets = list(meets.items())
@@ -146,16 +169,6 @@ class Triggers:
                 self.meets_by_operand.setdefault(o, []).append(mi)
         self.universe = {z: zi for zi, z in enumerate(universe)}
 
-    def rule(self, f: int, hi: int, ci: int) -> Rule:
-        base, fam = self.families[f]
-        head, zs = fam.heads[hi]
-        tails, guarded, rhs = fam.choices[ci]
-        premises = list(zip(zs, tails))
-        if fam.guard is not None:
-            premises += [(x, fam.guard) for x in guarded]
-        return (base | (hi * len(fam.choices) + ci),
-                tuple(dict.fromkeys(premises)), (head, rhs), fam.tag)
-
     def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
         """Every rule that has the atom among its premises and concludes
         more than reflexivity, once each."""
@@ -164,7 +177,7 @@ class Triggers:
             his = self.heads_at.get((f, pos, a))
             if his is None:
                 continue
-            fam = self.families[f][1]
+            base, fam = self.families[f]
             for ci in cis:
                 tails, _, rhs = fam.choices[ci]
                 for hi in his:
@@ -175,12 +188,13 @@ class Triggers:
                     if head == rhs or any(zs[i] == a and tails[i] == b
                                           for i in range(pos)):
                         continue
-                    yield self.rule(f, hi, ci)
+                    at, premises, concl = fam.rule(hi, ci)
+                    yield base | at, premises, concl, fam.tag
         for f, guarded in self.by_guard.get(b, ()):
             cis = guarded.get(a)
             if cis is None:
                 continue
-            fam = self.families[f][1]
+            base, fam = self.families[f]
             for ci in cis:
                 tails, _, rhs = fam.choices[ci]
                 for hi, (head, zs) in enumerate(fam.heads):
@@ -188,7 +202,8 @@ class Triggers:
                     if head == rhs or any(z == a and t == b
                                           for z, t in zip(zs, tails)):
                         continue
-                    yield self.rule(f, hi, ci)
+                    at, premises, concl = fam.rule(hi, ci)
+                    yield base | at, premises, concl, fam.tag
         zi = self.universe.get(a)
         if zi is None:
             return
@@ -209,12 +224,12 @@ class Triggers:
         argument of it.)"""
         block = rank >> _RANK_BITS
         t, u = concl
-        for other, f, heads, rhs in self.concluding:
+        for other, fam, heads, rhs in self.concluding:
             if other >= block:
                 return False
             hi, ci = heads.get(t), rhs.get(u)
             if (hi is not None and ci is not None
-                    and frozenset(self.rule(f, hi, ci)[1]) == premises):
+                    and frozenset(fam.rule(hi, ci)[1]) == premises):
                 return True
         return False
 

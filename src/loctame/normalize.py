@@ -16,10 +16,11 @@ them rather than approximating.
 
 from __future__ import annotations
 
+import itertools
 from typing import Union
 
 from .syntax import (And, Bot, CBox, Concept, Exists, GCI, Interval,
-                     LoctameError, Name, RoleInclusion, Top, CONCEPT)
+                     LoctameError, Name, Top, CONCEPT)
 
 MAX_GROWTH = 4  # output axioms per input connective, asserted in tests
 
@@ -131,16 +132,9 @@ def normalize(cbox: CBox) -> CBox:
         nm.reject_unsupported(g.rhs)
         nm.gci(g.lhs, g.rhs)
 
-    role_incls: list[RoleInclusion] = []
-    counter = 0
-    for ri in cbox.role_incls:
-        chain = list(ri.chain)
-        while len(chain) > 2:
-            aux = f"_nc{counter}"
-            counter += 1
-            role_incls.append(RoleInclusion((chain[-2], chain[-1]), aux))
-            chain[-2:] = [aux]
-        role_incls.append(RoleInclusion(tuple(chain), ri.rhs))
+    counter = itertools.count()
+    role_incls = [step for ri in cbox.role_incls
+                  for step in ri.split_chain(lambda: f"_nc{next(counter)}")]
 
     return CBox(roles=dict(cbox.roles), restrictions=(),
                 gcis=tuple(nm.out), role_incls=tuple(role_incls),

@@ -19,8 +19,8 @@ and meet introduction, instead of materializing them.  K1, K2 with a
 guard on a numeric position, Mon over operators with a numeric argument,
 and the lattice facts are materialized.  `instantiate`
 mode materializes everything, as the paper's reduction does.
-Report.instances and Report.sl give the full reduction in both modes; in
-`chase` mode they build it on first use.
+Report.sl gives the full reduction in both modes; `chase` mode writes it
+out on first use from the solver's own term table and rule families.
 """
 
 from __future__ import annotations
@@ -42,54 +42,34 @@ class Report:
     query: Optional[Query]
     problem: alg.AlgebraicProblem
     psi: list[alg.Apply]
-    # the instances the solver was built from; in `chase` mode without the
-    # instances it fires from its trigger index (purified.triggered)
-    built: list[alg.Instance]
     purified: red.PurifiedProblem
     combine: concdom.CombineResult
     mode: str = red.CHASE
     micros: dict[str, int] = field(default_factory=dict)
 
     @cached_property
-    def instances(self) -> list[alg.Instance]:
-        """Every closure-local axiom instance."""
-        if not self.purified.triggered:
-            return self.built
-        return alg.instantiate(self.problem.axioms, self.psi)
-
-    @cached_property
     def sl(self) -> Optional[red.SLProblem]:
         """The full ground Horn problem of the reduction.  In `chase` mode
-        it is rebuilt from `instances`; its proxies are the solver's."""
+        it is written out from the solver's own term table and families."""
         if self.combine.sl is None or self.mode != red.CHASE:
             return self.combine.sl
-        purified = red.flatten_purify(self.instances, self.problem.goal,
-                                      self.problem)
-        return red.sl_instantiate(concdom.split_problem(purified).concept,
-                                  self.mode)
+        return red.sl_instantiate(concdom.split_problem(self.purified).concept)
 
     @property
     def clause_count(self) -> int:
-        """len(self.sl.clauses), without rebuilding the full reduction in
-        `chase` mode: the solver's clauses, each triggered rule that is no
-        twin of one counted before (Mon skips its (t, t) rule, as
-        alg.composed does), and meet introduction for every meet and
-        every other constant."""
+        """len(self.sl.clauses), without writing out the full reduction in
+        `chase` mode: the solver's clauses and the family rules, each
+        counted once, and meet introduction for every meet and every
+        other constant."""
         sl = self.combine.sl
         if sl is None:
             return 0
         if self.mode != red.CHASE:
             return len(sl.clauses)
         keys = {(frozenset(p), c) for p, c, _ in sl.clauses}
-        for fam in self.purified.triggered.values():
-            mon = fam.tag.startswith("Mon(")
-            for head, zs in fam.heads:
-                for tails, guarded, rhs in fam.choices:
-                    if mon and head == rhs:
-                        continue
-                    keys.add((frozenset([*zip(zs, tails),
-                                         *((x, fam.guard) for x in guarded)]),
-                              (head, rhs)))
+        keys.update((frozenset(p), c)
+                    for fam in self.purified.triggered.values()
+                    for _, p, c in fam.rules())
         return len(keys) + len(self.purified.meets) * (len(sl.universe) - 1)
 
     @property
@@ -156,8 +136,8 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     micros.update(combine.micros)
 
     return Report(subsumed=combine.subsumed, query=None, problem=problem,
-                  psi=psi, built=instances, purified=purified,
-                  combine=combine, mode=mode, micros=micros)
+                  psi=psi, purified=purified, combine=combine, mode=mode,
+                  micros=micros)
 
 
 def check_subsumption(cbox: CBox, query: Query, mode: str = red.CHASE,

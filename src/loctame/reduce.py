@@ -33,13 +33,17 @@ terms in the order the materialized instances would have (walking, per
 axiom, the first head with every choice and each later head with its
 first choice, which is linear in the closure terms involved), so the
 proxies, the dumped reduction and every derivation read the same in both
-forms.
+forms.  To show the full reduction, sl_instantiate writes those rules
+out from the same table: each family in its axiom's place among the
+instances (hornsat.Family.rules), then meet introduction.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import algebra as alg, hornsat
@@ -173,26 +177,6 @@ class _Translator:
         self.env.sigs[name] = (CONCEPT, CONCEPT)
         return name
 
-    def split_chain(self, ri: RoleInclusion) -> list[RoleInclusion]:
-        """Rewrite a sequential chain of length > 2 into length-2 steps.
-
-        The guard stays on the innermost step (the one producing the fresh
-        role): the fresh role has no other source, so the guard still
-        controls every derivation of the full composition.
-        """
-        if ri.parallel or len(ri.chain) <= 2:
-            return [ri]
-        out = []
-        chain = list(ri.chain)
-        guard = ri.guard
-        while len(chain) > 2:
-            aux = self.fresh_chain_role()
-            out.append(RoleInclusion((chain[-2], chain[-1]), aux, guard))
-            guard = None
-            chain[-2:] = [aux]
-        out.append(RoleInclusion(tuple(chain), ri.rhs, guard))
-        return out
-
     def role_incl_axiom(self, ri: RoleInclusion) -> alg.AlgAxiom:
         guard = self.term(ri.guard, CONCEPT) if ri.guard is not None else None
         head, tails = ri.chain[0], ri.chain[1:]
@@ -231,7 +215,7 @@ def translate(cbox: CBox, query: Optional[Query] = None,
 
     axioms: list[alg.AlgAxiom] = []
     for ri in cbox.role_incls:
-        for step in tr.split_chain(ri):
+        for step in ri.split_chain(tr.fresh_chain_role):
             axioms.append(tr.role_incl_axiom(step))
 
     assumptions = []
@@ -481,18 +465,19 @@ def _atom_key(a: Leq) -> AtomKey:
 
 
 def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
-                   meet_intro: bool = True) -> SLProblem:
+                   triggered: bool = True) -> SLProblem:
     """Unroll the lattice theory over the concept constants of a purified
     problem; the one builder of the theory.
 
     Facts: the inputs, then reflexivity, the bottom/top bounds and each
-    meet below its operands.  Clauses: the purified axiom instances, then
-    meet introduction (S4) unless meet_intro is off (the chase solver fires
-    it from its trigger index).  In `instantiate` mode, transitivity over
-    all ordered triples is materialized too; in `chase` mode the solver's
-    built-in transitive closure covers it.  Facts and clauses are
-    deduplicated, the first label or tag winning, so inputs and axiom
-    instances keep their own.
+    meet below its operands.  Clauses: the purified axiom instances with
+    each family of purified.triggered in its axiom's place, then meet
+    introduction (S4); with triggered off, the chase solver fires those
+    two from its trigger index instead.  In `instantiate` mode,
+    transitivity over all ordered triples is materialized too; in `chase`
+    mode the solver's built-in transitive closure covers it.  Facts and
+    clauses are deduplicated, the first label or tag winning, so inputs
+    and axiom instances keep their own.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,9 +498,15 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     add_fact = facts.setdefault
     for i, a in enumerate(purified.facts):
         add_fact(_atom_key(a), f"input:{i}")
-    for inst in purified.clauses:
-        add_clause([_atom_key(p) for p in inst.premises],
-                   _atom_key(inst.conclusion), inst.tag, inst.axiom)
+    # both in axiom order, and no axiom has both instances and a family
+    instances = (([_atom_key(p) for p in inst.premises],
+                  _atom_key(inst.conclusion), inst.tag, inst.axiom)
+                 for inst in purified.clauses)
+    families = sorted(purified.triggered.items()) if triggered else []
+    written = ((premises, concl, fam.tag, i) for i, fam in families
+               for _, premises, concl in fam.rules())
+    for clause in heapq.merge(instances, written, key=itemgetter(3)):
+        add_clause(*clause)
     universe = [c for c, s in purified.consts.items() if s == CONCEPT]
     for x in universe:
         add_fact((x, x), "refl")
@@ -525,7 +516,7 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     for m, operands in purified.meets.items():
         for o in operands:
             add_fact((m, o), "meet-below")
-    if meet_intro:
+    if triggered:
         for m, operands in purified.meets.items():
             for z in universe:
                 if z != m:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class LoctameError(Exception):
@@ -198,6 +198,22 @@ class RoleInclusion:
         if self.guard is not None:
             s += f" guard {self.guard}"
         return s
+
+    def split_chain(self, fresh: Callable[[], str]) -> list["RoleInclusion"]:
+        """Rewrite a sequential chain longer than two into two-step ones,
+        right to left, naming each new composition with a `fresh()` role.
+        The guard stays on the innermost step: its fresh role has no other
+        source, so the guard still controls every derivation."""
+        if self.parallel or len(self.chain) <= 2:
+            return [self]
+        out, chain, guard = [], list(self.chain), self.guard
+        while len(chain) > 2:
+            aux = fresh()
+            out.append(RoleInclusion((chain[-2], chain[-1]), aux, guard))
+            guard = None
+            chain[-2:] = [aux]
+        out.append(RoleInclusion(tuple(chain), self.rhs))
+        return out
 
 
 @dataclass(frozen=True)
@@ -683,7 +699,8 @@ def concept_sort(c: Concept, env: RoleEnv) -> str:
                 raise CheckError(
                     f"role {c.role!r} needs {len(want)} filler(s), got {len(c.fillers)}")
             for f, w in zip(c.fillers, want):
-                got = concept_sort(f, env)
+                # top and bot are polymorphic: they take the position's sort
+                got = w if isinstance(f, (Top, Bot)) else concept_sort(f, env)
                 if got != w:
                     raise CheckError(
                         f"filler of {c.role!r} has sort {got}, expected {w}: {f}")

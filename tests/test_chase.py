@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from loctame import concdom, hornsat, pipeline, randgen
+from loctame import algebra as alg, concdom, hornsat, pipeline, randgen
 from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
@@ -32,17 +33,25 @@ def _render(report: pipeline.Report, steps: list[hornsat.TraceStep]) -> list[str
     return lines
 
 
+def _reference(report: pipeline.Report) -> red.PurifiedProblem:
+    """The purified problem of the `instantiate`-mode report of the same
+    query: every closure-local instance materialized."""
+    return red.flatten_purify(
+        alg.instantiate(report.problem.axioms, report.psi),
+        report.problem.goal, report.problem)
+
+
 def _materialized(report: pipeline.Report):
-    """Solve the full reduction (report.sl) with every clause materialized,
-    moving in the conclusions of the mixed clauses (whose numeric premises
-    hold) as their concept premises come to hold; returns the result and
-    the movements."""
-    sl = report.sl
-    full = red.flatten_purify(report.instances, report.problem.goal,
-                              report.problem)
+    """Solve the full reduction, taken from the `instantiate`-mode report
+    of the same query without its transitivity clauses, with every clause
+    materialized, moving in the conclusions of the mixed clauses (whose
+    numeric premises hold) as their concept premises come to hold;
+    returns the result and the movements."""
+    full = _reference(report)
     assert full.defs == report.purified.defs
     assert full.consts == report.purified.consts
     split = concdom.split_problem(full)
+    sl = red.sl_instantiate(split.concept)
     if not split.mixed:
         return hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
                                      transitive=True), []
@@ -132,6 +141,16 @@ def test_classification_model_equals_the_materialized_one():
         len(res.solver.atom_keys)
 
 
+def _without_trans(sl: red.SLProblem) -> red.SLProblem:
+    """An `instantiate`-mode reduction without its trailing transitivity
+    clauses, read as a `chase`-mode one."""
+    n = len(sl.clauses)
+    while n and sl.clauses[n - 1][2] == "trans":
+        n -= 1
+    return replace(sl, clauses=sl.clauses[:n], blocks=sl.blocks[:n],
+                   mode=red.CHASE)
+
+
 def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
     chase = pipeline.check_subsumption(defs_cbox, defs_cbox.queries[0])
     inst = pipeline.check_subsumption(defs_cbox, defs_cbox.queries[0],
@@ -140,9 +159,60 @@ def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
     built = {tag for _, _, tag in chase.combine.sl.clauses}
     assert not any(t.startswith("Mon") or t == "meet-intro" for t in built)
     assert chase.purified.triggered
-    # ... while the report shows the whole reduction
-    assert chase.instances == inst.instances
+    # ... while the report shows the whole reduction: the `instantiate`
+    # one without its transitivity clauses
+    assert _without_trans(inst.sl) == chase.sl
     assert {tag for *_, tag in chase.sl.clauses} >= {"Mon(f_r1)", "meet-intro"}
+
+
+def test_the_full_reduction_is_the_instantiate_one_without_transitivity(
+        freight_cbox, defs_cbox, anatomy_cbox, routes_cbox, guards_cbox):
+    # the same facts, universe, goal, proxies and clauses, in the same order
+    cases = [(cbox, cbox.queries[0]) for cbox in (
+        freight_cbox, defs_cbox, anatomy_cbox, routes_cbox, guards_cbox)]
+    for seed in range(40):
+        rng = random.Random(14_000 + seed)
+        cbox = randgen.extended_cbox(rng)
+        cases.append((cbox, randgen.random_query(rng, cbox)))
+        cbox = randgen.numeric_cbox(rng)
+        cases.append((cbox, randgen.numeric_query(rng, cbox)))
+        cases.append((randgen.normal_cbox(rng, max_names=8, max_roles=3,
+                                          max_axioms=14), None))
+    written = 0
+    for cbox, query in cases:
+        chase, inst = (pipeline.check_subsumption(cbox, query, mode=mode)
+                       if query is not None
+                       else pipeline.classify(cbox, mode=mode).report
+                       for mode in (red.CHASE, red.INSTANTIATE))
+        assert chase.purified.defs == inst.purified.defs
+        if inst.sl is None:
+            assert chase.sl is None
+            continue
+        assert chase.sl == _without_trans(inst.sl)
+        written += bool(chase.purified.triggered)
+    assert written >= 100
+
+
+def test_reading_the_full_reduction_builds_no_second_reduction(
+        monkeypatch, defs_cbox, guards_cbox):
+    reports = [pipeline.check_subsumption(cbox, cbox.queries[0])
+               for cbox in (defs_cbox, guards_cbox)]
+    reports.append(pipeline.classify(randgen.scaling_family(30)).report)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(alg, "instantiate", counted(alg.instantiate))
+    monkeypatch.setattr(red, "flatten_purify", counted(red.flatten_purify))
+    for report in reports:
+        assert report.purified.triggered
+        assert report.sl.clauses and report.clause_count
+        pipeline.emit_reduction(report)
+    assert calls == []
 
 
 def test_numeric_operators_keep_materialized_monotonicity(freight_cbox):
@@ -415,7 +485,7 @@ def test_scaling_family_instantiates_only_k1():
     # chase fires the 201 of them that derive, and materializes only the
     # K1 instances of `r sub s`
     report = pipeline.classify(randgen.scaling_family(300)).report
-    assert {inst.tag for inst in report.built} == {"K1"}
+    assert {tag for *_, tag in report.combine.sl.clauses} == {"K1"}
     solver = report.combine.result.solver
     assert len(solver.reasons) == 2908
     # the materialized K2 instances alone interned 10,000 premise atoms

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from loctame import cli
+import loctame
+from loctame import cli, randgen
 from loctame.reduce import parse_reduction
-from loctame.syntax import MAX_NESTING
+from loctame.syntax import MAX_NESTING, render_cbox
 from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
                             GUARDS_TEXT, ROUTES_TEXT, SPLIT_TEXT)
 
@@ -283,6 +287,24 @@ def test_nesting_at_the_bound_is_decided(tmp_path, capsys):
     assert "subsumed" in capsys.readouterr().out
 
 
+def test_top_and_bot_fill_a_numeric_position(tmp_path, capsys):
+    p = tmp_path / "poly.lt"
+    p.write_text("decl role p : (concept, num)\n"
+                 "decl role w : (concept, concept, num)\n"
+                 "A sub exists p . top\n"
+                 "? A sub exists p . top\n"
+                 "? exists p . num up 3 sub exists p . top\n"
+                 "? exists p . bot sub exists p . num up 3\n"
+                 "? exists w . (B, num up 2) sub exists w . (B, top)\n")
+    for mode in ("chase", "instantiate"):
+        assert cli.main(["check", f"--mode={mode}", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": subsumed") == 4
+    assert cli.main(["explain", str(p), "exists p . num up 3 sub "
+                     "exists p . top"]) == 0
+    assert "[Mon(f_p)]" in capsys.readouterr().out
+
+
 def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise KeyError("no such\nthing")
@@ -293,3 +315,23 @@ def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: KeyError")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_a_reader_closing_the_pipe_is_no_error(tmp_path):
+    # three dumps of about 400 kB each: the pipe's buffer fills while the
+    # first is written, so the reader is gone before the last one
+    p = tmp_path / "scale.lt"
+    queries = "".join(f"? C{i} sub C{i}\n" for i in range(3))
+    p.write_text(render_cbox(randgen.scaling_family(100)) + queries)
+    src = str(Path(loctame.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loctame.cli", "check", "--emit-reduction",
+         str(p)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# ? C0 sub C0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

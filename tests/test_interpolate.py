@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from loctame import interpolate as itp
 from loctame import randgen
 from loctame import reduce as red
 from loctame.algebra import Apply, Const, Leq, Meet
-from loctame.syntax import CheckError, LoctameError, parse_interpolation_input
+from loctame.syntax import (CheckError, LoctameError, parse_interpolation_input,
+                            render_cbox)
 
 
 def _sgc_problem() -> itp.InterpolationProblem:
@@ -338,6 +340,23 @@ def test_interpolant_does_not_depend_on_string_hashing(tmp_path):
         f = tmp_path / f"{name}.itp"
         f.write_text(text)
         argvs.append(["interpolate", str(f)])
+    # generated inputs, drawn here so that both children read the same text
+    for seed in range(12):
+        rng = random.Random(15_000 + seed)
+        for kind, make_cbox, make_query in (
+                ("ext", randgen.extended_cbox, randgen.random_query),
+                ("num", randgen.numeric_cbox, randgen.numeric_query)):
+            cbox = make_cbox(rng)
+            cbox = replace(cbox, queries=(make_query(rng, cbox),))
+            f = tmp_path / f"{kind}{seed}.lt"
+            f.write_text(render_cbox(cbox))
+            argvs += [["check", str(f)], ["explain", str(f)],
+                      ["explain", "--json", str(f)],
+                      ["check", "--emit-reduction", str(f)]]
+        f = tmp_path / f"normal{seed}.lt"
+        f.write_text(render_cbox(randgen.normal_cbox(rng)))
+        argvs += [["classify", str(f)], ["classify", "--json", str(f)],
+                  ["classify", "--emit-reduction", str(f)]]
     runs = _cli_in_child("0", argvs)
     assert runs == _cli_in_child("1", argvs)
     assert all(code in (0, 1) for _, code, _ in runs)

@@ -192,8 +192,9 @@ def test_purify_walks_each_term_object_once(monkeypatch):
         return purify(self, t)
 
     monkeypatch.setattr(red._Purifier, "purify", counting)
-    purified = red.flatten_purify(report.instances, report.problem.goal,
-                                  report.problem)
+    purified = red.flatten_purify(
+        alg.instantiate(report.problem.axioms, report.psi),
+        report.problem.goal, report.problem)
     sides = 2 * (len(purified.facts) + 1
                  + sum(len(i.premises) + 1 for i in purified.clauses))
     # one call per atom side, plus one per argument of each term walked

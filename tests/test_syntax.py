@@ -12,6 +12,7 @@ from loctame import randgen
 from loctame.syntax import (And, CheckError, Exists, GCI, Interval,
                             MAX_NESTING, Name, ParseError, Query,
                             RoleInclusion, Top, check_cbox,
+                            concept_sort,
                             parse_cbox, parse_concept,
                             parse_interpolation_input, render_cbox,
                             resolve_roles)
@@ -100,6 +101,19 @@ def test_role_arity_checks(routes_cbox):
     with pytest.raises(CheckError):
         check_cbox(parse_cbox(
             "role p = restrict r at 1 to C\nA sub exists p . B\n"))
+
+
+def test_top_and_bot_are_polymorphic_fillers():
+    box = parse_cbox("decl role p : (concept, num)\n"
+                     "decl role w : (concept, concept, num)\n")
+    env = check_cbox(box)
+    for text in ("exists p . top", "exists p . bot",
+                 "exists p . (num up 3 and top)", "exists w . (B, top)",
+                 "exists w . (top, bot)"):
+        assert concept_sort(parse_concept(text), env) == "concept"
+    # a concept filler in the numeric position is still rejected
+    with pytest.raises(CheckError, match="expected num"):
+        concept_sort(parse_concept("exists p . B"), env)
 
 
 def test_composition_needs_binary_prefix():
