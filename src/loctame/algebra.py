@@ -20,8 +20,8 @@ right-hand side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .syntax import Interval, LoctameError
 
@@ -88,10 +88,14 @@ class Leq:
 
 
 def subterms(t: FlatTerm) -> Iterator[FlatTerm]:
-    yield t
-    if isinstance(t, (Apply, Meet)):
-        for a in t.args:
-            yield from subterms(a)
+    """The term and its subterms, each before its arguments, left to
+    right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (Apply, Meet)):
+            stack.extend(reversed(t.args))
 
 
 def apply_subterms(t: FlatTerm) -> Iterator[Apply]:
@@ -303,44 +307,192 @@ class AlgebraicProblem:
 
 
 # ---------------------------------------------------------------------------
-# closure
+# the term table
 # ---------------------------------------------------------------------------
 
-def goal_seeds(goal: Goal) -> list[Apply]:
-    """All operator applications inside the goal atoms, in first-seen order."""
-    seen: dict[Apply, None] = {}
-    for atom in goal.all_atoms():
-        for side in (atom.lhs, atom.rhs):
-            for t in apply_subterms(side):
-                seen.setdefault(t, None)
+MEET = "&"                          # the operator of a meet in a TermTable
+
+# an atom over table ids: (lhs, rhs) read as lhs <= rhs
+Atom = tuple[int, int]
+
+
+@dataclass(eq=False)
+class TermTable:
+    """Numbers every distinct term once: a constant by its name, a literal
+    by itself, an application or meet by its operator and argument ids.
+
+    The closure, instantiation and purification work on the ids; `unfold`
+    builds a term object back (each id once, so shared subterms stay
+    shared) where output needs one.
+    """
+
+    ids: dict[object, int] = field(default_factory=dict)
+    ops: list[Optional[str]] = field(default_factory=list)  # None: a leaf
+    args: list[tuple[int, ...]] = field(default_factory=list)
+    leaves: list[Union[Const, Lit, None]] = field(default_factory=list)
+    unfolded: dict[int, FlatTerm] = field(default_factory=dict)
+    # id of an axiom -> the axiom and its patterns over this table
+    compiled: dict[int, tuple["AlgAxiom", "_Compiled"]] = field(
+        default_factory=dict)
+
+    def leaf(self, t: Union[Const, Lit]) -> int:
+        key = t.name if isinstance(t, Const) else t
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.ops)
+            self.ops.append(None)
+            self.args.append(())
+            self.leaves.append(t)
+        return i
+
+    def compound(self, op: str, args: tuple[int, ...]) -> int:
+        key = (op, args)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.ops)
+            self.ops.append(op)
+            self.args.append(args)
+            self.leaves.append(None)
+        return i
+
+    def intern(self, t: FlatTerm) -> int:
+        if isinstance(t, (Const, Lit)):
+            return self.leaf(t)
+        args = tuple(self.intern(a) for a in t.args)
+        return self.compound(MEET if isinstance(t, Meet) else t.op, args)
+
+    def atom(self, a: Leq) -> Atom:
+        return (self.intern(a.lhs), self.intern(a.rhs))
+
+    def unfold(self, i: int) -> FlatTerm:
+        """The term object of an id."""
+        out = self.unfolded.get(i)
+        if out is None:
+            out = self.leaves[i]
+            if out is None:
+                args = tuple(self.unfold(a) for a in self.args[i])
+                op = self.ops[i]
+                out = Meet(args) if op == MEET else Apply(op, args)
+            self.unfolded[i] = out
+        return out
+
+    def leq(self, atom: Atom) -> Leq:
+        return Leq(self.unfold(atom[0]), self.unfold(atom[1]))
+
+    def compile(self, ax: "AlgAxiom") -> "_Compiled":
+        """An axiom's templates as patterns over this table, built once."""
+        hit = self.compiled.get(id(ax))
+        if hit is None:
+            # the axiom is kept with its patterns, so its id stays its own
+            hit = self.compiled[id(ax)] = (ax, _Compiled(ax, self))
+        return hit[1]
+
+
+class _Pattern:
+    """An OpTemplate over table ids: its fixed slots interned."""
+
+    __slots__ = ("op", "arity", "fixed", "var_pos")
+
+    def __init__(self, tpl: OpTemplate, table: TermTable):
+        self.op = tpl.op
+        self.arity = len(tpl.slots)
+        self.fixed = tuple((p, table.intern(s.term))
+                           for p, s in enumerate(tpl.slots)
+                           if isinstance(s, FixedSlot))
+        self.var_pos = tuple(p for p, s in enumerate(tpl.slots)
+                             if isinstance(s, VarSlot))
+
+    def match(self, args: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """The arguments at the variable slots (in variable order), or
+        None where a fixed slot or the arity differs."""
+        if len(args) != self.arity:
+            return None
+        if not self.fixed:
+            return args
+        for p, f in self.fixed:
+            if args[p] != f:
+                return None
+        return tuple(args[p] for p in self.var_pos)
+
+    def build(self, table: TermTable, values: tuple[int, ...]) -> int:
+        if not self.fixed:
+            return table.compound(self.op, values)
+        out = [0] * self.arity
+        for p, f in self.fixed:
+            out[p] = f
+        for p, v in zip(self.var_pos, values):
+            out[p] = v
+        return table.compound(self.op, tuple(out))
+
+
+class _Compiled:
+    """An axiom over one table: its templates as patterns, its guard an id."""
+
+    __slots__ = ("ax", "g", "h", "f", "gs", "guard")
+
+    def __init__(self, ax: AlgAxiom, table: TermTable):
+        self.ax = ax
+        pat = lambda tpl: _Pattern(tpl, table)  # noqa: E731
+        self.g = pat(ax.g) if isinstance(ax, K1) else None
+        self.h = pat(ax.h) if isinstance(ax, (K1, K2)) else None
+        self.f = pat(ax.f) if isinstance(ax, (K2, K3)) else None
+        self.gs = tuple(map(pat, ax.gs)) if isinstance(ax, (K2, K3)) else ()
+        self.guard = table.intern(ax.guard) if ax.guard is not None else None
+
+
+def goal_seeds(table: TermTable, atoms: Iterable[Atom]) -> list[int]:
+    """All operator applications inside the atoms, in first-seen order
+    (each atom's left side, then its right side, each term before its
+    arguments)."""
+    seen: dict[int, None] = {}
+    ops, args = table.ops, table.args
+
+    def walk(t: int) -> None:
+        op = ops[t]
+        if op is None:
+            return
+        if op != MEET:
+            seen.setdefault(t, None)
+        for a in args[t]:
+            walk(a)
+
+    for lhs, rhs in atoms:
+        walk(lhs)
+        walk(rhs)
     return list(seen)
 
 
-def psi_closure(seeds: Iterable[Apply], axioms: Iterable[AlgAxiom]) -> list[Apply]:
+# ---------------------------------------------------------------------------
+# closure
+# ---------------------------------------------------------------------------
+
+def psi_closure(table: TermTable, seeds: Iterable[int],
+                axioms: Iterable[AlgAxiom]) -> list[int]:
     """Close the seed terms under the conclusion operators of K1 and K2.
 
     K1 adds h(x) whenever g(x) is present; K2 adds h(x1..xn) whenever all
     g_i(x_i) are present.  Mon and K3 conclusions introduce no new
     operator terms.  Each round matches the axioms against a snapshot of
-    the closure.  Returns the closure in deterministic insertion order.
+    the closure.  Returns the closure's ids in deterministic insertion
+    order.
     """
-    psi: dict[Apply, None] = {}
-    for s in seeds:
-        psi.setdefault(s, None)
-
-    k1s = [ax for ax in axioms if isinstance(ax, K1)]
-    k2s = [ax for ax in axioms if isinstance(ax, K2)]
+    psi: dict[int, None] = dict.fromkeys(seeds)
+    compiled = [table.compile(ax) for ax in axioms
+                if isinstance(ax, (K1, K2))]
+    k1s = [c for c in compiled if isinstance(c.ax, K1)]
+    k2s = [c for c in compiled if isinstance(c.ax, K2)]
+    args = table.args
 
     changed = True
     while changed:
         changed = False
-        by_op = terms_by_op(psi)
+        by_op = terms_by_op(table, psi)
         new = itertools.chain(
-            (ax.h.build(binding) for ax in k1s
-             for t in by_op.get(ax.g.op, [])
-             if (binding := ax.g.match(t)) is not None),
-            (ax.h.build(xbind) for ax in k2s
-             for _, xbind in _tail_product(ax, by_op)))
+            (c.h.build(table, vals) for c in k1s
+             for t in by_op.get(c.g.op, ())
+             if (vals := c.g.match(args[t])) is not None),
+            (c.h.build(table, vals) for c in k2s
+             for _, vals in _tail_product(c, by_op, args)))
         for t in new:
             if t not in psi:
                 psi[t] = None
@@ -352,19 +504,14 @@ def psi_closure(seeds: Iterable[Apply], axioms: Iterable[AlgAxiom]) -> list[Appl
 # instantiation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
-    """A ground Horn clause produced from one axiom and closure terms."""
+class Instance(NamedTuple):
+    """A ground Horn clause over table ids, from one axiom and closure
+    terms."""
 
-    premises: tuple[Leq, ...]
-    conclusion: Leq
+    premises: tuple[Atom, ...]
+    conclusion: Atom
     tag: str
     axiom: int = 0                  # the index of its axiom
-
-    def __str__(self) -> str:
-        if not self.premises:
-            return f"-> {self.conclusion}"
-        return " & ".join(str(p) for p in self.premises) + f" -> {self.conclusion}"
 
 
 def instance_tag(ax: AlgAxiom) -> str:
@@ -372,90 +519,90 @@ def instance_tag(ax: AlgAxiom) -> str:
     return f"Mon({ax.op})" if isinstance(ax, Mon) else type(ax).__name__
 
 
-def _guard_atoms(guard: Optional[FlatTerm], args: Iterable[FlatTerm]) -> tuple[Leq, ...]:
-    if guard is None:
-        return ()
-    return tuple(Leq(a, guard) for a in args)
-
-
-def _binding_args(tpl: OpTemplate, binding: dict[int, FlatTerm]) -> list[FlatTerm]:
-    return [binding[i] for i in tpl.var_indices()]
-
-
-def terms_by_op(psi: Iterable[Apply]) -> dict[str, list[Apply]]:
+def terms_by_op(table: TermTable, psi: Iterable[int]) -> dict[str, list[int]]:
     """The closure terms of each operator, in closure order."""
-    by_op: dict[str, list[Apply]] = {}
+    by_op: dict[str, list[int]] = {}
+    ops = table.ops
     for t in psi:
-        by_op.setdefault(t.op, []).append(t)
+        by_op.setdefault(ops[t], []).append(t)
     return by_op
 
 
-def _tail_product(ax: K2, by_op: dict[str, list[Apply]]
-                  ) -> Iterator[tuple[tuple[Apply, ...], dict[int, FlatTerm]]]:
+def _tail_product(c: _Compiled, by_op: dict[str, list[int]],
+                  args: list[tuple[int, ...]]
+                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """One g_i-term per tail of a K2 axiom, the product in closure order:
-    the tail terms and the binding of the x-variables they give."""
-    per_tail = [[(t, b) for t in by_op.get(g.op, [])
-                 if (b := g.match(t)) is not None] for g in ax.gs]
+    the tail terms and the values of the x-variables they bind, in
+    variable order."""
+    per_tail = [[(t, v) for t in by_op.get(g.op, ())
+                 if (v := g.match(args[t])) is not None] for g in c.gs]
     for combo in itertools.product(*per_tail):
-        xbind: dict[int, FlatTerm] = {}
-        for _, b in combo:
-            xbind.update(b)
-        yield tuple(t for t, _ in combo), xbind
+        yield (tuple(t for t, _ in combo),
+               tuple(x for _, v in combo for x in v))
 
 
 # a Mon/K2/K3 instance joins a head, an f-term with its z arguments, with
 # a choice: its tail terms, its guarded arguments and its right-hand side
-Head = tuple[Apply, tuple[FlatTerm, ...]]
-Choice = tuple[tuple[Apply, ...], tuple[FlatTerm, ...], FlatTerm]
+Head = tuple[int, tuple[int, ...]]
+Choice = tuple[tuple[int, ...], tuple[int, ...], int]
 Composition = tuple[list[Head], list[Choice]]
 
 
-def composition(ax: Union[Mon, K2, K3], by_op: dict[str, list[Apply]]
-                ) -> Composition:
+def composition(table: TermTable, ax: Union[Mon, K2, K3],
+                by_op: dict[str, list[int]]) -> Composition:
     """The closure-local instances of a Mon/K2/K3 axiom as heads x choices.
 
     Mon(f) has one head (t, t.args) and one choice (t.args, (), t) per
     f-term t in closure order; K2 chooses one g_i-term per tail (the
     product in closure order) and guards h's arguments; K3 chooses a y
-    with every g_i(y) in the closure (in sorted(str) order) and guards y.
-    instantiate emits the instances head-major.
+    with every g_i(y) in the closure (in the order of the terms' text)
+    and guards y.  instantiate emits the instances head-major.
     """
+    args = table.args
     if isinstance(ax, Mon):
         terms = by_op.get(ax.op, [])
-        return [(t, t.args) for t in terms], [(t.args, (), t) for t in terms]
-    heads = [(t, tuple(_binding_args(ax.f, b))) for t in by_op.get(ax.f.op, [])
-             if (b := ax.f.match(t)) is not None]
+        return [(t, args[t]) for t in terms], [(args[t], (), t) for t in terms]
+    c = table.compile(ax)
+    heads = [(t, vals) for t in by_op.get(c.f.op, ())
+             if (vals := c.f.match(args[t])) is not None]
     if not heads:
         return heads, []
     if isinstance(ax, K2):
-        return heads, [(tails, tuple(_binding_args(ax.h, xbind)),
-                        ax.h.build(xbind))
-                       for tails, xbind in _tail_product(ax, by_op)]
+        return heads, [(tails, vals, c.h.build(table, vals))
+                       for tails, vals in _tail_product(c, by_op, args)]
     # candidate y: every term c such that each g_i(c) is in the closure
-    cands: Optional[set[FlatTerm]] = None
-    for g in ax.gs:
-        here = {next(iter(b.values())) for t in by_op.get(g.op, [])
-                if (b := g.match(t)) is not None}
+    cands: Optional[set[int]] = None
+    for g in c.gs:
+        here = {vals[0] for t in by_op.get(g.op, ())
+                if (vals := g.match(args[t])) is not None}
         cands = here if cands is None else cands & here
-    return heads, [(tuple(g.build({g.var_indices()[0]: y}) for g in ax.gs), (y,), y)
-                   for y in sorted(cands, key=str)]
+    text = {y: str(table.unfold(y)) for y in cands}
+    return heads, [(tuple(g.build(table, (y,)) for g in c.gs), (y,), y)
+                   for y in sorted(cands, key=text.__getitem__)]
 
 
-def composed(ax: Union[Mon, K2, K3], head: Head, choice: Choice
-             ) -> Optional[tuple[list[Leq], Leq]]:
+def composed(ax: Union[Mon, K2, K3], guard: Optional[int], head: Head,
+             choice: Choice) -> Optional[tuple[list[Atom], Atom]]:
     """The premises and the conclusion of one Mon/K2/K3 instance:
     z_i <= tail_i for each tail, then x <= guard for each guarded x.
     None where Mon would pair a term with itself: reflexivity gives that
     conclusion."""
     (ft, zs), (tails, guarded, rhs) = head, choice
-    if ft is rhs and isinstance(ax, Mon):
+    if ft == rhs and isinstance(ax, Mon):
         return None
-    premises = [Leq(z, t) for z, t in zip(zs, tails)]
-    return premises + list(_guard_atoms(ax.guard, guarded)), Leq(ft, rhs)
+    premises = list(zip(zs, tails))
+    if guard is not None:
+        premises += [(x, guard) for x in guarded]
+    return premises, (ft, rhs)
 
 
-def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
-                skip: Container[int] = ()) -> list[Instance]:
+def guard_id(table: TermTable, ax: AlgAxiom) -> Optional[int]:
+    return table.compile(ax).guard if ax.guard is not None else None
+
+
+def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
+                psi: Iterable[int], skip: Container[int] = ()
+                ) -> list[Instance]:
     """All closure-local instances of the axioms, duplicates removed, except
     those of the axioms whose indices are in skip.
 
@@ -464,38 +611,40 @@ def instantiate(axioms: Iterable[AlgAxiom], psi: Iterable[Apply],
     k*(k-1) instances.
     """
     psi_list = list(psi)
-    by_op = terms_by_op(psi_list)
+    by_op = terms_by_op(table, psi_list)
+    args = table.args
 
     out: list[Instance] = []
-    seen: set[tuple[frozenset[Leq], Leq]] = set()
+    seen: set[tuple[frozenset[Atom], Atom]] = set()
 
-    def emit(premises: Iterable[Leq], conclusion: Leq, tag: str) -> None:
+    def emit(premises: Iterable[Atom], conclusion: Atom, tag: str) -> None:
         # drop duplicate premises, then duplicate clauses
-        prem: dict[Leq, None] = {}
-        for p in premises:
-            prem.setdefault(p, None)
+        prem = tuple(dict.fromkeys(premises))
         key = (frozenset(prem), conclusion)
         if key in seen:
             return
         seen.add(key)
-        out.append(Instance(tuple(prem), conclusion, tag, i))
+        out.append(Instance(prem, conclusion, tag, i))
 
     for i, ax in enumerate(axioms):
         if i in skip:
             continue
         if isinstance(ax, K1):
-            for t in psi_list:
-                binding = ax.g.match(t)
-                if binding is None:
+            c = table.compile(ax)
+            for t in by_op.get(c.g.op, ()):
+                vals = c.g.match(args[t])
+                if vals is None:
                     continue
-                guards = _guard_atoms(ax.guard, _binding_args(ax.h, binding))
-                emit(guards, Leq(t, ax.h.build(binding)), "K1")
+                guards = ([(x, c.guard) for x in vals]
+                          if c.guard is not None else ())
+                emit(guards, (t, c.h.build(table, vals)), "K1")
         elif isinstance(ax, (Mon, K2, K3)):
             tag = instance_tag(ax)
-            heads, choices = composition(ax, by_op)
+            guard = guard_id(table, ax)
+            heads, choices = composition(table, ax, by_op)
             for head in heads:
                 for choice in choices:
-                    inst = composed(ax, head, choice)
+                    inst = composed(ax, guard, head, choice)
                     if inst is not None:
                         emit(*inst, tag)
         else:

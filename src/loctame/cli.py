@@ -208,6 +208,8 @@ def cmd_interpolate(args: argparse.Namespace) -> Outcome:
             "ops_shared": result.ops_shared,
             "shared_names": sorted(n for n in result.shared_consts
                                    if not n.startswith("__")),
+            "micros_per_stage": result.micros,
+            "stats": result.stats,
         })
     return 0, _lines([str(g) for g in gcis] if gcis else ["top"])
 
@@ -255,8 +257,10 @@ def _check_file_queries(cbox, failures: list[str], lines: list[str]) -> int:
                 bad.append("completion disagrees")
         try:
             model = oracle.bounded_model_search(cbox, q, max_size=3)
+        except oracle.SearchCut as exc:
+            parts.append(str(exc))
         except LoctameError:
-            model = None
+            pass
         else:
             if model is not None:
                 parts.append(f"countermodel of size {model.size}")
@@ -280,8 +284,12 @@ def _check_sample(seed: int, failures: list[str], lines: list[str]) -> int:
         bad = []
         if chase != inst:
             bad.append("the two modes disagree")
-        if chase and oracle.bounded_model_search(cbox, query, 3) is not None:
-            bad.append("a countermodel refutes the subsumed verdict")
+        if chase:
+            try:
+                if oracle.bounded_model_search(cbox, query, 3) is not None:
+                    bad.append("a countermodel refutes the subsumed verdict")
+            except oracle.SearchCut as exc:
+                lines.append(f"seed {seed} (guarded): {exc}")
         if bad:
             failures.append(f"seed {seed}: {'; '.join(bad)}")
             lines.append(f"seed {seed} (guarded): FAIL {'; '.join(bad)}")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import hornsat, reduce as red
-from .algebra import Const, FlatTerm, Leq, Lit
+from .algebra import Const, FlatTerm, Lit
 from .hornsat import AtomKey, HornSolver
 from .reduce import NUM_BOT, PurifiedProblem
 from .syntax import CONCEPT, Interval, LoctameError, NUM
@@ -127,25 +127,28 @@ class SplitProblem:
     num_verdict: Optional[bool] = None    # set when the goal is numeric
 
 
-def _atom_sort(a: Leq, consts: dict[str, str]) -> str:
-    def side(t: FlatTerm) -> str:
-        if isinstance(t, Lit):
-            return NUM
-        if isinstance(t, Const):
-            return consts[t.name]
-        raise LoctameError(f"unpurified term {t}")
-
-    ls, rs = side(a.lhs), side(a.rhs)
-    if ls != rs:
-        raise LoctameError(f"atom mixes sorts: {a}")
-    return ls
-
-
 def split_problem(purified: PurifiedProblem) -> SplitProblem:
     """Separate the numeric atoms from the concept atoms and decide each
     numeric one, every endpoint atom once."""
-    consts = purified.consts
+    sorts, leaves = purified.sorts, purified.leaves
     verdicts: dict[NumAtom, bool] = {}
+
+    def sort(t: int) -> str:
+        s = sorts.get(t)
+        if s is not None:
+            return s
+        if isinstance(leaves[t], Lit):
+            return NUM
+        raise LoctameError(f"unpurified term {purified.unfold(t)}")
+
+    def numeric(a: AtomKey) -> bool:
+        ls, rs = sort(a[0]), sort(a[1])
+        if ls != rs:
+            raise LoctameError(f"atom mixes sorts: {purified.leq(a)}")
+        return ls == NUM
+
+    def convert(a: AtomKey) -> Optional[list[NumAtom]]:
+        return convert_leq(leaves[a[0]], leaves[a[1]])
 
     def holds(atoms: Optional[list[NumAtom]]) -> bool:
         if atoms is None:
@@ -158,11 +161,11 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
                 return False
         return True
 
-    concept_facts: list[Leq] = []
+    concept_facts: list[AtomKey] = []
     num_facts: list[NumAtom] = []
     for a in purified.facts:
-        if _atom_sort(a, consts) == NUM:
-            conv = convert_leq(a.lhs, a.rhs)
+        if numeric(a):
+            conv = convert(a)
             num_facts.extend(conv if conv is not None else [FALSE_ATOM])
         else:
             concept_facts.append(a)
@@ -171,32 +174,32 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
     concept_clauses = []
     mixed: list[MixedClause] = []
     for inst in purified.clauses:
-        if _atom_sort(inst.conclusion, consts) != CONCEPT:
-            raise LoctameError(f"numeric conclusion not supported: {inst}")
-        cprem: list[Leq] = []
+        if numeric(inst.conclusion):
+            raise LoctameError("numeric conclusion not supported: "
+                               f"{purified.leq(inst.conclusion)}")
+        cprem: list[AtomKey] = []
         endpoint_atoms = 0
         for p in inst.premises:
-            if _atom_sort(p, consts) == CONCEPT:
+            if not numeric(p):
                 cprem.append(p)
                 continue
-            conv = convert_leq(p.lhs, p.rhs)
+            conv = convert(p)
             if not holds(conv):       # the clause can never fire
                 break
             endpoint_atoms += len(conv)
         else:
             if endpoint_atoms:
-                mixed.append(MixedClause(
-                    tuple(red._atom_key(p) for p in cprem),
-                    red._atom_key(inst.conclusion), inst.tag))
+                mixed.append(MixedClause(tuple(cprem), inst.conclusion,
+                                         inst.tag))
             elif len(cprem) == len(inst.premises):
                 concept_clauses.append(inst)
             else:                      # its numeric premises plainly hold
-                concept_clauses.append(replace(inst, premises=tuple(cprem)))
+                concept_clauses.append(inst._replace(premises=tuple(cprem)))
 
     num_verdict: Optional[bool] = None
     target = purified.target
-    if target is not None and _atom_sort(target, consts) == NUM:
-        num_verdict = holds(convert_leq(target.lhs, target.rhs))
+    if target is not None and numeric(target):
+        num_verdict = holds(convert(target))
         target = None
 
     # the concept side shares the term table

@@ -5,12 +5,21 @@ premise counter; when an atom first becomes true, the counter of every
 clause it appears in is decremented once, so the total number of
 decrements is bounded by the total number of premise occurrences.
 
+Constants are any hashable values (the pipeline's are term ids, a parsed
+dump's are names); the solver numbers them, and the atoms, as ints.
+
 With transitive=True the solver additionally closes the derived atom set
 under  a<=b, b<=c  =>  a<=c  (used by the chase mode, where transitivity
 is not materialized as clauses).  Each transitivity step is binary and is
 recorded in the derivation like a clause firing, so proofs stay auditable.
-The steps follow the order in which atoms were derived, never string
-hashing, so a derivation reads the same in every process.
+The popped up-set and down-set of every constant are bitsets, and so
+are the atoms transitivity itself derived, so the pop of a<=b visits
+only the partners w (popped w<=a) and c (popped b<=c) whose w<=b or a<=c
+is neither popped nor derived by transitivity yet; of those it joins the
+ones whose conclusion is not derived at all, the steps that derive
+something.  It visits them in the order their partner atoms were
+popped, never string hashing, so a derivation reads the same in every
+process.
 
 The chase mode also hands the solver a `Triggers` index instead of the
 clause families that grow with the square of the closure or faster: one
@@ -69,10 +78,11 @@ class _Clause:
 class Stats:
     premise_occurrences: int = 0
     decrements: int = 0
-    trans_steps: int = 0
+    trans_steps: int = 0            # transitivity steps that derive an atom
     fired_clauses: int = 0          # materialized clauses and triggered rules
     clauses: int = 0                # materialized clauses added
     trigger_probes: int = 0         # triggered rules looked up at a pop
+                                    # of an atom not derived from the facts
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,10 @@ class Triggers:
             for o in dict.fromkeys(operands):
                 self.meets_by_operand.setdefault(o, []).append(mi)
         self.universe = {z: zi for zi, z in enumerate(universe)}
+        # the right-hand sides of every premise: an atom whose right-hand
+        # side is not among them is a premise of no rule
+        self.premise_rhs = {*self.by_tail, *self.by_guard,
+                            *self.meets_by_operand}
 
     def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
         """Every rule that has the atom among its premises and concludes
@@ -268,10 +282,17 @@ class HornSolver:
         self.clauses: list[_Clause] = []
         self.stats = Stats()
         if transitive:
-            # insertion-ordered, so the transitivity steps and the reasons
-            # they record do not depend on string hashing
-            self.succ: dict[str, dict[str, None]] = {}
-            self.pred: dict[str, dict[str, None]] = {}
+            # constant -> its bit; per bit, the constant, and the bitsets of
+            # its popped up-set and down-set and of those known derived
+            # (popped or met by transitivity); per popped atom, its pop
+            # number
+            self.bits: dict[object, int] = {}
+            self.consts: list = []
+            self.popped_up: list[int] = []
+            self.popped_down: list[int] = []
+            self.up: list[int] = []
+            self.down: list[int] = []
+            self.pop_seq: dict[int, int] = {}
         self.triggers = triggers
         # while building, atoms are stamped with the rank of the step that
         # derived them (facts: -1), and the triggered rules they may
@@ -294,6 +315,15 @@ class HornSolver:
             self.atom_ids[key] = aid
             self.atom_keys.append(key)
         return aid
+
+    def _bit(self, c) -> int:
+        i = self.bits[c] = len(self.consts)
+        self.consts.append(c)
+        self.popped_up.append(0)
+        self.popped_down.append(0)
+        self.up.append(0)
+        self.down.append(0)
+        return i
 
     def add_fact(self, key: AtomKey, label: str = "fact") -> None:
         self._derive(self.atom(key), ("fact", label))
@@ -361,9 +391,11 @@ class HornSolver:
         if self.building:
             rank = self._build_rank
             self.built[aid] = rank
-            for rule in self.triggers.rules_with(self.atom_keys[aid]):
-                if rule[0] > rank:
-                    heapq.heappush(self._waiting, rule)
+            atom = self.atom_keys[aid]
+            if atom[1] in self.triggers.premise_rhs:
+                for rule in self.triggers.rules_with(atom):
+                    if rule[0] > rank:
+                        heapq.heappush(self._waiting, rule)
 
     def _fire(self, cid: int) -> None:
         clause = self.clauses[cid]
@@ -422,25 +454,25 @@ class HornSolver:
         """
         self.end_build()
         goal_id = self.atom(goal) if goal is not None else None
-        if goal_id is not None and goal_id in self.reasons:
-            return self._result(False, goal)
-        while self.queue:
-            aid = self.queue.popleft()
-            if self.triggers is not None:
+        queue, occ, clauses = self.queue, self.occ, self.clauses
+        reasons, keys, stats = self.reasons, self.atom_keys, self.stats
+        triggered, transitive = self.triggers is not None, self.transitive
+        # goal_id in reasons is False while there is no goal
+        while queue and goal_id not in reasons:
+            aid = queue.popleft()
+            if triggered:
                 self._pop_triggered(aid)
             else:
-                for cid in self.occ.get(aid, ()):
-                    clause = self.clauses[cid]
+                for cid in occ.get(aid, ()):
+                    clause = clauses[cid]
                     clause.missing -= 1
-                    self.stats.decrements += 1
+                    stats.decrements += 1
                     if clause.missing == 0:
                         self._fire(cid)
-            if self.transitive:
+            # a<=a joins nothing: with w<=a it gives w<=a, with a<=c a<=c
+            if transitive and keys[aid][0] != keys[aid][1]:
                 self._trans_close(aid)
-            if goal_id is not None and goal_id in self.reasons:
-                return self._result(False, goal)
-        return self._result(goal_id is None or goal_id not in self.reasons,
-                            goal)
+        return self._result(goal_id not in reasons, goal)
 
     def _pop_triggered(self, aid: int) -> None:
         """Fire what the popped atom completes, clauses and rules together
@@ -458,7 +490,12 @@ class HornSolver:
                 ready.append((clause.rank, cid))
         built, popped, ids = self.built, self.popped, self.atom_ids
         own = built.get(aid, _NEVER)
-        for rule in self.triggers.rules_with(self.atom_keys[aid]):
+        # an atom derived from the facts (rank -1) ranks below every rule:
+        # the build fired each rule it completes
+        atom = self.atom_keys[aid]
+        rules = (self.triggers.rules_with(atom)
+                 if own >= 0 and atom[1] in self.triggers.premise_rhs else ())
+        for rule in rules:
             self.stats.trigger_probes += 1
             rank = rule[0]
             if own < rank:
@@ -479,22 +516,49 @@ class HornSolver:
                 self._fire_rule(item)
 
     def _trans_close(self, aid: int) -> None:
+        """Join a popped atom a<=b, a != b, with the popped atoms w<=a and
+        b<=c."""
         a, b = self.atom_keys[aid]
-        self.succ.setdefault(a, {})[b] = None
-        self.pred.setdefault(b, {})[a] = None
-        if a == b:
-            return
+        bits = self.bits
+        x = bits.get(a)
+        if x is None:
+            x = self._bit(a)
+        y = bits.get(b)
+        if y is None:
+            y = self._bit(b)
+        self.pop_seq[aid] = len(self.pop_seq)
+        popped_up, popped_down = self.popped_up, self.popped_down
+        up, down = self.up, self.down
+        popped_up[x] |= 1 << y
+        popped_down[y] |= 1 << x
+        up[x] |= 1 << y
+        down[y] |= 1 << x
+        consts, ids, reasons = self.consts, self.atom_ids, self.reasons
         # extend to the left, then to the right
-        for w in list(self.pred.get(a, ())):
-            if w != a and b not in self.succ.get(w, ()):
-                left = self.atom_ids[(w, a)]
-                self.stats.trans_steps += 1
-                self._derive(self.atom((w, b)), ("trans", left, aid))
-        for c in list(self.succ.get(b, ())):
-            if c != b and c not in self.succ.get(a, ()):
-                right = self.atom_ids[(b, c)]
-                self.stats.trans_steps += 1
-                self._derive(self.atom((a, c)), ("trans", aid, right))
+        new = popped_down[x] & ~down[y] & ~(1 << x)
+        if new:
+            lefts = [(ids[(consts[w], a)], w) for w in _members(new)]
+            for left, w in sorted(lefts, key=self._pop_order):
+                key = (consts[w], b)
+                down[y] |= 1 << w
+                up[w] |= 1 << y
+                if ids.get(key) not in reasons:
+                    self.stats.trans_steps += 1
+                    self._derive(self.atom(key), ("trans", left, aid))
+        new = popped_up[y] & ~up[x] & ~(1 << y)
+        if new:
+            rights = [(ids[(b, consts[c])], c) for c in _members(new)]
+            for right, c in sorted(rights, key=self._pop_order):
+                key = (a, consts[c])
+                up[x] |= 1 << c
+                down[c] |= 1 << x
+                if ids.get(key) not in reasons:
+                    self.stats.trans_steps += 1
+                    self._derive(self.atom(key), ("trans", aid, right))
+
+    def _pop_order(self, partner: tuple[int, int]) -> int:
+        """The pop number of a partner atom, given as (atom, bit)."""
+        return self.pop_seq[partner[0]]
 
     # -- inspection ------------------------------------------------------------
 
@@ -539,16 +603,27 @@ class HornSolver:
         return steps
 
 
+def _members(bitset: int) -> Iterator[int]:
+    """The positions of the set bits, lowest first."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
+
+
 def solve_problem(facts: Iterable[tuple[AtomKey, str]],
                   clauses: Iterable[tuple[tuple[AtomKey, ...], AtomKey, str]],
                   goal: Optional[AtomKey],
-                  transitive: bool = False) -> Result:
-    """Build a solver from facts and materialized clauses and solve."""
-    solver = HornSolver(transitive=transitive)
+                  transitive: bool = False,
+                  triggers: Optional[Triggers] = None,
+                  block: int = 0) -> Result:
+    """Build a solver from facts and materialized clauses and solve.  With
+    a trigger index, the clauses are all in `block` (see Triggers)."""
+    solver = HornSolver(transitive=transitive, triggers=triggers)
     for atom, label in facts:
         solver.add_fact(atom, label)
     for premises, concl, tag in clauses:
-        solver.add_clause(premises, concl, tag)
+        solver.add_clause(premises, concl, tag, block)
     return solver.solve(goal)
 
 

@@ -34,8 +34,10 @@ mode.
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import algebra as alg
 from . import hornsat, pipeline
@@ -48,6 +50,10 @@ from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
                      GCI, InterpolationInput, LoctameError, Name, Top)
 
 _CAP = 64
+
+# the block of the sides' clauses in the solvers of a round: after meet
+# introduction, which the trigger index fires in block 0
+_SIDES = 1
 
 # the prefix of the defined constants separation adds to the term table
 DEFINED_PREFIX = "_i"
@@ -88,6 +94,12 @@ class InterpolationResult:
     defined: dict[str, FlatTerm] = field(default_factory=dict)
     # whether every interpolant operator is shared under the axiom relation
     ops_shared: bool = True
+    # microseconds per stage: attempt (building the attempts' reductions),
+    # rounds and verification
+    micros: dict[str, int] = field(default_factory=dict)
+    # rounds run, solver runs in them, and entailment checks made by the
+    # verification
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +127,8 @@ def _union_find_classes(axioms: Iterable[AlgAxiom], ops: Iterable[str]) -> dict[
 
 
 def _atom_ops(atoms: Iterable[Leq]) -> set[str]:
-    out: set[str] = set()
-    for a in atoms:
-        for side in (a.lhs, a.rhs):
-            out.update(t.op for t in apply_subterms(side))
-    return out
+    return {t.op for a in atoms for side in (a.lhs, a.rhs)
+            for t in alg.subterms(side) if isinstance(t, Apply)}
 
 
 def _atom_consts(atoms: Iterable[Leq]) -> list[str]:
@@ -127,7 +136,9 @@ def _atom_consts(atoms: Iterable[Leq]) -> list[str]:
     out: dict[str, None] = {}
     for a in atoms:
         for side in (a.lhs, a.rhs):
-            out.update(dict.fromkeys(constants_of(side)))
+            for t in alg.subterms(side):
+                if isinstance(t, Const):
+                    out[t.name] = None
     return list(out)
 
 
@@ -229,26 +240,23 @@ def _validate(problem: InterpolationProblem) -> None:
 # separating terms
 # ---------------------------------------------------------------------------
 
-def separating_term(lhs: str, rhs: str,
+def separating_term(lhs: int, rhs: int,
                     a_model: set[AtomKey], b_model: set[AtomKey],
-                    candidates: Sequence[str]) -> Optional[FlatTerm]:
-    """A term over the candidate constants that splits a jointly entailed
-    atom lhs <= rhs: one side entails lhs <= t, the other t <= rhs.
+                    candidates: Sequence[int],
+                    name: Callable[[int], str]) -> list[int]:
+    """The constants among the candidates whose meet splits a jointly
+    entailed atom lhs <= rhs: one side entails lhs <= t, the other
+    t <= rhs.
 
-    Witnesses of one orientation are collected and their meet returned
-    (the meet of witnesses is again a witness in a semilattice); None when
-    neither orientation has a witness.
+    Witnesses of one orientation are collected, in the order of their
+    names (the meet of witnesses is again a witness in a semilattice);
+    none when neither orientation has a witness.
     """
-    w1 = sorted(s for s in candidates if s not in (lhs, rhs)
-                and (lhs, s) in a_model and (s, rhs) in b_model)
-    w2 = sorted(s for s in candidates if s not in (lhs, rhs)
-                and (lhs, s) in b_model and (s, rhs) in a_model)
-    wit = w1 or w2
-    if not wit:
-        return None
-    if len(wit) == 1:
-        return Const(wit[0])
-    return Meet(tuple(Const(w) for w in wit))
+    w1 = sorted((s for s in candidates if s not in (lhs, rhs)
+                 and (lhs, s) in a_model and (s, rhs) in b_model), key=name)
+    w2 = sorted((s for s in candidates if s not in (lhs, rhs)
+                 and (lhs, s) in b_model and (s, rhs) in a_model), key=name)
+    return w1 or w2
 
 
 # ---------------------------------------------------------------------------
@@ -279,65 +287,68 @@ class _Attempt:
         self.problem = problem
         self.vocab = vocab
         self.op_strict = op_strict
+        self.rounds = 0
+        self.solver_runs = 0
 
         goal = Goal(problem.a_atoms + problem.b_atoms, problem.neg)
-        psi = alg.psi_closure(alg.goal_seeds(goal), problem.axioms)
-        instances = alg.instantiate(problem.axioms, psi)
         # the term table: separation names its defined constants here too
-        self.purified = red.flatten_purify(
-            instances, goal,
+        table = red.PurifiedProblem.of(
             _algebraic_problem(problem.axioms, goal, problem.op_role))
-        purified = self.purified
+        psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
+                              problem.axioms)
+        instances = alg.instantiate(table, problem.axioms, psi)
+        self.purified = purified = red.flatten_purify(table, instances,
+                                                      problem.axioms)
         if purified.target is None:
             raise LoctameError("the refuted atom was lost in purification")
 
-        key = red._atom_key
         n_a = len(problem.a_atoms)
-        self.a_facts = [(key(a), "A") for a in purified.facts[:n_a]]
-        self.b_facts = [(key(a), "B") for a in purified.facts[n_a:]]
-        self.goal = key(purified.target)
+        self.a_facts = [(a, "A") for a in purified.facts[:n_a]]
+        self.b_facts = [(a, "B") for a in purified.facts[n_a:]]
+        self.goal = purified.target
 
-        self._color_memo: dict[str, str] = {}
-        self._export_memo: dict[str, bool] = {}
+        self._color_memo: dict[int, str] = {}
+        self._export_memo: dict[int, bool] = {}
         self.instances: list[_Inst] = []
         self._inst_seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
         for inst in purified.clauses:
-            self._add_instance(tuple(key(p) for p in inst.premises),
-                               key(inst.conclusion), inst.tag)
+            self._add_instance(inst.premises, inst.conclusion, inst.tag)
         self._split_done: set[tuple] = set()
 
     # -- colors ----------------------------------------------------------------
 
-    def color(self, name: str) -> str:
-        memo = self._color_memo.get(name)
+    def color(self, c: int) -> str:
+        memo = self._color_memo.get(c)
         if memo is not None:
             return memo
-        term = self.purified.defs.get(name)
-        if term is None:
-            out = self.vocab.const_color(name)
+        table = self.purified
+        if table.ops[c] is None:
+            out = self.vocab.const_color(table.names[c])
         else:
-            colors = {self.color(c) for c in constants_of(term)}
+            colors = {self.color(a) for a in table.args[c]}
             if "A" in colors and "B" in colors:
-                raise LoctameError(f"term mixes both sides' constants: {term}")
+                raise LoctameError("term mixes both sides' constants: "
+                                   f"{table.definition(c)}")
             out = "A" if "A" in colors else "B" if "B" in colors else "S"
-        self._color_memo[name] = out
+        self._color_memo[c] = out
         return out
 
-    def exportable(self, name: str) -> bool:
+    def exportable(self, c: int) -> bool:
         """May this constant appear in an interpolant atom?  An undefined
         one if it is shared; a defined one if its arguments may and, under
         op_strict, its operator is shared."""
-        memo = self._export_memo.get(name)
+        memo = self._export_memo.get(c)
         if memo is not None:
             return memo
-        term = self.purified.defs.get(name)
-        if term is None:
-            out = self.vocab.const_color(name) == "S"
+        table = self.purified
+        op = table.ops[c]
+        if op is None:
+            out = self.vocab.const_color(table.names[c]) == "S"
         else:
-            out = all(self.exportable(a.name) for a in term.args)
-            if out and self.op_strict and isinstance(term, Apply):
-                out = term.op in self.vocab.shared_ops
-        self._export_memo[name] = out
+            out = all(self.exportable(a) for a in table.args[c])
+            if out and self.op_strict and op != alg.MEET:
+                out = op in self.vocab.shared_ops
+        self._export_memo[c] = out
         return out
 
     def _inst_color(self, atoms: list[AtomKey]) -> str:
@@ -376,40 +387,51 @@ class _Attempt:
         the run of the theory alone: both models are least models, so they
         are the ones separate runs would give."""
         for iteration in range(1, _CAP + 1):
+            self.rounds += 1
+            self.solver_runs += 3
+            # the theory's facts; meet introduction (block 0) fires from
+            # the trigger index, before the side clauses (block 1)
             theory = red.sl_instantiate(replace(
-                self.purified, facts=[], target=None, clauses=[]))
-            theory_run = hornsat.solve_problem(theory.facts, theory.clauses,
-                                               None, transitive=True)
-            theory_model = theory_run.model()
-            solver = theory_run.solver
+                self.purified, facts=[], target=None, clauses=[]),
+                triggered=False)
+            triggers = hornsat.Triggers((), self.purified.meets, 0,
+                                        theory.universe)
+            solver = hornsat.solve_problem(theory.facts, [], None, True,
+                                           triggers).solver
+            # the atoms derived from here on are those the A side adds
+            # to the theory's model
+            theory_size = len(solver.reasons)
             for atom, label in self.a_facts:
                 solver.add_fact(atom, label)
             for premises, concl, tag in self._side_clauses(("A", "S")):
-                solver.add_clause(premises, concl, tag)
-            ma_model = solver.solve().model()
+                solver.add_clause(premises, concl, tag, _SIDES)
+            ma = solver.solve()
+            names, keys = self.purified.names, solver.atom_keys
             itp = sorted(
-                (x, y) for x, y in ma_model
-                if (x, y) not in theory_model
-                and self.exportable(x) and self.exportable(y))
+                ((x, y) for x, y in map(keys.__getitem__, itertools.islice(
+                    solver.reasons, theory_size, None))
+                 if self.exportable(x) and self.exportable(y)),
+                key=lambda a: (names[a[0]], names[a[1]]))
 
             mb = hornsat.solve_problem(
                 [*self.b_facts, *theory.facts, *((a, "itp") for a in itp)],
-                theory.clauses + self._side_clauses(("B", "S")), self.goal,
-                transitive=True)
+                self._side_clauses(("B", "S")), self.goal, True, triggers,
+                _SIDES)
             if not mb.sat:
                 atoms = [s.atom for s in mb.solver.trace(self.goal)
                          if s.kind == "fact" and s.label == "itp"]
                 return list(dict.fromkeys(atoms)), iteration
 
+            self.solver_runs += 1
             joint = hornsat.solve_problem(
                 [*self.a_facts, *self.b_facts, *theory.facts],
-                theory.clauses + self._side_clauses(("A", "B", "S", "X")),
-                self.goal, transitive=True)
+                self._side_clauses(("A", "B", "S", "X")), self.goal, True,
+                triggers, _SIDES)
             if joint.sat:
                 if iteration == 1:
                     raise NotUnsat("the two sides are jointly satisfiable")
                 raise LoctameError("separation lost the refutation")
-            if not self._separate(joint, ma_model, mb.model()):
+            if not self._separate(joint, ma.model(), mb.model()):
                 raise _Stalled
         raise LoctameError("interpolation did not converge")
 
@@ -436,33 +458,35 @@ class _Attempt:
         """Replace one use of an instance whose premise crosses the sides
         by a monotonicity half and a same-axiom half through a fresh
         defined term."""
-        fdef = self.purified.defs.get(step.atom[0])
-        if not isinstance(fdef, Apply) or len(fdef.args) != 1:
+        table = self.purified
+        f = step.atom[0]
+        op = table.ops[f]
+        if op is None or op == alg.MEET or len(table.args[f]) != 1:
             return False
-        arg = fdef.args[0]
-        if not isinstance(arg, Const) or arg.name != prem[0]:
+        if table.args[f][0] != prem[0]:
             return False          # a guard premise, not the operator premise
         if sum(1 for p in step.premises if p[0] == prem[0]) != 1:
             return False          # ambiguous binding; leave untouched
 
-        candidates = [c for c in self.purified.consts if self.exportable(c)]
-        term = separating_term(prem[0], prem[1], ma_model, mb_model, candidates)
-        if term is None:
+        candidates = [c for c in table.sorts if self.exportable(c)]
+        wit = separating_term(prem[0], prem[1], ma_model, mb_model,
+                              candidates, table.names.__getitem__)
+        if not wit:
             return False
-        define = self.purified.define
-        t_name = (term.name if isinstance(term, Const)
-                  else define(term, DEFINED_PREFIX).name)
+        t = (wit[0] if len(wit) == 1 else
+             table.define(table.compound(alg.MEET, tuple(wit)),
+                          DEFINED_PREFIX))
 
-        done_key = (step.atom, frozenset(step.premises), prem, t_name)
+        done_key = (step.atom, frozenset(step.premises), prem, t)
         if done_key in self._split_done:
             return False
         self._split_done.add(done_key)
 
-        linked = define(Apply(fdef.op, (Const(t_name),)), DEFINED_PREFIX).name
+        linked = table.define(table.compound(op, (t,)), DEFINED_PREFIX)
         rest = tuple(p for p in step.premises if p != prem)
-        self._add_instance(((prem[0], t_name),), (step.atom[0], linked),
-                           f"Mon({fdef.op})")
-        self._add_instance(((t_name, prem[1]),) + rest,
+        self._add_instance(((prem[0], t),), (step.atom[0], linked),
+                           f"Mon({op})")
+        self._add_instance(((t, prem[1]),) + rest,
                            (linked, step.atom[1]), step.label)
         return True
 
@@ -492,20 +516,31 @@ def interpolate(problem: InterpolationProblem) -> InterpolationResult:
     """
     _validate(problem)
     vocab = _vocabulary(problem)
+    micros = {"attempt": 0, "rounds": 0, "verification": 0}
+    attempts: list[_Attempt] = []
 
-    attempt = _Attempt(problem, vocab, op_strict=True)
-    try:
-        keys, iterations = attempt.run()
-    except _Stalled:
-        attempt = _Attempt(problem, vocab, op_strict=False)
+    def run(op_strict: bool) -> tuple[list[AtomKey], int]:
+        t = _now()
+        attempts.append(_Attempt(problem, vocab, op_strict))
+        micros["attempt"] += _now() - t
+        t = _now()
         try:
-            keys, iterations = attempt.run()
+            return attempts[-1].run()
+        finally:
+            micros["rounds"] += _now() - t
+
+    try:
+        keys, iterations = run(op_strict=True)
+    except _Stalled:
+        try:
+            keys, iterations = run(op_strict=False)
         except _Stalled:
             raise LoctameError(
                 "no separating term over the shared constants") from None
+    attempt = attempts[-1]
 
-    unfold = attempt.purified.unfold
-    interpolant = tuple(Leq(unfold(x), unfold(y)) for x, y in keys)
+    table = attempt.purified
+    interpolant = tuple(map(table.leq, keys))
     ops: set[str] = set()
     for atom in interpolant:
         for side in (atom.lhs, atom.rhs):
@@ -520,15 +555,30 @@ def interpolate(problem: InterpolationProblem) -> InterpolationResult:
         shared_consts=vocab.shared_consts,
         shared_ops=vocab.shared_ops,
         iterations=iterations,
-        defined={name: unfold(name) for name in attempt.purified.defs
-                 if name.startswith(DEFINED_PREFIX)},
+        defined={name: table.unfold(c) for c, name in table.names.items()
+                 if table.ops[c] is not None
+                 and name.startswith(DEFINED_PREFIX)},
         ops_shared=ops <= vocab.shared_ops,
+        micros=micros,
     )
+    t = _now()
     _verify(problem, result)
+    micros["verification"] = _now() - t
+    result.stats = {
+        "rounds": sum(a.rounds for a in attempts),
+        "solver_runs": sum(a.solver_runs for a in attempts),
+        "entails_calls": len(result.interpolant) + 1,
+    }
     return result
 
 
+def _now() -> int:
+    return time.perf_counter_ns() // 1000
+
+
 def _verify(problem: InterpolationProblem, result: InterpolationResult) -> None:
+    """Check both entailments through the standard reduction: one entails
+    call per interpolant atom, then one for the B side."""
     for atom in result.interpolant:
         if not entails(problem.axioms, problem.a_atoms, atom):
             raise LoctameError(

@@ -412,8 +412,27 @@ def _encode_role_incl(enc: _Encoder, ri) -> None:
                 enc.add(full + [enc.var(("r", ri.rhs, (path[0],) + fills))])
 
 
+# the most branching decisions one domain size's search may take; a
+# search that needs more ends as cut (SearchCut) instead of running on
+DPLL_BUDGET = 100_000
+
+
+class SearchCut(LoctameError):
+    """A countermodel search ran out of its decision budget: it proves
+    nothing either way."""
+
+    def __init__(self, size: int):
+        super().__init__(f"countermodel search cut at size {size}")
+        self.size = size
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
 class _DPLL:
-    """Plain unit-propagating backtracker; domain sizes keep this tiny."""
+    """Plain unit-propagating backtracker; domain sizes keep this tiny.
+    solve() raises _OutOfBudget after DPLL_BUDGET decisions."""
 
     def __init__(self, nvars: int, clauses: list[list[int]]):
         self.nvars = nvars
@@ -482,7 +501,11 @@ class _DPLL:
 
         frames: list[tuple[int, bool, list[int]]] = []
         decision: Optional[tuple[int, bool]] = None
+        decisions = 0
         while True:
+            decisions += 1
+            if decisions > DPLL_BUDGET:
+                raise _OutOfBudget
             if decision is None:
                 v = next((x for x in self.order if x not in self.assign), None)
                 if v is None:
@@ -638,7 +661,8 @@ def bounded_model_search(cbox: CBox, query: Query,
     violating the query, over domains of 1..max_size elements.
 
     A returned model refutes the subsumption outright; exhausting the bound
-    proves nothing.  The violating element is pinned to 0 (sound: domains
+    proves nothing, and neither does a search that exhausts its decision
+    budget (SearchCut).  The violating element is pinned to 0 (sound: domains
     can be permuted).  Numeric intervals are not supported here.
     """
     if not 1 <= max_size <= 4:
@@ -649,7 +673,10 @@ def bounded_model_search(cbox: CBox, query: Query,
         _encode_cbox(enc, cbox, query)
         if enc.trivially_unsat:
             continue
-        assign = _DPLL(next(enc.counter) - 1, enc.clauses).solve()
+        try:
+            assign = _DPLL(next(enc.counter) - 1, enc.clauses).solve()
+        except _OutOfBudget:
+            raise SearchCut(size) from None
         if assign is None:
             continue
         model = _decode(enc, env, assign, size)

@@ -41,11 +41,16 @@ class Report:
     subsumed: bool
     query: Optional[Query]
     problem: alg.AlgebraicProblem
-    psi: list[alg.Apply]
+    psi_ids: list[int]                # the closure, as term ids
     purified: red.PurifiedProblem
     combine: concdom.CombineResult
     mode: str = red.CHASE
     micros: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def psi(self) -> list[alg.FlatTerm]:
+        """The closure's terms."""
+        return [self.purified.unfold(t) for t in self.psi_ids]
 
     @cached_property
     def sl(self) -> Optional[red.SLProblem]:
@@ -116,27 +121,29 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     purification, then the numeric decisions and the lattice solver."""
     micros: dict[str, int] = {}
     t = _now()
-    psi = alg.psi_closure(alg.goal_seeds(problem.goal), problem.axioms)
+    table = red.PurifiedProblem.of(problem)
+    psi = alg.psi_closure(
+        table, alg.goal_seeds(table, table.goal_atoms()), problem.axioms)
     micros["closure"] = _now() - t
 
     t = _now()
     triggered: dict[int, alg.Composition] = {}
     if mode == red.CHASE:
-        by_op = alg.terms_by_op(psi)
-        triggered = {i: alg.composition(problem.axioms[i], by_op)
+        by_op = alg.terms_by_op(table, psi)
+        triggered = {i: alg.composition(table, problem.axioms[i], by_op)
                      for i in red.triggered_axioms(problem)}
-    instances = alg.instantiate(problem.axioms, psi, skip=triggered)
+    instances = alg.instantiate(table, problem.axioms, psi, skip=triggered)
     micros["instantiate"] = _now() - t
 
     t = _now()
-    purified = red.flatten_purify(instances, problem.goal, problem, triggered)
+    purified = red.flatten_purify(table, instances, problem.axioms, triggered)
     micros["purify"] = _now() - t
 
     combine = concdom.combine_solve(purified, mode)
     micros.update(combine.micros)
 
     return Report(subsumed=combine.subsumed, query=None, problem=problem,
-                  psi=psi, purified=purified, combine=combine, mode=mode,
+                  psi_ids=psi, purified=purified, combine=combine, mode=mode,
                   micros=micros)
 
 
@@ -168,7 +175,8 @@ class Classification:
     def holds(self, a: str, b: str) -> bool:
         """Is the name a subsumed by the name b?"""
         res = self._run()
-        return res is None or res.holds((a, b))
+        ids = self.report.purified.ids
+        return res is None or res.holds((ids[a], ids[b]))
 
     def pairs(self) -> list[tuple[str, str]]:
         """Every (a, b) of distinct names with a subsumed by b, in
@@ -177,8 +185,10 @@ class Classification:
         if res is None:
             return [(a, b) for a in self.names for b in self.names if a != b]
         index = {name: i for i, name in enumerate(self.names)}
+        names = self.report.purified.names
         above: dict[str, list[str]] = {}
-        for a, b in res.model():
+        for x, y in res.model():
+            a, b = names[x], names[y]
             if a != b and a in index and b in index:
                 above.setdefault(a, []).append(b)
         return [(a, b) for a in self.names
@@ -221,7 +231,7 @@ def classify(cbox: CBox, mode: str = red.CHASE,
 # ---------------------------------------------------------------------------
 
 def render_atom(purified: red.PurifiedProblem, atom: hornsat.AtomKey) -> str:
-    return f"{purified.unfold(atom[0])} <= {purified.unfold(atom[1])}"
+    return str(purified.leq(atom))
 
 
 def render_steps(steps: list[hornsat.TraceStep],
@@ -283,7 +293,7 @@ def json_report(report: Report) -> dict:
     return {
         "query": str(report.query) if report.query is not None else None,
         "verdict": "subsumed" if report.subsumed else "not-subsumed",
-        "psi_size": len(report.psi),
+        "psi_size": len(report.psi_ids),
         "clause_count": report.clause_count,
         "micros_per_stage": report.micros,
         "stats": report.stats,

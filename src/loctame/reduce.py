@@ -51,7 +51,7 @@ from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
                       K2, K3, Leq, Lit, Meet, Mon, OpTemplate, VarSlot)
 from .syntax import (CBox, CheckError, CONCEPT, Concept, Interval, NUM,
                      Query, RoleEnv, RoleInclusion, And, Bot, Exists, Name,
-                     Top, check_cbox)
+                     Top, check_cbox, concept_sort)
 
 NUM_BOT = "__nbot"
 NUM_TOP_LIT = Lit(Interval(None, None))
@@ -240,7 +240,6 @@ def translate(cbox: CBox, query: Optional[Query] = None,
 
 
 def _incl_sort(lhs: Concept, rhs: Concept, env: RoleEnv) -> str:
-    from .syntax import concept_sort
     for side in (lhs, rhs):
         if not isinstance(side, (Top, Bot)):
             return concept_sort(side, env)
@@ -251,94 +250,103 @@ def _incl_sort(lhs: Concept, rhs: Concept, env: RoleEnv) -> str:
 # flatten / purify
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PurifiedProblem:
+@dataclass(eq=False)
+class PurifiedProblem(alg.TermTable):
     """Ground Horn problem whose atoms relate constants and literals only,
-    and the one table of the constants that name terms: purification's
-    proxies and the defined constants interpolation adds."""
+    and the one term table of its operation.
 
-    facts: list[Leq] = field(default_factory=list)
-    target: Optional[Leq] = None
+    Every term is an id of the table.  A constant is a name, or an
+    operator/meet term that purification (or interpolation's separation)
+    has named with a proxy: _t0, _t1, ... and _i0, _i1, ....  Atoms are
+    pairs of ids, so purification only names terms; it rewrites nothing.
+    """
+
+    facts: list[alg.Atom] = field(default_factory=list)
+    target: Optional[alg.Atom] = None
     clauses: list[Instance] = field(default_factory=list)
-    # proxy constant -> the (one-level) term it stands for
-    defs: dict[str, FlatTerm] = field(default_factory=dict)
-    # meet proxies -> operand constant names
-    meets: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # every constant in play -> sort
-    consts: dict[str, str] = field(default_factory=dict)
+    # every constant in play -> sort, names first, then proxies as named
+    sorts: dict[int, str] = field(default_factory=dict)
+    # constant -> its name
+    names: dict[int, str] = field(default_factory=dict)
+    # meet proxies -> operand constants
+    meets: dict[int, tuple[int, ...]] = field(default_factory=dict)
     # axiom index -> the rules of the axioms whose instances `clauses`
     # leaves out, because the chase fires them from the solver's trigger
     # index
     triggered: dict[int, hornsat.Family] = field(default_factory=dict)
-    # the inverse of defs
-    by_term: dict[FlatTerm, Const] = field(default_factory=dict)
     # proxy prefix -> how many constants it has numbered
     numbered: dict[str, int] = field(default_factory=dict)
-    # defined constant -> its unfolded term, filled by unfold
-    unfolded: dict[str, FlatTerm] = field(default_factory=dict)
 
-    def define(self, term: FlatTerm, prefix: str = "_t") -> Const:
-        """The constant naming a one-level operator/meet term: the one
-        already naming it, else the next fresh `prefix` constant."""
-        proxy = self.by_term.get(term)
-        if proxy is not None:
-            return proxy
-        meet = isinstance(term, Meet)
-        if meet and not all(isinstance(a, Const) for a in term.args):
-            raise CheckError(f"numeric meet reached purification: {term}")
+    @classmethod
+    def of(cls, problem: alg.AlgebraicProblem) -> "PurifiedProblem":
+        """The table of a problem: its constants, then bottom and top,
+        and the goal's atoms as facts and target."""
+        table = cls()
+        for name, sort in problem.consts.items():
+            table.register(alg.Const(name), sort)
+        table.register(alg.Const(alg.BOT_CONST), CONCEPT)
+        table.register(alg.Const(alg.TOP_CONST), CONCEPT)
+        table.facts = [table.atom(a) for a in problem.goal.assumptions]
+        if problem.goal.target is not None:
+            table.target = table.atom(problem.goal.target)
+        return table
+
+    def goal_atoms(self) -> list[alg.Atom]:
+        return self.facts + ([self.target] if self.target is not None else [])
+
+    def register(self, c: Const, sort: str) -> int:
+        i = self.leaf(c)
+        if i not in self.sorts:
+            self.sorts[i] = sort
+            self.names[i] = c.name
+        return i
+
+    @property
+    def consts(self) -> dict[str, str]:
+        """Every constant's name -> its sort."""
+        return {self.names[i]: s for i, s in self.sorts.items()}
+
+    @property
+    def defs(self) -> dict[str, FlatTerm]:
+        """Every proxy's name -> the one-level term it stands for."""
+        names = self.names
+        return {names[i]: self.definition(i) for i in names
+                if self.ops[i] is not None}
+
+    def definition(self, i: int) -> FlatTerm:
+        """The one-level term a proxy stands for, over constants."""
+        args = tuple(alg.Const(self.names[a]) if a in self.names
+                     else self.leaves[a] for a in self.args[i])
+        op = self.ops[i]
+        return Meet(args) if op == alg.MEET else Apply(op, args)
+
+    def define(self, i: int, prefix: str = "_t") -> int:
+        """Name an operator/meet term whose arguments are constants or
+        literals: keep its name, else give it the next `prefix` name."""
+        if i in self.names:
+            return i
+        meet = self.ops[i] == alg.MEET
+        if meet and any(isinstance(self.leaves[a], Lit) for a in self.args[i]):
+            raise CheckError(
+                f"numeric meet reached purification: {self.definition(i)}")
         n = self.numbered.get(prefix, 0)
         self.numbered[prefix] = n + 1
-        proxy = self.by_term[term] = Const(f"{prefix}{n}")
-        self.defs[proxy.name] = term
-        self.consts[proxy.name] = CONCEPT
+        self.names[i] = f"{prefix}{n}"
+        self.sorts[i] = CONCEPT
         if meet:
-            self.meets[proxy.name] = tuple(a.name for a in term.args)
-        return proxy
+            self.meets[i] = self.args[i]
+        return i
 
-    def unfold(self, name: str) -> FlatTerm:
-        """Resolve a constant back to the operator/meet term it names.
-        Each defined constant is unfolded once, so shared subterms stay
-        shared."""
-        out = self.unfolded.get(name)
-        if out is not None:
-            return out
-        t = self.defs.get(name)
-        if t is None:
-            return Const(name)
-        args = tuple(self.unfold(a.name) if isinstance(a, Const) else a
-                     for a in t.args)
-        out = self.unfolded[name] = (Apply(t.op, args) if isinstance(t, Apply)
-                                     else Meet(args))
-        return out
+    def purify(self, i: int) -> None:
+        """Name a term and its operator/meet subterms, arguments first."""
+        if i in self.names or self.ops[i] is None:
+            return
+        for a in self.args[i]:
+            self.purify(a)
+        self.define(i)
 
-
-class _Purifier:
-    """The tree walk of purification; the table names what it meets."""
-
-    def __init__(self, table: PurifiedProblem):
-        self.table = table
-        # id of a term object already purified -> (the term, its proxy);
-        # holding the term keeps its id from being reused
-        self.by_id: dict[int, tuple[FlatTerm, Const]] = {}
-
-    def purify(self, t: FlatTerm) -> FlatTerm:
-        if isinstance(t, (Const, Lit)):
-            return t
-        seen = self.by_id.get(id(t))
-        if seen is not None:
-            return seen[1]
-        flat = (Apply(t.op, tuple(self.purify(a) for a in t.args))
-                if isinstance(t, Apply)
-                else Meet(tuple(self.purify(a) for a in t.args)))
-        proxy = self.table.define(flat)
-        self.by_id[id(t)] = (t, proxy)
-        return proxy
-
-    def atom(self, a: Leq) -> Leq:
-        return Leq(self.purify(a.lhs), self.purify(a.rhs))
-
-    def name(self, t: FlatTerm) -> str:
-        return self.purify(t).name
+    def is_lit(self, i: int) -> bool:
+        return isinstance(self.leaves[i], Lit)
 
 
 def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
@@ -366,29 +374,28 @@ def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
     return out
 
 
-def flatten_purify(instances: Iterable[Instance], goal: Goal,
-                   problem: alg.AlgebraicProblem,
+def flatten_purify(table: PurifiedProblem, instances: list[Instance],
+                   axioms: tuple[alg.AlgAxiom, ...],
                    triggered: Optional[dict[int, alg.Composition]] = None
                    ) -> PurifiedProblem:
-    """Name every operator/meet term with a proxy constant.
+    """Name every operator/meet term with a proxy constant, and take the
+    instances as the table's clauses.
 
     Proxies are handed out in first-encounter order walking the goal, then
-    the instances; the definition map is a bijection between proxies and
-    the one-level terms they abbreviate.
+    the instances, each term after its arguments.
 
     triggered maps the indices of the axioms whose instances were left out
     of `instances` to their alg.composition.  Their terms are named where
     their instances would have been walked (in axiom order), so the
     proxies come out as if they were there.
     """
-    table = PurifiedProblem(consts=dict(problem.consts))
-    table.consts.setdefault(alg.BOT_CONST, CONCEPT)
-    table.consts.setdefault(alg.TOP_CONST, CONCEPT)
-    pur = _Purifier(table)
-
-    table.facts = [pur.atom(a) for a in goal.assumptions]
-    if goal.target is not None:
-        table.target = pur.atom(goal.target)
+    purify = table.purify
+    for lhs, rhs in table.facts:
+        purify(lhs)
+        purify(rhs)
+    if table.target is not None:
+        purify(table.target[0])
+        purify(table.target[1])
 
     triggered = triggered or {}
     pending = sorted(triggered)
@@ -397,40 +404,52 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
         # instantiate joins each head with every choice, head-major; after
         # a head's first instance its terms have proxies, and after the
         # first head every choice's, so a later head stops at its first
-        ax = problem.axioms[i]
+        ax = axioms[i]
+        guard = alg.guard_id(table, ax)
         heads, choices = triggered[i]
         walked = False
         for n, head in enumerate(heads):
             for choice in choices:
-                inst = alg.composed(ax, head, choice)
+                inst = alg.composed(ax, guard, head, choice)
                 if inst is None:
                     continue
-                premises, conclusion = inst
-                for p in premises:
-                    pur.atom(p)
-                pur.atom(conclusion)
+                premises, (lhs, rhs) = inst
+                for x, y in premises:
+                    purify(x)
+                    purify(y)
+                purify(lhs)
+                purify(rhs)
                 walked = True
                 if n:
                     break
         if not walked:
             return
-        name = pur.name
+        for t, zs in heads:
+            purify(t)
+            for z in zs:
+                purify(z)
+        for tails, guarded, rhs in choices:
+            for x in (*tails, *guarded, rhs):
+                purify(x)
+        if guard is not None:
+            purify(guard)
         table.triggered[i] = hornsat.Family(
-            alg.instance_tag(ax),
-            tuple((name(t), tuple(map(name, zs))) for t, zs in heads),
-            tuple((tuple(map(name, tails)),
-                   tuple(map(name, guarded)) if ax.guard is not None else (),
-                   name(rhs)) for tails, guarded, rhs in choices),
-            name(ax.guard) if ax.guard is not None else None)
+            alg.instance_tag(ax), tuple(heads),
+            tuple((tails, guarded if guard is not None else (), rhs)
+                  for tails, guarded, rhs in choices),
+            guard)
 
     for inst in instances:
         while pending and pending[0] < inst.axiom:
             walk(pending.pop(0))
-        table.clauses.append(Instance(
-            tuple(pur.atom(p) for p in inst.premises),
-            pur.atom(inst.conclusion), inst.tag, inst.axiom))
+        for x, y in inst.premises:
+            purify(x)
+            purify(y)
+        purify(inst.conclusion[0])
+        purify(inst.conclusion[1])
     for i in pending:
         walk(i)
+    table.clauses = instances
     return table
 
 
@@ -438,7 +457,7 @@ def flatten_purify(instances: Iterable[Instance], goal: Goal,
 # semilattice instantiation
 # ---------------------------------------------------------------------------
 
-AtomKey = tuple[str, str]
+AtomKey = alg.Atom
 
 INSTANTIATE = "instantiate"
 CHASE = "chase"
@@ -446,22 +465,26 @@ CHASE = "chase"
 
 @dataclass
 class SLProblem:
-    """Ground Horn problem over constant names, ready for the solver."""
+    """Ground Horn problem over constants, ready for the solver."""
 
     facts: list[tuple[AtomKey, str]]          # (atom, label)
     clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]]
     goal: Optional[AtomKey]
-    universe: list[str]
+    universe: list
     mode: str
     # per clause, the index of the axiom it instantiates (0 for the
     # lattice theory's clauses); the chase ranks clauses by it
     blocks: list[int] = field(default_factory=list)
+    # constant -> its name, where the constants are table ids (None where
+    # they are names already, as in a parsed dump)
+    names: Optional[dict[int, str]] = None
 
 
-def _atom_key(a: Leq) -> AtomKey:
-    if not isinstance(a.lhs, Const) or not isinstance(a.rhs, Const):
-        raise CheckError(f"numeric atom reached the lattice layer: {a}")
-    return (a.lhs.name, a.rhs.name)
+def _concept_atom(table: PurifiedProblem, a: AtomKey) -> AtomKey:
+    if table.is_lit(a[0]) or table.is_lit(a[1]):
+        raise CheckError(
+            f"numeric atom reached the lattice layer: {table.leq(a)}")
+    return a
 
 
 def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
@@ -477,7 +500,9 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     transitivity over all ordered triples is materialized too; in `chase`
     mode the solver's built-in transitive closure covers it.  Facts and
     clauses are deduplicated, the first label or tag winning, so inputs
-    and axiom instances keep their own.
+    and axiom instances keep their own; the transitivity instances are
+    distinct by construction and are only checked against the clauses
+    before them.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -486,33 +511,30 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     blocks: list[int] = []
     seen: set[tuple[frozenset[AtomKey], AtomKey]] = set()
 
-    def add_clause(premises: Iterable[AtomKey], concl: AtomKey, tag: str,
+    def add_clause(premises: tuple[AtomKey, ...], concl: AtomKey, tag: str,
                    block: int = 0) -> None:
-        prem = tuple(dict.fromkeys(premises))
-        key = (frozenset(prem), concl)
+        key = (frozenset(premises), concl)
         if key not in seen:
             seen.add(key)
-            clauses.append((prem, concl, tag))
+            clauses.append((premises, concl, tag))
             blocks.append(block)
 
     add_fact = facts.setdefault
     for i, a in enumerate(purified.facts):
-        add_fact(_atom_key(a), f"input:{i}")
+        add_fact(_concept_atom(purified, a), f"input:{i}")
     # both in axiom order, and no axiom has both instances and a family
-    instances = (([_atom_key(p) for p in inst.premises],
-                  _atom_key(inst.conclusion), inst.tag, inst.axiom)
-                 for inst in purified.clauses)
     families = sorted(purified.triggered.items()) if triggered else []
     written = ((premises, concl, fam.tag, i) for i, fam in families
                for _, premises, concl in fam.rules())
-    for clause in heapq.merge(instances, written, key=itemgetter(3)):
+    for clause in heapq.merge(purified.clauses, written, key=itemgetter(3)):
         add_clause(*clause)
-    universe = [c for c, s in purified.consts.items() if s == CONCEPT]
+    universe = [c for c, s in purified.sorts.items() if s == CONCEPT]
     for x in universe:
         add_fact((x, x), "refl")
+    bot, top = purified.ids[alg.BOT_CONST], purified.ids[alg.TOP_CONST]
     for x in universe:
-        add_fact((alg.BOT_CONST, x), "bound")
-        add_fact((x, alg.TOP_CONST), "bound")
+        add_fact((bot, x), "bound")
+        add_fact((x, top), "bound")
     for m, operands in purified.meets.items():
         for o in operands:
             add_fact((m, o), "meet-below")
@@ -520,15 +542,37 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
         for m, operands in purified.meets.items():
             for z in universe:
                 if z != m:
-                    add_clause([(z, o) for o in operands], (z, m),
-                               "meet-intro")
+                    add_clause(tuple(dict.fromkeys((z, o) for o in operands)),
+                               (z, m), "meet-intro")
     if mode == INSTANTIATE:
+        taken = _transitivity_twins(clauses)
         for x, y, z in itertools.permutations(universe, 3):
-            add_clause([(x, y), (y, z)], (x, z), "trans")
+            if (x, y, z) not in taken:
+                clauses.append((((x, y), (y, z)), (x, z), "trans"))
+        blocks.extend([0] * (len(clauses) - len(blocks)))
 
-    goal = _atom_key(purified.target) if purified.target is not None else None
+    goal = (_concept_atom(purified, purified.target)
+            if purified.target is not None else None)
     return SLProblem(facts=list(facts.items()), clauses=clauses, goal=goal,
-                     universe=universe, mode=mode, blocks=blocks)
+                     universe=universe, mode=mode, blocks=blocks,
+                     names=purified.names)
+
+
+def _transitivity_twins(clauses) -> set[tuple]:
+    """The triples (a, b, c) of distinct constants whose transitivity
+    instance a<=b, b<=c -> a<=c a clause has already: the same premises
+    and conclusion."""
+    taken = set()
+    for prem, (a, c), _ in clauses:
+        if len(prem) != 2 or a == c:
+            continue
+        for (p1, p2) in (prem, prem[::-1]):
+            if p1[0] == a and p2[1] == c and p1[1] == p2[0]:
+                b = p1[1]
+                if b != a and b != c:
+                    taken.add((a, b, c))
+                break
+    return taken
 
 
 def sl_clause_count(purified: PurifiedProblem) -> int:
@@ -537,20 +581,8 @@ def sl_clause_count(purified: PurifiedProblem) -> int:
     in the universe)."""
     sl = sl_instantiate(purified, CHASE)
     m = len(sl.universe)
-    s1_total = m * (m - 1) * (m - 2)
-    collisions = 0
-    for prem, (a, c), _ in sl.clauses:
-        if len(prem) != 2 or a == c:
-            continue
-        # the premise pair of the matching transitivity instance is
-        # {(a,b),(b,c)} for some b distinct from both
-        for (p1, p2) in (prem, prem[::-1]):
-            if p1[0] == a and p2[1] == c and p1[1] == p2[0]:
-                b = p1[1]
-                if b != a and b != c:
-                    collisions += 1
-                break
-    return len(sl.clauses) + s1_total - collisions
+    return (len(sl.clauses) + m * (m - 1) * (m - 2)
+            - len(_transitivity_twins(sl.clauses)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +591,15 @@ def sl_clause_count(purified: PurifiedProblem) -> int:
 
 def render_reduction(sl: SLProblem) -> str:
     """Serialize as one fact/clause/goal per line (parse_reduction reads it)."""
+    name = sl.names.__getitem__ if sl.names is not None else str
     lines = []
     for (a, b), _ in sl.facts:
-        lines.append(f"fact {a} <= {b}")
+        lines.append(f"fact {name(a)} <= {name(b)}")
     for premises, (a, b), _ in sl.clauses:
-        prem = ", ".join(f"{x} <= {y}" for x, y in premises)
-        lines.append(f"clause {prem} -> {a} <= {b}")
+        prem = ", ".join(f"{name(x)} <= {name(y)}" for x, y in premises)
+        lines.append(f"clause {prem} -> {name(a)} <= {name(b)}")
     if sl.goal is not None:
-        lines.append(f"goal {sl.goal[0]} <= {sl.goal[1]}")
+        lines.append(f"goal {name(sl.goal[0])} <= {name(sl.goal[1])}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from loctame import algebra as alg
+from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
 # a definitional TBox: three mutually recursive defined names; the query
@@ -82,6 +84,23 @@ A: Ax sub C
 B: Bx sub D
 B: exists r . Bx nsub exists r . C
 """
+
+
+def closure_terms(seeds, axioms) -> list:
+    """alg.psi_closure of seed terms over a fresh term table, as terms."""
+    table = alg.TermTable()
+    ids = [table.intern(t) for t in seeds]
+    return [table.unfold(t) for t in alg.psi_closure(table, ids, axioms)]
+
+
+def purified_problem(problem) -> red.PurifiedProblem:
+    """The purified problem with every closure-local instance
+    materialized, as `instantiate` mode builds it."""
+    table = red.PurifiedProblem.of(problem)
+    psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
+                          problem.axioms)
+    return red.flatten_purify(
+        table, alg.instantiate(table, problem.axioms, psi), problem.axioms)
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from loctame.algebra import Apply, Const, Leq
 from loctame.oracle import BOT_KEY, bounded_model_search, completion_classify
 from loctame.syntax import parse_cbox
 
-from tests.conftest import ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT
+from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
+                            closure_terms, purified_problem)
 
 
 def _unfold(defs: dict[str, alg.FlatTerm], name: str) -> alg.FlatTerm:
@@ -59,9 +60,12 @@ def test_criterion_01_defined_names_query_with_the_monotonicity_step():
     a_meet = frozenset(("A1", "A2"))
     p_meet = frozenset(("P1", "P2"))
     hits = []
+    name = report.sl.names.__getitem__
     for premises, concl, tag in report.sl.clauses:
         if not tag.startswith("Mon(f_r1)") or len(premises) != 1:
             continue
+        premises = (tuple(map(name, premises[0])),)
+        concl = tuple(map(name, concl))
         (px, py) = premises[0]
         cx, cy = concl
         ux, uy = _unfold(defs, px), _unfold(defs, py)
@@ -185,10 +189,7 @@ def test_criterion_07_instantiated_clause_count_grows_cubically():
     for n in sizes:
         cbox = randgen.scaling_family(n)
         prob = red.translate(cbox, None)
-        psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-        purified = red.flatten_purify(
-            alg.instantiate(prob.axioms, psi), prob.goal, prob)
-        counts[n] = red.sl_clause_count(purified)
+        counts[n] = red.sl_clause_count(purified_problem(prob))
     coeffs = [counts[n] / n**3 for n in sizes]
     assert max(coeffs) <= 2 * min(coeffs), coeffs
     for n in sizes[:-1]:
@@ -230,12 +231,12 @@ def test_criterion_09_closure_is_idempotent_monotone_and_tight():
         rng = random.Random(seed)
         allow_ri = i % 2 == 0
         axioms, seeds = randgen.algebra_problem(rng, allow_ri=allow_ri)
-        closure = alg.psi_closure(seeds, axioms)
+        closure = closure_terms(seeds, axioms)
         # idempotence: closing the closure adds nothing
-        assert set(alg.psi_closure(closure, axioms)) == set(closure), seed
+        assert set(closure_terms(closure, axioms)) == set(closure), seed
         # monotonicity: a seed subset closes inside the full closure
         sub = [t for t in seeds if rng.random() < 0.5]
-        assert set(alg.psi_closure(sub, axioms)) <= set(closure), seed
+        assert set(closure_terms(sub, axioms)) <= set(closure), seed
         checked += 1
         if all(isinstance(ax, alg.Mon) for ax in axioms):
             assert set(closure) == set(seeds), seed

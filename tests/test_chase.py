@@ -19,26 +19,26 @@ from loctame import algebra as alg, concdom, hornsat, pipeline, randgen
 from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
+from tests.conftest import purified_problem
 
-def _render(report: pipeline.Report, steps: list[hornsat.TraceStep]) -> list[str]:
+
+def _render(table: red.PurifiedProblem,
+            steps: list[hornsat.TraceStep]) -> list[str]:
     lines = []
     for step in steps:
-        rendered = pipeline.render_atom(report.purified, step.atom)
+        rendered = pipeline.render_atom(table, step.atom)
         if step.kind == "fact" or not step.premises:
             lines.append(f"{rendered}   [{step.label}]")
         else:
-            prems = "; ".join(pipeline.render_atom(report.purified, p)
+            prems = "; ".join(pipeline.render_atom(table, p)
                               for p in step.premises)
             lines.append(f"{rendered}   [{step.label}: {prems}]")
     return lines
 
 
-def _reference(report: pipeline.Report) -> red.PurifiedProblem:
-    """The purified problem of the `instantiate`-mode report of the same
-    query: every closure-local instance materialized."""
-    return red.flatten_purify(
-        alg.instantiate(report.problem.axioms, report.psi),
-        report.problem.goal, report.problem)
+def _named(table: red.PurifiedProblem, atoms) -> list:
+    """Atoms over a table's ids as pairs of names."""
+    return [(table.names[a], table.names[b]) for a, b in atoms]
 
 
 def _materialized(report: pipeline.Report):
@@ -46,15 +46,16 @@ def _materialized(report: pipeline.Report):
     of the same query without its transitivity clauses, with every clause
     materialized, moving in the conclusions of the mixed clauses (whose
     numeric premises hold) as their concept premises come to hold;
-    returns the result and the movements."""
-    full = _reference(report)
+    returns the result, the movements and the reference's own term
+    table."""
+    full = purified_problem(report.problem)
     assert full.defs == report.purified.defs
     assert full.consts == report.purified.consts
     split = concdom.split_problem(full)
     sl = red.sl_instantiate(split.concept)
     if not split.mixed:
         return hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
-                                     transitive=True), []
+                                     transitive=True), [], full
     solver = hornsat.HornSolver(transitive=True)
     for atom, label in sl.facts:
         solver.add_fact(atom, label)
@@ -64,7 +65,7 @@ def _materialized(report: pipeline.Report):
     while True:
         res = solver.solve(sl.goal)
         if not res.sat:
-            return res, movements
+            return res, movements, full
         moved = False
         for mc in pending[:]:
             if all(solver.has(p) for p in mc.concept_premises):
@@ -73,7 +74,7 @@ def _materialized(report: pipeline.Report):
                 pending.remove(mc)
                 moved = True
         if not moved:
-            return res, movements
+            return res, movements, full
 
 
 def _check_identity(cbox, query) -> bool:
@@ -84,14 +85,17 @@ def _check_identity(cbox, query) -> bool:
     if comb.result is None:
         assert report.sl is None
         return False
-    res, movements = _materialized(report)
-    assert movements == comb.movements
+    res, movements, full = _materialized(report)
+    assert ([tag for tag, _ in movements] == [tag for tag, _ in comb.movements]
+            and _named(full, [a for _, a in movements])
+            == _named(report.purified, [a for _, a in comb.movements]))
     assert res.sat == comb.result.sat
     if res.sat:
-        assert res.model() == comb.result.model()
+        assert (set(_named(full, res.model()))
+                == set(_named(report.purified, comb.result.model())))
         return False
-    steps = res.solver.trace(report.sl.goal)
-    assert lines[len(movements):] == _render(report, steps)
+    steps = res.solver.trace(full.target)
+    assert lines[len(movements):] == _render(full, steps)
     return True
 
 
@@ -133,8 +137,10 @@ def test_fixtures_with_movements_match(freight_cbox, defs_cbox, anatomy_cbox,
 def test_classification_model_equals_the_materialized_one():
     cbox = randgen.scaling_family(60)
     cls = pipeline.classify(cbox)
-    res, _ = _materialized(cls.report)
-    assert res.model() == cls.report.combine.result.model()
+    res, _, full = _materialized(cls.report)
+    assert (set(_named(full, res.model()))
+            == set(_named(cls.report.purified,
+                          cls.report.combine.result.model())))
     # the materialized families are what the index saves (988 against
     # 4,708 atoms here; the gap grows with the size)
     assert len(cls.report.combine.result.solver.atom_keys) * 4 < \
@@ -367,8 +373,12 @@ def _triggers(families, meets, universe):
         meets, meet_block=2 * len(families) + 1, universe=universe)
 
 
-def _derivations(solver: hornsat.HornSolver) -> list:
+def _derivations(solver: hornsat.HornSolver, names=None) -> list:
+    """Each derived atom with its reason, in derivation order; with names,
+    over the names of the constants."""
     keys = solver.atom_keys
+    if names is not None:
+        keys = [(names[a], names[b]) for a, b in keys]
     out = []
     for aid, reason in solver.reasons.items():
         if reason[0] == "clause":
@@ -454,7 +464,8 @@ A sub exists s . B
 ? A sub exists s . B
 """)
     report = pipeline.check_subsumption(cbox, cbox.queries[0])
-    assert {fam.tag: [t for t, _ in fam.heads]
+    names = report.purified.names
+    assert {fam.tag: [names[t] for t, _ in fam.heads]
             for fam in report.purified.triggered.values()
             if fam.tag.startswith("Mon")} == {"Mon(f_w)": ["_t3", "_t4"]}
     assert [str(report.purified.defs[p]) for p in ("_t1", "_t2")] == \
@@ -476,8 +487,9 @@ exists s . B sub exists r . exists r . A
     report = pipeline.classify(cbox).report
     assert {i for i, fam in report.purified.triggered.items()
             if fam.tag == "K2"} == {0, 2}
-    res, _ = _materialized(report)
-    assert _derivations(report.combine.result.solver) == _derivations(res.solver)
+    res, _, full = _materialized(report)
+    assert (_derivations(report.combine.result.solver, report.purified.names)
+            == _derivations(res.solver, full.names))
 
 
 def test_scaling_family_instantiates_only_k1():
@@ -504,7 +516,7 @@ def test_no_triggered_rule_concludes_reflexivity(monkeypatch):
 
     monkeypatch.setattr(hornsat.HornSolver, "_fire_rule", record)
     stats = pipeline.classify(randgen.scaling_family(300)).report.stats
-    assert (stats["rules_fired"], stats["trigger_probes"]) == (201, 950)
+    assert (stats["rules_fired"], stats["trigger_probes"]) == (201, 300)
     for seed in range(30):
         pipeline.classify(randgen.normal_cbox(random.Random(seed)))
     assert fired

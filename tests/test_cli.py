@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import loctame
-from loctame import cli, randgen
+from loctame import cli, oracle, randgen
 from loctame.reduce import parse_reduction
 from loctame.syntax import MAX_NESTING, render_cbox
 from tests.conftest import (ANATOMY_TEXT, DEFS_TEXT, FREIGHT_TEXT,
@@ -187,7 +188,10 @@ def test_interpolate_json_schema(files, capsys):
     assert cli.main(["interpolate", "--json", files["split"]]) == 0
     body = json.loads(capsys.readouterr().out)
     assert set(body) == {"interpolant", "iterations", "ops_shared",
-                         "shared_names"}
+                         "shared_names", "micros_per_stage", "stats"}
+    assert set(body["micros_per_stage"]) == {"attempt", "rounds",
+                                             "verification"}
+    assert set(body["stats"]) == {"rounds", "solver_runs", "entails_calls"}
     assert body["interpolant"] == ["exists r . D sub exists r . C"]
     assert body["ops_shared"] is True
     assert "C" in body["shared_names"] and "D" in body["shared_names"]
@@ -213,6 +217,27 @@ def test_cross_check_file_and_samples_pass(files, capsys):
     out = capsys.readouterr().out
     assert "cross-check PASS" in out
     assert "0 failures" in out
+
+
+def test_cross_check_ends_on_the_guards_fixture(files, capsys):
+    # the countermodel search over the ternary roles runs out of its
+    # decision budget; a cut search is reported and is no failure
+    start = time.perf_counter()
+    assert cli.main(["cross-check", files["guards"]]) == 0
+    assert time.perf_counter() - start < 30
+    out = capsys.readouterr().out
+    assert "countermodel search cut at size" in out
+    assert "cross-check PASS: 1 checks, 0 failures" in out
+
+
+def test_a_cut_sample_search_is_reported_and_no_failure(monkeypatch, capsys):
+    # with no decisions allowed, the size-3 search of this guarded sample
+    # (a subsumed query) is cut
+    monkeypatch.setattr(oracle, "DPLL_BUDGET", 0)
+    assert cli.main(["cross-check", "--samples", "1", "--seed", "179"]) == 0
+    out = capsys.readouterr().out
+    assert "seed 179 (guarded): countermodel search cut at size 3" in out
+    assert "cross-check PASS: 1 checks, 0 failures" in out
 
 
 def test_cross_check_without_work_exits_two(capsys):

@@ -12,6 +12,8 @@ from loctame import algebra as alg
 from loctame import concdom, oracle, pipeline, randgen
 from loctame.syntax import CONCEPT, Interval, NUM, parse_cbox
 
+from tests.conftest import purified_problem
+
 
 def _lit(lo, hi):
     return alg.Lit(Interval(None if lo is None else Fraction(lo),
@@ -89,9 +91,9 @@ def test_num_entails_agrees_with_closure_mirror(seed):
         oracle.num_entails_dbm(facts, query)
 
 
-def _is_numeric(atom: alg.Leq, purified) -> bool:
-    side = atom.lhs
-    return isinstance(side, alg.Lit) or purified.consts[side.name] == NUM
+def _is_numeric(atom, purified) -> bool:
+    side = atom[0]
+    return purified.is_lit(side) or purified.sorts[side] == NUM
 
 
 def _numeric_premise_atoms(purified) -> list:
@@ -100,17 +102,15 @@ def _numeric_premise_atoms(purified) -> list:
     for inst in purified.clauses:
         for p in inst.premises:
             if _is_numeric(p, purified):
-                out += concdom.convert_leq(p.lhs, p.rhs) or []
+                lhs, rhs = purified.leq(p).lhs, purified.leq(p).rhs
+                out += concdom.convert_leq(lhs, rhs) or []
     return out
 
 
 def test_split_problem_sorts_atoms(freight_cbox):
     q = freight_cbox.queries[0]
     from loctame import reduce as red
-    prob = red.translate(freight_cbox, q)
-    psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-    purified = red.flatten_purify(alg.instantiate(prob.axioms, psi),
-                                  prob.goal, prob)
+    purified = purified_problem(red.translate(freight_cbox, q))
     split = concdom.split_problem(purified)
     assert split.mixed, "monotonicity over numeric arguments must be mixed"
     numeric = {inst.tag for inst in purified.clauses
@@ -119,20 +119,17 @@ def test_split_problem_sorts_atoms(freight_cbox):
         # what is left of a clause with numeric premises: concept atoms only
         assert mc.tag in numeric and mc.concl
         for a, b in (*mc.concept_premises, mc.concl):
-            assert purified.consts[a] == purified.consts[b] == CONCEPT
+            assert purified.sorts[a] == purified.sorts[b] == CONCEPT
     # no interval endpoint ever leaks into the concept-side problem
     for fact in split.concept.facts:
-        assert not isinstance(fact.lhs, alg.Lit)
-        assert not isinstance(fact.rhs, alg.Lit)
+        assert not isinstance(purified.leq(fact).lhs, alg.Lit)
+        assert not isinstance(purified.leq(fact).rhs, alg.Lit)
 
 
 def test_split_problem_numeric_input_fact():
     cbox = parse_cbox("num up 5 sub num up 3\n? A sub A\n")
     from loctame import reduce as red
-    prob = red.translate(cbox, cbox.queries[0])
-    psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-    purified = red.flatten_purify(alg.instantiate(prob.axioms, psi),
-                                  prob.goal, prob)
+    purified = purified_problem(red.translate(cbox, cbox.queries[0]))
     split = concdom.split_problem(purified)
     assert concdom.NumAtom(Fraction(3), Fraction(5)) in split.num_facts
 

@@ -117,7 +117,9 @@ def test_reduction_dump_reads_back_as_the_same_problem(name, mode):
     cbox = parse_cbox(FIXTURES[name])
     sl = pipeline.check_subsumption(cbox, cbox.queries[0], mode=mode).sl
     back = red.parse_reduction(red.render_reduction(sl))
-    assert [a for a, _ in back.facts] == [a for a, _ in sl.facts]
-    assert [c[:2] for c in back.clauses] == [c[:2] for c in sl.clauses]
-    assert back.goal == sl.goal
+    name = lambda atom: tuple(map(sl.names.__getitem__, atom))  # noqa: E731
+    assert [a for a, _ in back.facts] == [name(a) for a, _ in sl.facts]
+    assert [c[:2] for c in back.clauses] == \
+        [(tuple(map(name, p)), name(c)) for p, c, _ in sl.clauses]
+    assert back.goal == name(sl.goal)
     assert red.render_reduction(back) == red.render_reduction(sl)

@@ -156,6 +156,17 @@ def test_joint_run_after_a_failed_b_run_still_raises(monkeypatch):
     assert len(builds) == 3
 
 
+def test_stats_count_the_rounds_and_their_solver_runs(monkeypatch):
+    builds, runs = _count_solver_runs(monkeypatch)
+    result, _ = itp.interpolate_input(
+        parse_interpolation_input(FIRST_ROUND_SPLIT))
+    assert result.stats == {"rounds": 1, "solver_runs": len(runs),
+                            "entails_calls": len(result.interpolant) + 1}
+    assert len(runs) == 3
+    assert set(result.micros) == {"attempt", "rounds", "verification"}
+    assert all(isinstance(v, int) and v >= 0 for v in result.micros.values())
+
+
 def test_first_round_unfolds_no_constant(monkeypatch):
     problem = itp.from_input(parse_interpolation_input(FIRST_ROUND_SPLIT))
     attempt = itp._Attempt(problem, itp._vocabulary(problem), op_strict=True)
@@ -205,26 +216,26 @@ def test_nary_roles_are_rejected():
 
 
 def test_separating_term_first_orientation():
-    t = itp.separating_term("x", "y", {("x", "s")}, {("s", "y")}, ["s"])
-    assert t == Const("s")
+    t = itp.separating_term("x", "y", {("x", "s")}, {("s", "y")}, ["s"], str)
+    assert t == ["s"]
 
 
 def test_separating_term_second_orientation():
-    t = itp.separating_term("x", "y", {("s", "y")}, {("x", "s")}, ["s"])
-    assert t == Const("s")
+    t = itp.separating_term("x", "y", {("s", "y")}, {("x", "s")}, ["s"], str)
+    assert t == ["s"]
 
 
 def test_separating_term_meets_all_witnesses():
     a = {("x", "s"), ("x", "t")}
     b = {("s", "y"), ("t", "y")}
-    t = itp.separating_term("x", "y", a, b, ["t", "s"])
-    assert t == Meet((Const("s"), Const("t")))
+    t = itp.separating_term("x", "y", a, b, ["t", "s"], str)
+    assert t == ["s", "t"]
 
 
 def test_separating_term_excludes_the_endpoints_and_may_fail():
     assert itp.separating_term("x", "y", {("x", "x")}, {("x", "y")},
-                               ["x", "y"]) is None
-    assert itp.separating_term("x", "y", set(), set(), ["s"]) is None
+                               ["x", "y"], str) == []
+    assert itp.separating_term("x", "y", set(), set(), ["s"], str) == []
 
 
 @settings(max_examples=60, deadline=None)

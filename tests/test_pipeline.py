@@ -30,8 +30,14 @@ def test_defs_reduction_contains_the_decisive_monotonicity_step(defs_cbox):
     report = pipeline.check_subsumption(defs_cbox, defs_cbox.queries[0])
     a = _meet_args(alg.Meet((alg.Const("A1"), alg.Const("A2"))))
     p = _meet_args(alg.Meet((alg.Const("P1"), alg.Const("P2"))))
+    table = report.purified
+    instances = [
+        inst._replace(premises=tuple(map(table.leq, inst.premises)),
+                      conclusion=table.leq(inst.conclusion))
+        for inst in alg.instantiate(table, report.problem.axioms,
+                                    report.psi_ids)]
     hits = [
-        inst for inst in alg.instantiate(report.problem.axioms, report.psi)
+        inst for inst in instances
         if inst.tag.startswith("Mon") and len(inst.premises) == 1
         and isinstance(inst.conclusion.lhs, alg.Apply)
         and inst.conclusion.lhs.op == "f_r1"

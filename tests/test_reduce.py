@@ -11,6 +11,8 @@ from loctame import pipeline, randgen
 from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
+from tests.conftest import purified_problem
+
 
 def test_translate_names_and_operators(defs_cbox):
     prob = red.translate(defs_cbox, defs_cbox.queries[0])
@@ -42,11 +44,12 @@ def test_long_chain_introduces_helper_operator():
 def test_flatten_purify_definitions_unfold(defs_cbox):
     q = defs_cbox.queries[0]
     prob = red.translate(defs_cbox, q)
-    psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-    instances = alg.instantiate(prob.axioms, psi)
-    purified = red.flatten_purify(instances, prob.goal, prob)
+    purified = purified_problem(prob)
     # every proxy unfolds back to a term over the original constants
-    for proxy in purified.defs:
+    proxies = [c for c, name in purified.names.items()
+               if name in purified.defs]
+    assert len(proxies) == len(purified.defs)
+    for proxy in proxies:
         unfolded = purified.unfold(proxy)
         assert all(not c.startswith("_t") for c in alg.constants_of(unfolded))
     # facts follow assumption order
@@ -57,19 +60,15 @@ def test_flatten_purify_definitions_unfold(defs_cbox):
 def test_purified_atoms_are_flat(defs_cbox):
     q = defs_cbox.queries[0]
     prob = red.translate(defs_cbox, q)
-    psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-    purified = red.flatten_purify(alg.instantiate(prob.axioms, psi),
-                                  prob.goal, prob)
-    for leq in purified.facts + [purified.target]:
-        assert isinstance(leq.lhs, (alg.Const, alg.Lit))
-        assert isinstance(leq.rhs, (alg.Const, alg.Lit))
+    purified = purified_problem(prob)
+    # each side is a constant (a name or a proxy) or a literal
+    for atom in purified.facts + [purified.target]:
+        for side in atom:
+            assert side in purified.names or purified.is_lit(side)
 
 
 def _purified(cbox, query):
-    prob = red.translate(cbox, query)
-    psi = alg.psi_closure(alg.goal_seeds(prob.goal), prob.axioms)
-    return red.flatten_purify(alg.instantiate(prob.axioms, psi),
-                              prob.goal, prob)
+    return purified_problem(red.translate(cbox, query))
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,14 +111,13 @@ def test_numeric_conjunction_intersects_to_one_literal():
 def test_unfold_keeps_shared_subterms_shared():
     # each meet's operands are the previous constant twice: unfolded as a
     # tree the term doubles in size with every level
-    defs = {"c1": alg.Meet((alg.Const("c0"), alg.Const("c0")))}
-    for i in range(2, 13):
-        prev = alg.Const(f"c{i - 1}")
-        defs[f"c{i}"] = alg.Meet((prev, prev))
-    table = red.PurifiedProblem(defs=defs)
-    u = table.unfold("c12")
+    table = red.PurifiedProblem()
+    c = table.leaf(alg.Const("c0"))
+    for _ in range(12):
+        c = table.define(table.compound(alg.MEET, (c, c)))
+    u = table.unfold(c)
     assert u.args[0] is u.args[1]
-    assert table.unfold("c12") is u
+    assert table.unfold(c) is u
 
 
 def test_sl_instantiate_fact_labels(anatomy_cbox):
@@ -127,7 +125,7 @@ def test_sl_instantiate_fact_labels(anatomy_cbox):
     sl = red.sl_instantiate(purified, red.CHASE)
     labels = {lbl.split(":")[0] for _, lbl in sl.facts}
     assert labels == {"input", "refl", "bound", "meet-below"}
-    universe = set(sl.universe)
+    universe = {sl.names[x] for x in sl.universe}
     assert alg.TOP_CONST in universe and alg.BOT_CONST in universe
     for x in sl.universe:
         assert ((x, x)) in {a for a, _ in sl.facts}
@@ -152,10 +150,11 @@ def test_reduction_text_round_trip(anatomy_cbox):
     purified = _purified(anatomy_cbox, anatomy_cbox.queries[0])
     sl = red.sl_instantiate(purified, red.CHASE)
     back = red.parse_reduction(red.render_reduction(sl))
-    assert {a for a, _ in back.facts} == {a for a, _ in sl.facts}
+    name = lambda atom: tuple(map(sl.names.__getitem__, atom))  # noqa: E731
+    assert {a for a, _ in back.facts} == {name(a) for a, _ in sl.facts}
     assert {(p, c) for p, c, _ in back.clauses} == \
-        {(p, c) for p, c, _ in sl.clauses}
-    assert back.goal == sl.goal
+        {(tuple(map(name, p)), name(c)) for p, c, _ in sl.clauses}
+    assert back.goal == (name(sl.goal) if sl.goal is not None else None)
 
 
 def test_parse_reduction_rejects_garbage():
@@ -171,7 +170,8 @@ def test_numeric_atoms_stay_off_the_lattice(freight_cbox):
     report = pipeline.check_subsumption(freight_cbox, freight_cbox.queries[0])
     sl = report.sl
     assert sl is not None
-    for (a, b), _ in sl.facts:
+    for atom, _ in sl.facts:
+        a, b = (sl.names[c] for c in atom)
         assert not a.startswith("(") and not b.startswith("(")
 
 
@@ -184,17 +184,15 @@ def test_purify_walks_each_term_object_once(monkeypatch):
     cbox = parse_cbox(f"X sub {deep}\n? X sub {deep}\n")
     report = pipeline.check_subsumption(cbox, cbox.queries[0])
     calls = 0
-    purify = red._Purifier.purify
+    purify = red.PurifiedProblem.purify
 
     def counting(self, t):
         nonlocal calls
         calls += 1
         return purify(self, t)
 
-    monkeypatch.setattr(red._Purifier, "purify", counting)
-    purified = red.flatten_purify(
-        alg.instantiate(report.problem.axioms, report.psi),
-        report.problem.goal, report.problem)
+    monkeypatch.setattr(red.PurifiedProblem, "purify", counting)
+    purified = purified_problem(report.problem)
     sides = 2 * (len(purified.facts) + 1
                  + sum(len(i.premises) + 1 for i in purified.clauses))
     # one call per atom side, plus one per argument of each term walked
