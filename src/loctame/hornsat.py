@@ -171,11 +171,13 @@ class Triggers:
                 block, fam, {h: hi for hi, (h, _) in enumerate(fam.heads)},
                 {rhs: ci for ci, (*_, rhs) in enumerate(fam.choices)}))
         self.concluding.sort(key=itemgetter(0))
-        self.meets = list(meets.items())
+        # each meet with its operands, without repeats
+        self.meets = [(m, tuple(dict.fromkeys(operands)))
+                      for m, operands in meets.items()]
         self.meet_base = meet_block << _RANK_BITS
         self.meets_by_operand: dict[str, list[int]] = {}
         for mi, (_, operands) in enumerate(self.meets):
-            for o in dict.fromkeys(operands):
+            for o in operands:
                 self.meets_by_operand.setdefault(o, []).append(mi)
         self.universe = {z: zi for zi, z in enumerate(universe)}
         # the right-hand sides of every premise: an atom whose right-hand
@@ -226,8 +228,7 @@ class Triggers:
             m, operands = self.meets[mi]
             if m != a:
                 yield (self.meet_base | (mi * width + zi),
-                       tuple(dict.fromkeys((a, o) for o in operands)),
-                       (a, m), "meet-intro")
+                       tuple([(a, o) for o in operands]), (a, m), "meet-intro")
 
     def earlier_twin(self, rank: int, premises: frozenset[AtomKey],
                      concl: AtomKey) -> bool:
@@ -295,8 +296,8 @@ class HornSolver:
             self.pop_seq: dict[int, int] = {}
         self.triggers = triggers
         # while building, atoms are stamped with the rank of the step that
-        # derived them (facts: -1), and the triggered rules they may
-        # complete wait in a heap until the build reaches their rank
+        # derived them (facts: -1), and the triggered rules they complete
+        # wait in a heap until the build reaches their rank
         self.building = triggers is not None
         self._build_rank = -1
         if triggers is not None:
@@ -327,6 +328,12 @@ class HornSolver:
 
     def add_fact(self, key: AtomKey, label: str = "fact") -> None:
         self._derive(self.atom(key), ("fact", label))
+
+    def add_facts(self, facts: Iterable[tuple[AtomKey, str]]) -> None:
+        """add_fact for each (atom, label), in order."""
+        atom, derive = self.atom, self._derive
+        for key, label in facts:
+            derive(atom(key), ("fact", label))
 
     def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
                    tag: str = "clause", block: int = 0) -> None:
@@ -370,16 +377,11 @@ class HornSolver:
 
     def _build_until(self, rank: int) -> None:
         waiting = self._waiting
-        last = -1
         while waiting and waiting[0][0] < rank:
             rule = heapq.heappop(waiting)
-            if rule[0] == last:          # queued once per premise
-                continue
-            last = rule[0]
             # everything derived so far ranks below this rule
-            if all(self.has(p) for p in rule[1]):
-                self._build_rank = rule[0]
-                self._fire_rule(rule)
+            self._build_rank = rule[0]
+            self._fire_rule(rule)
 
     # -- propagation ---------------------------------------------------------
 
@@ -393,8 +395,11 @@ class HornSolver:
             self.built[aid] = rank
             atom = self.atom_keys[aid]
             if atom[1] in self.triggers.premise_rhs:
+                has = self.has
                 for rule in self.triggers.rules_with(atom):
-                    if rule[0] > rank:
+                    # a rule waits once all its premises hold: the one
+                    # derived last queues it, once
+                    if rule[0] > rank and all(map(has, rule[1])):
                         heapq.heappush(self._waiting, rule)
 
     def _fire(self, cid: int) -> None:
@@ -614,16 +619,12 @@ def _members(bitset: int) -> Iterator[int]:
 def solve_problem(facts: Iterable[tuple[AtomKey, str]],
                   clauses: Iterable[tuple[tuple[AtomKey, ...], AtomKey, str]],
                   goal: Optional[AtomKey],
-                  transitive: bool = False,
-                  triggers: Optional[Triggers] = None,
-                  block: int = 0) -> Result:
-    """Build a solver from facts and materialized clauses and solve.  With
-    a trigger index, the clauses are all in `block` (see Triggers)."""
-    solver = HornSolver(transitive=transitive, triggers=triggers)
-    for atom, label in facts:
-        solver.add_fact(atom, label)
+                  transitive: bool = False) -> Result:
+    """Build a solver from facts and materialized clauses and solve."""
+    solver = HornSolver(transitive=transitive)
+    solver.add_facts(facts)
     for premises, concl, tag in clauses:
-        solver.add_clause(premises, concl, tag, block)
+        solver.add_clause(premises, concl, tag)
     return solver.solve(goal)
 
 

@@ -51,10 +51,6 @@ from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
 
 _CAP = 64
 
-# the block of the sides' clauses in the solvers of a round: after meet
-# introduction, which the trigger index fires in block 0
-_SIDES = 1
-
 # the prefix of the defined constants separation adds to the term table
 DEFINED_PREFIX = "_i"
 
@@ -126,20 +122,25 @@ def _union_find_classes(axioms: Iterable[AlgAxiom], ops: Iterable[str]) -> dict[
     return {op: find(op) for op in parent}
 
 
-def _atom_ops(atoms: Iterable[Leq]) -> set[str]:
-    return {t.op for a in atoms for side in (a.lhs, a.rhs)
-            for t in alg.subterms(side) if isinstance(t, Apply)}
-
-
-def _atom_consts(atoms: Iterable[Leq]) -> list[str]:
-    """The constants of the atoms in first-seen order."""
-    out: dict[str, None] = {}
+def _symbols(atoms: Iterable[Leq]) -> tuple[dict[str, None], set[str], bool]:
+    """The constants of the atoms in first-seen order (each side, each term
+    before its arguments), their operators, and whether a literal occurs."""
+    consts: dict[str, None] = {}
+    ops: set[str] = set()
+    lit = False
     for a in atoms:
-        for side in (a.lhs, a.rhs):
-            for t in alg.subterms(side):
-                if isinstance(t, Const):
-                    out[t.name] = None
-    return list(out)
+        stack = [a.rhs, a.lhs]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Const):
+                consts[t.name] = None
+            elif isinstance(t, Lit):
+                lit = True
+            else:
+                if isinstance(t, Apply):
+                    ops.add(t.op)
+                stack.extend(reversed(t.args))
+    return consts, ops, lit
 
 
 def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
@@ -161,7 +162,7 @@ def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
     """The problem the reduction runs on: constants from the atoms and the
     axioms' ground terms, operators from the Mon axioms (so the chase
     fires their monotonicity from its trigger index)."""
-    consts = {name: CONCEPT for name in _atom_consts(goal.all_atoms())}
+    consts = dict.fromkeys(_symbols(goal.all_atoms())[0], CONCEPT)
     for t in _axiom_ground_terms(axioms):
         for name in constants_of(t):
             consts.setdefault(name, CONCEPT)
@@ -187,16 +188,12 @@ class _Vocabulary:
 
 
 def _vocabulary(problem: InterpolationProblem) -> _Vocabulary:
-    a_consts = set(_atom_consts(problem.a_atoms))
-    b_atoms = problem.b_atoms + (problem.neg,)
-    b_consts = set(_atom_consts(b_atoms))
+    a_consts, ops_a, _ = _symbols(problem.a_atoms)
+    b_consts, ops_b, _ = _symbols(problem.b_atoms + (problem.neg,))
     theory = {alg.TOP_CONST, alg.BOT_CONST}
     for t in _axiom_ground_terms(problem.axioms):
         theory.update(constants_of(t))
-    shared = (a_consts & b_consts) | theory
-
-    ops_a = _atom_ops(problem.a_atoms)
-    ops_b = _atom_ops(b_atoms)
+    shared = (a_consts.keys() & b_consts.keys()) | theory
     all_ops = ops_a | ops_b
     for ax in problem.axioms:
         all_ops |= axiom_ops(ax)
@@ -208,8 +205,8 @@ def _vocabulary(problem: InterpolationProblem) -> _Vocabulary:
                   if by_class[root] & ops_a and by_class[root] & ops_b}
     return _Vocabulary(
         shared_consts=frozenset(shared),
-        a_local=frozenset(a_consts - shared),
-        b_local=frozenset(b_consts - shared),
+        a_local=frozenset(a_consts.keys() - shared),
+        b_local=frozenset(b_consts.keys() - shared),
         shared_ops=frozenset(shared_ops),
     )
 
@@ -228,12 +225,8 @@ def _validate(problem: InterpolationProblem) -> None:
             if len(tpl.slots) != 1 or tpl.nvars != 1:
                 raise CheckError(
                     f"interpolation supports unary operators only: {ax}")
-    for a in problem.a_atoms + problem.b_atoms + (problem.neg,):
-        for side in (a.lhs, a.rhs):
-            for t in alg.subterms(side):
-                if isinstance(t, Lit):
-                    raise CheckError(
-                        "interpolation over the numeric sort is not supported")
+    if _symbols(problem.a_atoms + problem.b_atoms + (problem.neg,))[2]:
+        raise CheckError("interpolation over the numeric sort is not supported")
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +382,16 @@ class _Attempt:
         for iteration in range(1, _CAP + 1):
             self.rounds += 1
             self.solver_runs += 3
-            # the theory's facts; meet introduction (block 0) fires from
-            # the trigger index, before the side clauses (block 1)
             theory = red.sl_instantiate(replace(
-                self.purified, facts=[], target=None, clauses=[]),
-                triggered=False)
-            triggers = hornsat.Triggers((), self.purified.meets, 0,
-                                        theory.universe)
-            solver = hornsat.solve_problem(theory.facts, [], None, True,
-                                           triggers).solver
+                self.purified, facts=[], target=None, clauses=[]))
+            solver = hornsat.solve_problem(theory.facts, theory.clauses,
+                                           None, transitive=True).solver
             # the atoms derived from here on are those the A side adds
             # to the theory's model
             theory_size = len(solver.reasons)
-            for atom, label in self.a_facts:
-                solver.add_fact(atom, label)
+            solver.add_facts(self.a_facts)
             for premises, concl, tag in self._side_clauses(("A", "S")):
-                solver.add_clause(premises, concl, tag, _SIDES)
+                solver.add_clause(premises, concl, tag)
             ma = solver.solve()
             names, keys = self.purified.names, solver.atom_keys
             itp = sorted(
@@ -415,8 +402,8 @@ class _Attempt:
 
             mb = hornsat.solve_problem(
                 [*self.b_facts, *theory.facts, *((a, "itp") for a in itp)],
-                self._side_clauses(("B", "S")), self.goal, True, triggers,
-                _SIDES)
+                theory.clauses + self._side_clauses(("B", "S")), self.goal,
+                transitive=True)
             if not mb.sat:
                 atoms = [s.atom for s in mb.solver.trace(self.goal)
                          if s.kind == "fact" and s.label == "itp"]
@@ -425,8 +412,8 @@ class _Attempt:
             self.solver_runs += 1
             joint = hornsat.solve_problem(
                 [*self.a_facts, *self.b_facts, *theory.facts],
-                self._side_clauses(("A", "B", "S", "X")), self.goal, True,
-                triggers, _SIDES)
+                theory.clauses + self._side_clauses(("A", "B", "S", "X")),
+                self.goal, transitive=True)
             if joint.sat:
                 if iteration == 1:
                     raise NotUnsat("the two sides are jointly satisfiable")
