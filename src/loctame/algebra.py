@@ -15,6 +15,10 @@ variable or a fixed ground term (fixed slots arise when a role restriction
 pins one argument to a concept).  Guards are ground terms; a guarded axiom
 additionally requires x<=guard for every variable x of the conclusion's
 right-hand side.
+
+The closure and the instances are computed over a TermTable, which
+numbers every distinct term once: a closure is a list of ids, and an
+instance's atoms are pairs of ids.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from . import hornsat, reduce as red
 from .algebra import Const, FlatTerm, Lit
 from .hornsat import AtomKey, HornSolver
 from .reduce import NUM_BOT, PurifiedProblem
-from .syntax import CONCEPT, Interval, LoctameError, NUM
+from .syntax import Interval, LoctameError, NUM
 
 # re-exported: the parser's interval type is this module's domain element
 __all__ = ["Interval", "NumAtom", "FALSE_ATOM", "UnsupportedAtom",

@@ -12,14 +12,13 @@ With transitive=True the solver additionally closes the derived atom set
 under  a<=b, b<=c  =>  a<=c  (used by the chase mode, where transitivity
 is not materialized as clauses).  Each transitivity step is binary and is
 recorded in the derivation like a clause firing, so proofs stay auditable.
-The popped up-set and down-set of every constant are bitsets, and so
-are the atoms transitivity itself derived, so the pop of a<=b visits
-only the partners w (popped w<=a) and c (popped b<=c) whose w<=b or a<=c
-is neither popped nor derived by transitivity yet; of those it joins the
-ones whose conclusion is not derived at all, the steps that derive
-something.  It visits them in the order their partner atoms were
-popped, never string hashing, so a derivation reads the same in every
-process.
+Every constant's popped up-set and down-set are bitsets, and so are the
+atoms known to be derived (popped, or met by an earlier join), so the
+pop of a<=b visits only the partners w (popped w<=a) and c (popped
+b<=c) whose w<=b or a<=c is not known yet, and joins those whose
+conclusion is not derived: the steps that derive something.  It visits
+them in the order their partner atoms were popped, never string
+hashing, so a derivation reads the same in every process.
 
 The chase mode also hands the solver a `Triggers` index instead of the
 clause families that grow with the square of the closure or faster: one

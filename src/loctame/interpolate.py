@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import algebra as alg
 from . import hornsat, pipeline

@@ -6,19 +6,22 @@ Three steps live here:
                   ground terms (names as constants, conjunction as meet,
                   existentials as monotone operators), role axioms become
                   the Horn axiom shapes of `algebra`;
-  flatten_purify  every functional/meet term in the instantiated clause
-                  set is replaced by a definitional proxy constant;
+  flatten_purify  every functional/meet term of the goal and the
+                  instantiated clause set is named by a definitional
+                  proxy constant;
   sl_instantiate  the semilattice theory itself is unrolled over the
                   occurring constants (reflexivity, bounds, meet bounds,
                   meet introduction; in `instantiate` mode also explicit
                   transitivity, which `chase` mode delegates to the
                   solver).
 
-PurifiedProblem is the one table of defined constants: `define` names a
-one-level term (purification's proxies _t0, _t1, ... and the defined
-constants c_{f(t)} that interpolation's separation adds, _i0, _i1, ...),
-and `unfold` renders a constant back as a term, each defined constant
-once, so shared subterms stay shared.
+PurifiedProblem is the operation's one term table (an algebra.TermTable):
+every term is numbered once, the closure and the instances are built
+over the numbers, and an atom is a pair of them.  `define` names a term
+(purification's proxies _t0, _t1, ... and the defined constants c_{f(t)}
+that interpolation's separation adds, _i0, _i1, ...), and `unfold`
+renders one back as a term object, each id once, so shared subterms stay
+shared.
 
 sl_instantiate is the one builder of the semilattice theory: the
 pipeline unrolls it over a purified problem, and interpolation over its
@@ -44,7 +47,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import algebra as alg, hornsat
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,

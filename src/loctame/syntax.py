@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class LoctameError(Exception):
@@ -279,7 +279,8 @@ def render_cbox(cbox: CBox) -> str:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-class Token(NamedTuple):
+@dataclass(frozen=True)
+class Token:
     kind: str  # "ident", "number", "punct", "eol"
     text: str
     line: int

@@ -19,7 +19,7 @@ from loctame import hornsat
 from loctame import interpolate as itp
 from loctame import randgen
 from loctame import reduce as red
-from loctame.algebra import Apply, Const, Leq, Meet
+from loctame.algebra import Apply, Const, Leq
 from loctame.syntax import (CheckError, LoctameError, parse_interpolation_input,
                             render_cbox)
 
