@@ -282,26 +282,28 @@ class PurifiedProblem(alg.TermTable):
 
     @classmethod
     def of(cls, problem: alg.AlgebraicProblem) -> "PurifiedProblem":
-        """The table of a problem: its constants, then bottom and top,
-        and the goal's atoms as facts and target."""
+        """The table of a problem: the goal's atoms as facts and target,
+        and the sort of each of its constants, then of bottom and top."""
         table = cls()
-        for name, sort in problem.consts.items():
-            table.register(alg.Const(name), sort)
-        table.register(alg.Const(alg.BOT_CONST), CONCEPT)
-        table.register(alg.Const(alg.TOP_CONST), CONCEPT)
         table.facts = [table.atom(a) for a in problem.goal.assumptions]
         if problem.goal.target is not None:
             table.target = table.atom(problem.goal.target)
+        for name, sort in problem.consts.items():
+            table.register(name, sort)
+        table.register(alg.BOT_CONST, CONCEPT)
+        table.register(alg.TOP_CONST, CONCEPT)
         return table
 
     def goal_atoms(self) -> list[alg.Atom]:
         return self.facts + ([self.target] if self.target is not None else [])
 
-    def register(self, c: Const, sort: str) -> int:
-        i = self.leaf(c)
+    def register(self, name: str, sort: str) -> int:
+        i = self.ids.get(name)
+        if i is None:
+            i = self.leaf(Const(name))
         if i not in self.sorts:
             self.sorts[i] = sort
-            self.names[i] = c.name
+            self.names[i] = name
         return i
 
     @property
