@@ -175,8 +175,11 @@ class Classification:
     def holds(self, a: str, b: str) -> bool:
         """Is the name a subsumed by the name b?"""
         res = self._run()
+        if res is None:
+            return True
+        # a name only a query mentions is no constant of the reduction
         ids = self.report.purified.ids
-        return res is None or res.holds((ids[a], ids[b]))
+        return a in ids and b in ids and res.holds((ids[a], ids[b]))
 
     def pairs(self) -> list[tuple[str, str]]:
         """Every (a, b) of distinct names with a subsumed by b, in

@@ -184,6 +184,14 @@ def test_interpolate_prints_concept_inclusions(files, capsys):
     assert capsys.readouterr().out.strip() == "exists r . D sub exists r . C"
 
 
+def test_classify_json_lists_a_name_only_a_query_mentions(tmp_path, capsys):
+    p = tmp_path / "q.lt"
+    p.write_text("A sub B\n? A sub Z\n")
+    assert cli.main(["classify", "--json", str(p)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["subsumers"] == {"A": ["A", "B"], "B": ["B"], "Z": []}
+
+
 def test_interpolate_json_schema(files, capsys):
     assert cli.main(["interpolate", "--json", files["split"]]) == 0
     body = json.loads(capsys.readouterr().out)
