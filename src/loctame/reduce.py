@@ -429,15 +429,9 @@ def flatten_purify(table: PurifiedProblem, instances: list[Instance],
                     break
         if not walked:
             return
-        for t, zs in heads:
-            purify(t)
-            for z in zs:
-                purify(z)
-        for tails, guarded, rhs in choices:
-            for x in (*tails, *guarded, rhs):
-                purify(x)
-        if guard is not None:
-            purify(guard)
+        # every term of the family is named now: each head is walked, and
+        # the first head with every choice (Mon's own choice for it
+        # repeats that head's terms)
         table.triggered[i] = hornsat.Family(
             alg.instance_tag(ax), tuple(heads),
             tuple((tails, guarded if guard is not None else (), rhs)
