@@ -102,18 +102,6 @@ def subterms(t: FlatTerm) -> Iterator[FlatTerm]:
             stack.extend(reversed(t.args))
 
 
-def apply_subterms(t: FlatTerm) -> Iterator[Apply]:
-    for s in subterms(t):
-        if isinstance(s, Apply):
-            yield s
-
-
-def constants_of(t: FlatTerm) -> Iterator[str]:
-    for s in subterms(t):
-        if isinstance(s, Const):
-            yield s.name
-
-
 # ---------------------------------------------------------------------------
 # axiom shapes
 # ---------------------------------------------------------------------------
@@ -156,27 +144,6 @@ class OpTemplate:
 
     def var_indices(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.slots if isinstance(s, VarSlot))
-
-    def match(self, term: FlatTerm) -> Optional[dict[int, FlatTerm]]:
-        """Bind the variable slots against a ground term, or None."""
-        if not isinstance(term, Apply) or term.op != self.op:
-            return None
-        if len(term.args) != len(self.slots):
-            return None
-        binding: dict[int, FlatTerm] = {}
-        for slot, arg in zip(self.slots, term.args):
-            if isinstance(slot, FixedSlot):
-                if slot.term != arg:
-                    return None
-            else:
-                binding[slot.index] = arg
-        return binding
-
-    def build(self, binding: dict[int, FlatTerm]) -> Apply:
-        args = tuple(
-            slot.term if isinstance(slot, FixedSlot) else binding[slot.index]
-            for slot in self.slots)
-        return Apply(self.op, args)
 
 
 def plain_template(op: str, arity: int, start: int = 0) -> OpTemplate:

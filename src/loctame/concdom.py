@@ -246,7 +246,8 @@ def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
             list(concept.triggered.items()), concept.meets,
             meet_block=1 + max(blocks, default=0), universe=sl.universe)
     solver = HornSolver(transitive=chase, triggers=triggers)
-    solver.add_facts(sl.facts)
+    for atom, label in sl.facts:
+        solver.add_fact(atom, label)
     for (premises, concl, tag), block in zip(sl.clauses, sl.blocks, strict=True):
         solver.add_clause(premises, concl, tag, block)
     solver.end_build()

@@ -328,12 +328,6 @@ class HornSolver:
     def add_fact(self, key: AtomKey, label: str = "fact") -> None:
         self._derive(self.atom(key), ("fact", label))
 
-    def add_facts(self, facts: Iterable[tuple[AtomKey, str]]) -> None:
-        """add_fact for each (atom, label), in order."""
-        atom, derive = self.atom, self._derive
-        for key, label in facts:
-            derive(atom(key), ("fact", label))
-
     def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
                    tag: str = "clause", block: int = 0) -> None:
         """Add a materialized clause.  The block places it among the
@@ -621,7 +615,8 @@ def solve_problem(facts: Iterable[tuple[AtomKey, str]],
                   transitive: bool = False) -> Result:
     """Build a solver from facts and materialized clauses and solve."""
     solver = HornSolver(transitive=transitive)
-    solver.add_facts(facts)
+    for atom, label in facts:
+        solver.add_fact(atom, label)
     for premises, concl, tag in clauses:
         solver.add_clause(premises, concl, tag)
     return solver.solve(goal)

@@ -37,14 +37,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import algebra as alg
 from . import hornsat, pipeline
 from . import reduce as red
 from .algebra import (AlgAxiom, Apply, Const, FlatTerm, Goal, K2, K3, Leq,
-                      Lit, Meet, Mon, apply_subterms, axiom_ops,
-                      axiom_templates, constants_of)
+                      Lit, Meet, Mon, axiom_ops, axiom_templates, subterms)
 from .hornsat import AtomKey
 from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
                      GCI, InterpolationInput, LoctameError, Name, Top)
@@ -122,25 +121,28 @@ def _union_find_classes(axioms: Iterable[AlgAxiom], ops: Iterable[str]) -> dict[
     return {op: find(op) for op in parent}
 
 
-def _symbols(atoms: Iterable[Leq]) -> tuple[dict[str, None], set[str], bool]:
-    """The constants of the atoms in first-seen order (each side, each term
-    before its arguments), their operators, and whether a literal occurs."""
+def _symbols(terms: Iterable[FlatTerm]) -> tuple[dict[str, None], set[str], bool]:
+    """The constants of the terms in first-seen order (each term before
+    its arguments), their operators, and whether a literal occurs."""
     consts: dict[str, None] = {}
     ops: set[str] = set()
     lit = False
-    for a in atoms:
-        stack = [a.rhs, a.lhs]
-        while stack:
-            t = stack.pop()
+    for term in terms:
+        for t in subterms(term):
             if isinstance(t, Const):
                 consts[t.name] = None
+            elif isinstance(t, Apply):
+                ops.add(t.op)
             elif isinstance(t, Lit):
                 lit = True
-            else:
-                if isinstance(t, Apply):
-                    ops.add(t.op)
-                stack.extend(reversed(t.args))
     return consts, ops, lit
+
+
+def _sides(atoms: Iterable[Leq]) -> Iterator[FlatTerm]:
+    """Each atom's left side, then its right side."""
+    for a in atoms:
+        yield a.lhs
+        yield a.rhs
 
 
 def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
@@ -162,10 +164,9 @@ def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
     """The problem the reduction runs on: constants from the atoms and the
     axioms' ground terms, operators from the Mon axioms (so the chase
     fires their monotonicity from its trigger index)."""
-    consts = dict.fromkeys(_symbols(goal.all_atoms())[0], CONCEPT)
-    for t in _axiom_ground_terms(axioms):
-        for name in constants_of(t):
-            consts.setdefault(name, CONCEPT)
+    consts = dict.fromkeys(_symbols(_sides(goal.all_atoms()))[0], CONCEPT)
+    for name in _symbols(_axiom_ground_terms(axioms))[0]:
+        consts.setdefault(name, CONCEPT)
     ops = {ax.op: (CONCEPT,) * ax.arity
            for ax in axioms if isinstance(ax, Mon)}
     return alg.AlgebraicProblem(axioms=axioms, goal=goal, ops=ops,
@@ -188,11 +189,10 @@ class _Vocabulary:
 
 
 def _vocabulary(problem: InterpolationProblem) -> _Vocabulary:
-    a_consts, ops_a, _ = _symbols(problem.a_atoms)
-    b_consts, ops_b, _ = _symbols(problem.b_atoms + (problem.neg,))
+    a_consts, ops_a, _ = _symbols(_sides(problem.a_atoms))
+    b_consts, ops_b, _ = _symbols(_sides(problem.b_atoms + (problem.neg,)))
     theory = {alg.TOP_CONST, alg.BOT_CONST}
-    for t in _axiom_ground_terms(problem.axioms):
-        theory.update(constants_of(t))
+    theory.update(_symbols(_axiom_ground_terms(problem.axioms))[0])
     shared = (a_consts.keys() & b_consts.keys()) | theory
     all_ops = ops_a | ops_b
     for ax in problem.axioms:
@@ -225,7 +225,7 @@ def _validate(problem: InterpolationProblem) -> None:
             if len(tpl.slots) != 1 or tpl.nvars != 1:
                 raise CheckError(
                     f"interpolation supports unary operators only: {ax}")
-    if _symbols(problem.a_atoms + problem.b_atoms + (problem.neg,))[2]:
+    if _symbols(_sides(problem.a_atoms + problem.b_atoms + (problem.neg,)))[2]:
         raise CheckError("interpolation over the numeric sort is not supported")
 
 
@@ -389,7 +389,8 @@ class _Attempt:
             # the atoms derived from here on are those the A side adds
             # to the theory's model
             theory_size = len(solver.reasons)
-            solver.add_facts(self.a_facts)
+            for atom, label in self.a_facts:
+                solver.add_fact(atom, label)
             for premises, concl, tag in self._side_clauses(("A", "S")):
                 solver.add_clause(premises, concl, tag)
             ma = solver.solve()
@@ -528,14 +529,11 @@ def interpolate(problem: InterpolationProblem) -> InterpolationResult:
 
     table = attempt.purified
     interpolant = tuple(map(table.leq, keys))
-    ops: set[str] = set()
-    for atom in interpolant:
-        for side in (atom.lhs, atom.rhs):
-            for name in constants_of(side):
-                if name not in vocab.shared_consts:
-                    raise LoctameError(
-                        f"interpolant leaks a one-sided constant: {name}")
-            ops.update(t.op for t in apply_subterms(side))
+    consts, ops, _ = _symbols(_sides(interpolant))
+    for name in consts:
+        if name not in vocab.shared_consts:
+            raise LoctameError(
+                f"interpolant leaks a one-sided constant: {name}")
 
     result = InterpolationResult(
         interpolant=interpolant,
@@ -549,12 +547,12 @@ def interpolate(problem: InterpolationProblem) -> InterpolationResult:
         micros=micros,
     )
     t = _now()
-    _verify(problem, result)
+    entails_calls = _verify(problem, result)
     micros["verification"] = _now() - t
     result.stats = {
         "rounds": sum(a.rounds for a in attempts),
         "solver_runs": sum(a.solver_runs for a in attempts),
-        "entails_calls": len(result.interpolant) + 1,
+        "entails_calls": entails_calls,
     }
     return result
 
@@ -563,17 +561,22 @@ def _now() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def _verify(problem: InterpolationProblem, result: InterpolationResult) -> None:
+def _verify(problem: InterpolationProblem, result: InterpolationResult) -> int:
     """Check both entailments through the standard reduction: one entails
-    call per interpolant atom, then one for the B side."""
+    call per interpolant atom, then one for the B side.  Returns the
+    number of entails calls made."""
+    calls = 0
     for atom in result.interpolant:
+        calls += 1
         if not entails(problem.axioms, problem.a_atoms, atom):
             raise LoctameError(
                 f"interpolant atom is not entailed by the A side: {atom}")
+    calls += 1
     if not entails(problem.axioms,
                    tuple(result.interpolant) + problem.b_atoms, problem.neg):
         raise LoctameError(
             "interpolant joined with the B side fails to refute the goal")
+    return calls
 
 
 # ---------------------------------------------------------------------------

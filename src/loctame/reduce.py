@@ -307,11 +307,6 @@ class PurifiedProblem(alg.TermTable):
         return i
 
     @property
-    def consts(self) -> dict[str, str]:
-        """Every constant's name -> its sort."""
-        return {self.names[i]: s for i, s in self.sorts.items()}
-
-    @property
     def defs(self) -> dict[str, FlatTerm]:
         """Every proxy's name -> the one-level term it stands for."""
         names = self.names

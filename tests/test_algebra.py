@@ -34,19 +34,28 @@ def _instantiate(axioms, psi):
     return out
 
 
-def test_subterms_and_constants():
+def test_subterms_come_before_their_arguments():
     t = alg.Meet((_apply("f", _apply("g", "a")), alg.Const("b")))
-    assert set(alg.constants_of(t)) == {"a", "b"}
-    assert {x.op for x in alg.apply_subterms(t)} == {"f", "g"}
+    assert [str(s) for s in alg.subterms(t)] == [
+        str(t), "f(g(a))", "g(a)", "a", "b"]
 
 
-def test_template_match_and_build():
+def test_pattern_match_and_build():
+    table = alg.TermTable()
     tpl = alg.OpTemplate("f", (alg.VarSlot(0), alg.FixedSlot(alg.Const("c"))))
-    hit = tpl.match(_apply("f", "a", "c"))
-    assert hit == {0: alg.Const("a")}
-    assert tpl.build(hit) == _apply("f", "a", "c")
-    assert tpl.match(_apply("f", "a", "d")) is None
-    assert tpl.match(_apply("g", "a", "c")) is None
+    pat = alg._Pattern(tpl, table)
+    a, c, d = (table.intern(alg.Const(n)) for n in "acd")
+    hit = pat.match((a, c))
+    assert hit == (a,)
+    assert table.unfold(pat.build(table, hit)) == _apply("f", "a", "c")
+    assert pat.build(table, hit) == table.intern(_apply("f", "a", "c"))
+    assert pat.match((a, d)) is None              # a fixed slot differs
+    assert pat.match((a,)) is None                # the arity differs
+    # the operator is matched by the index that hands the pattern its
+    # arguments, so a plain pattern binds every argument
+    plain = alg._Pattern(alg.plain_template("g", 2), table)
+    assert plain.match((a, d)) == (a, d)
+    assert table.unfold(plain.build(table, (d, a))) == _apply("g", "d", "a")
 
 
 def test_mon_instance_count_is_k_times_k_minus_one():
