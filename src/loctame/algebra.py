@@ -91,15 +91,27 @@ class Leq:
         return f"{self.lhs} <= {self.rhs}"
 
 
-def subterms(t: FlatTerm) -> Iterator[FlatTerm]:
-    """The term and its subterms, each before its arguments, left to
-    right."""
-    stack = [t]
+def symbols(terms: Iterable[FlatTerm]
+            ) -> tuple[dict[str, None], set[str], bool]:
+    """The constants of the terms in first-seen order (each term before
+    its arguments, left to right), their operators, and whether a literal
+    occurs."""
+    consts: dict[str, None] = {}
+    ops: set[str] = set()
+    lit = False
+    stack = list(terms)
+    stack.reverse()
     while stack:
         t = stack.pop()
-        yield t
-        if isinstance(t, (Apply, Meet)):
+        if isinstance(t, Const):
+            consts[t.name] = None
+        elif isinstance(t, Lit):
+            lit = True
+        else:
+            if isinstance(t, Apply):
+                ops.add(t.op)
             stack.extend(reversed(t.args))
+    return consts, ops, lit
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import algebra as alg
 from . import hornsat, pipeline
 from . import reduce as red
 from .algebra import (AlgAxiom, Apply, Const, FlatTerm, Goal, K2, K3, Leq,
-                      Lit, Meet, Mon, axiom_ops, axiom_templates, subterms)
+                      Meet, Mon, axiom_ops, axiom_templates, symbols)
 from .hornsat import AtomKey
 from .syntax import (And, Bot, CBox, CheckError, Concept, CONCEPT, Exists,
                      GCI, InterpolationInput, LoctameError, Name, Top)
@@ -121,28 +121,9 @@ def _union_find_classes(axioms: Iterable[AlgAxiom], ops: Iterable[str]) -> dict[
     return {op: find(op) for op in parent}
 
 
-def _symbols(terms: Iterable[FlatTerm]) -> tuple[dict[str, None], set[str], bool]:
-    """The constants of the terms in first-seen order (each term before
-    its arguments), their operators, and whether a literal occurs."""
-    consts: dict[str, None] = {}
-    ops: set[str] = set()
-    lit = False
-    for term in terms:
-        for t in subterms(term):
-            if isinstance(t, Const):
-                consts[t.name] = None
-            elif isinstance(t, Apply):
-                ops.add(t.op)
-            elif isinstance(t, Lit):
-                lit = True
-    return consts, ops, lit
-
-
-def _sides(atoms: Iterable[Leq]) -> Iterator[FlatTerm]:
+def _sides(atoms: Iterable[Leq]) -> list[FlatTerm]:
     """Each atom's left side, then its right side."""
-    for a in atoms:
-        yield a.lhs
-        yield a.rhs
+    return [t for a in atoms for t in (a.lhs, a.rhs)]
 
 
 def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
@@ -164,8 +145,8 @@ def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
     """The problem the reduction runs on: constants from the atoms and the
     axioms' ground terms, operators from the Mon axioms (so the chase
     fires their monotonicity from its trigger index)."""
-    consts = dict.fromkeys(_symbols(_sides(goal.all_atoms()))[0], CONCEPT)
-    for name in _symbols(_axiom_ground_terms(axioms))[0]:
+    consts = dict.fromkeys(symbols(_sides(goal.all_atoms()))[0], CONCEPT)
+    for name in symbols(_axiom_ground_terms(axioms))[0]:
         consts.setdefault(name, CONCEPT)
     ops = {ax.op: (CONCEPT,) * ax.arity
            for ax in axioms if isinstance(ax, Mon)}
@@ -189,10 +170,10 @@ class _Vocabulary:
 
 
 def _vocabulary(problem: InterpolationProblem) -> _Vocabulary:
-    a_consts, ops_a, _ = _symbols(_sides(problem.a_atoms))
-    b_consts, ops_b, _ = _symbols(_sides(problem.b_atoms + (problem.neg,)))
+    a_consts, ops_a, _ = symbols(_sides(problem.a_atoms))
+    b_consts, ops_b, _ = symbols(_sides(problem.b_atoms + (problem.neg,)))
     theory = {alg.TOP_CONST, alg.BOT_CONST}
-    theory.update(_symbols(_axiom_ground_terms(problem.axioms))[0])
+    theory.update(symbols(_axiom_ground_terms(problem.axioms))[0])
     shared = (a_consts.keys() & b_consts.keys()) | theory
     all_ops = ops_a | ops_b
     for ax in problem.axioms:
@@ -225,7 +206,7 @@ def _validate(problem: InterpolationProblem) -> None:
             if len(tpl.slots) != 1 or tpl.nvars != 1:
                 raise CheckError(
                     f"interpolation supports unary operators only: {ax}")
-    if _symbols(_sides(problem.a_atoms + problem.b_atoms + (problem.neg,)))[2]:
+    if symbols(_sides(problem.a_atoms + problem.b_atoms + (problem.neg,)))[2]:
         raise CheckError("interpolation over the numeric sort is not supported")
 
 
@@ -529,7 +510,7 @@ def interpolate(problem: InterpolationProblem) -> InterpolationResult:
 
     table = attempt.purified
     interpolant = tuple(map(table.leq, keys))
-    consts, ops, _ = _symbols(_sides(interpolant))
+    consts, ops, _ = symbols(_sides(interpolant))
     for name in consts:
         if name not in vocab.shared_consts:
             raise LoctameError(

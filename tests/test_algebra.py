@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loctame import algebra as alg
 from loctame import randgen
+from loctame.syntax import Interval
 
 
 def _apply(op, *args):
@@ -34,13 +36,18 @@ def _instantiate(axioms, psi):
     return out
 
 
-def test_subterms_come_before_their_arguments():
-    t = alg.Meet((_apply("f", _apply("g", "a")), alg.Const("b")))
-    assert [str(s) for s in alg.subterms(t)] == [
-        str(t), "f(g(a))", "g(a)", "a", "b"]
+def test_subterms_and_constants():
+    t = alg.Meet((_apply("f", _apply("g", "a", "c")), alg.Const("b")))
+    consts, ops, lit = alg.symbols([t, _apply("h", "d", "a")])
+    # each term before its arguments, left to right
+    assert list(consts) == ["a", "c", "b", "d"]
+    assert ops == {"f", "g", "h"}
+    assert not lit
+    five = alg.Lit(Interval(Fraction(5), Fraction(5)))
+    assert alg.symbols([alg.Meet((alg.Const("a"), five))])[2]
 
 
-def test_pattern_match_and_build():
+def test_template_match_and_build():
     table = alg.TermTable()
     tpl = alg.OpTemplate("f", (alg.VarSlot(0), alg.FixedSlot(alg.Const("c"))))
     pat = alg._Pattern(tpl, table)
@@ -51,8 +58,11 @@ def test_pattern_match_and_build():
     assert pat.build(table, hit) == table.intern(_apply("f", "a", "c"))
     assert pat.match((a, d)) is None              # a fixed slot differs
     assert pat.match((a,)) is None                # the arity differs
-    # the operator is matched by the index that hands the pattern its
-    # arguments, so a plain pattern binds every argument
+    # a pattern sees only the terms of its operator: the closure hands it
+    # the arguments of terms_by_op's list for that operator
+    f_ac = table.intern(_apply("f", "a", "c"))
+    g_ac = table.intern(_apply("g", "a", "c"))
+    assert alg.terms_by_op(table, [f_ac, g_ac])[pat.op] == [f_ac]
     plain = alg._Pattern(alg.plain_template("g", 2), table)
     assert plain.match((a, d)) == (a, d)
     assert table.unfold(plain.build(table, (d, a))) == _apply("g", "d", "a")

@@ -257,10 +257,8 @@ def test_random_splits_interpolate_and_verify(seed):
         result, gcis = itp.interpolate_input(inp)   # re-checks both entailments
     except itp.NotUnsat:
         return
-    for atom in result.interpolant:
-        for side in (atom.lhs, atom.rhs):
-            assert {t.name for t in alg.subterms(side)
-                    if isinstance(t, Const)} <= set(result.shared_consts)
+    consts = alg.symbols(itp._sides(result.interpolant))[0]
+    assert consts.keys() <= result.shared_consts
 
 
 def test_one_sided_operator_can_leak_when_unavoidable():
@@ -278,10 +276,7 @@ def test_one_sided_operator_can_leak_when_unavoidable():
     result = itp.interpolate(problem)
     assert result.interpolant
     assert not result.ops_shared
-    leaked = {t.op
-              for atom in result.interpolant
-              for side in (atom.lhs, atom.rhs)
-              for t in alg.subterms(side) if isinstance(t, Apply)}
+    leaked = alg.symbols(itp._sides(result.interpolant))[1]
     assert leaked == {"f"}
 
 

@@ -51,8 +51,7 @@ def test_flatten_purify_definitions_unfold(defs_cbox):
     assert len(proxies) == len(purified.defs)
     for proxy in proxies:
         unfolded = purified.unfold(proxy)
-        assert all(not t.name.startswith("_t") for t in alg.subterms(unfolded)
-                   if isinstance(t, alg.Const))
+        assert all(not c.startswith("_t") for c in alg.symbols([unfolded])[0])
     # facts follow assumption order
     assert len(purified.facts) == len(prob.goal.assumptions)
     assert purified.target is not None
