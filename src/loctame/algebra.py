@@ -19,6 +19,10 @@ right-hand side.
 The closure and the instances are computed over a TermTable, which
 numbers every distinct term once: a closure is a list of ids, and an
 instance's atoms are pairs of ids.
+
+The closure-local instances of a Mon/K2/K3 axiom have one form, a
+Family of heads x choices: `instantiate` writes its rules out, and the
+pipeline keeps it whole for the axioms over concept atoms.
 """
 
 from __future__ import annotations
@@ -497,11 +501,6 @@ class Instance(NamedTuple):
     axiom: int = 0                  # the index of its axiom
 
 
-def instance_tag(ax: AlgAxiom) -> str:
-    """The tag of an axiom's instances: Mon(f) for monotonicity of f."""
-    return f"Mon({ax.op})" if isinstance(ax, Mon) else type(ax).__name__
-
-
 def terms_by_op(table: TermTable, psi: Iterable[int]) -> dict[str, list[int]]:
     """The closure terms of each operator, in closure order."""
     by_op: dict[str, list[int]] = {}
@@ -524,35 +523,70 @@ def _tail_product(c: _Compiled, by_op: dict[str, list[int]],
                tuple(x for _, v in combo for x in v))
 
 
-# a Mon/K2/K3 instance joins a head, an f-term with its z arguments, with
-# a choice: its tail terms, its guarded arguments and its right-hand side
-Head = tuple[int, tuple[int, ...]]
-Choice = tuple[tuple[int, ...], tuple[int, ...], int]
-Composition = tuple[list[Head], list[Choice]]
+@dataclass(frozen=True)
+class Family:
+    """The closure-local instances of a Mon/K2/K3 axiom, as a product.
+
+    heads[h] = (head, zs) and choices[c] = (tails, guarded, rhs) make the
+    rule  z_i <= tail_i (each i), x <= guard (each guarded x)  ->
+    head <= rhs  at position h * len(choices) + c of the axiom's block.
+    Within a family no two rules share a conclusion.  The constants are
+    table ids in the pipeline and any hashable values in the solver.
+    """
+
+    tag: str
+    heads: tuple[tuple[int, tuple[int, ...]], ...]
+    choices: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+    guard: Optional[int] = None
+
+    def rule(self, hi: int, ci: int) -> tuple[int, tuple[Atom, ...], Atom]:
+        """The rule joining head hi and choice ci: its position, premises
+        (tails, then guard atoms, without repeats) and conclusion."""
+        head, zs = self.heads[hi]
+        tails, guarded, rhs = self.choices[ci]
+        premises = list(zip(zs, tails))
+        if self.guard is not None:
+            premises += [(x, self.guard) for x in guarded]
+        return (hi * len(self.choices) + ci, tuple(dict.fromkeys(premises)),
+                (head, rhs))
+
+    def reflexive(self, hi: int, ci: int) -> bool:
+        """Is this Mon's rule pairing a term with itself?  Reflexivity
+        gives its conclusion, so it is no instance."""
+        return (self.heads[hi][0] == self.choices[ci][2]
+                and self.tag.startswith("Mon("))
+
+    def rules(self) -> Iterator[tuple[int, tuple[Atom, ...], Atom]]:
+        """Every instance in position order (head-major)."""
+        return (self.rule(hi, ci) for hi in range(len(self.heads))
+                for ci in range(len(self.choices))
+                if not self.reflexive(hi, ci))
 
 
 def composition(table: TermTable, ax: Union[Mon, K2, K3],
-                by_op: dict[str, list[int]]) -> Composition:
-    """The closure-local instances of a Mon/K2/K3 axiom as heads x choices.
+                by_op: dict[str, list[int]]) -> Family:
+    """The closure-local instances of a Mon/K2/K3 axiom as a Family.
 
-    Mon(f) has one head (t, t.args) and one choice (t.args, (), t) per
-    f-term t in closure order; K2 chooses one g_i-term per tail (the
-    product in closure order) and guards h's arguments; K3 chooses a y
-    with every g_i(y) in the closure (in the order of the terms' text)
-    and guards y.  instantiate emits the instances head-major.
+    Mon(f), tagged Mon(f), has one head (t, t.args) and one choice
+    (t.args, (), t) per f-term t in closure order; K2 chooses one g_i-term
+    per tail (the product in closure order) and guards h's arguments; K3
+    chooses a y with every g_i(y) in the closure (in the order of the
+    terms' text) and guards y.
     """
     args = table.args
     if isinstance(ax, Mon):
         terms = by_op.get(ax.op, [])
-        return [(t, args[t]) for t in terms], [(args[t], (), t) for t in terms]
-    c = table.compile(ax)
-    heads = [(t, vals) for t in by_op.get(c.f.op, ())
-             if (vals := c.f.match(args[t])) is not None]
+        return Family(f"Mon({ax.op})", tuple((t, args[t]) for t in terms),
+                      tuple((args[t], (), t) for t in terms))
+    tag, c = type(ax).__name__, table.compile(ax)
+    heads = tuple((t, vals) for t in by_op.get(c.f.op, ())
+                  if (vals := c.f.match(args[t])) is not None)
     if not heads:
-        return heads, []
+        return Family(tag, heads, (), c.guard)
     if isinstance(ax, K2):
-        return heads, [(tails, vals, c.h.build(table, vals))
-                       for tails, vals in _tail_product(c, by_op, args)]
+        return Family(tag, heads, tuple(
+            (tails, vals, c.h.build(table, vals))
+            for tails, vals in _tail_product(c, by_op, args)), c.guard)
     # candidate y: every term c such that each g_i(c) is in the closure
     cands: Optional[set[int]] = None
     for g in c.gs:
@@ -560,27 +594,9 @@ def composition(table: TermTable, ax: Union[Mon, K2, K3],
                 if (vals := g.match(args[t])) is not None}
         cands = here if cands is None else cands & here
     text = {y: str(table.unfold(y)) for y in cands}
-    return heads, [(tuple(g.build(table, (y,)) for g in c.gs), (y,), y)
-                   for y in sorted(cands, key=text.__getitem__)]
-
-
-def composed(ax: Union[Mon, K2, K3], guard: Optional[int], head: Head,
-             choice: Choice) -> Optional[tuple[list[Atom], Atom]]:
-    """The premises and the conclusion of one Mon/K2/K3 instance:
-    z_i <= tail_i for each tail, then x <= guard for each guarded x.
-    None where Mon would pair a term with itself: reflexivity gives that
-    conclusion."""
-    (ft, zs), (tails, guarded, rhs) = head, choice
-    if ft == rhs and isinstance(ax, Mon):
-        return None
-    premises = list(zip(zs, tails))
-    if guard is not None:
-        premises += [(x, guard) for x in guarded]
-    return premises, (ft, rhs)
-
-
-def guard_id(table: TermTable, ax: AlgAxiom) -> Optional[int]:
-    return table.compile(ax).guard if ax.guard is not None else None
+    return Family(tag, heads, tuple(
+        (tuple(g.build(table, (y,)) for g in c.gs), (y,), y)
+        for y in sorted(cands, key=text.__getitem__)), c.guard)
 
 
 def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
@@ -593,8 +609,7 @@ def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
     with its operator; for an operator with k closure terms that is
     k*(k-1) instances.
     """
-    psi_list = list(psi)
-    by_op = terms_by_op(table, psi_list)
+    by_op = terms_by_op(table, psi)
     args = table.args
 
     out: list[Instance] = []
@@ -622,14 +637,9 @@ def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
                           if c.guard is not None else ())
                 emit(guards, (t, c.h.build(table, vals)), "K1")
         elif isinstance(ax, (Mon, K2, K3)):
-            tag = instance_tag(ax)
-            guard = guard_id(table, ax)
-            heads, choices = composition(table, ax, by_op)
-            for head in heads:
-                for choice in choices:
-                    inst = composed(ax, guard, head, choice)
-                    if inst is not None:
-                        emit(*inst, tag)
+            fam = composition(table, ax, by_op)
+            for _, premises, conclusion in fam.rules():
+                emit(premises, conclusion, fam.tag)
         else:
             raise LoctameError(f"unknown axiom shape {ax!r}")
     return out

@@ -21,12 +21,12 @@ them in the order their partner atoms were popped, never string
 hashing, so a derivation reads the same in every process.
 
 The chase mode also hands the solver a `Triggers` index instead of the
-clause families that grow with the square of the closure or faster: one
-`Family` per Mon/K2/K3 axiom (monotonicity of the operators whose
-arguments are all concepts and the instances of role compositions,
-indexed by tail and argument, and by guard), and meet introduction.
-`Family.rule` spells out each rule, for the index and the written-out
-reduction alike.
+clause families that grow with the square of the closure or faster: the
+rule family of each Mon/K2/K3 axiom whose premises are all concept atoms
+(an `algebra.Family`: monotonicity of the operators whose arguments are
+all concepts and the instances of role compositions, indexed by tail and
+argument, and by guard), and meet introduction.  A family's own `rule`
+spells out each rule, for the index and the written-out reduction alike.
 A triggered rule fires when its last premise is
 popped, exactly when its materialized clause would have: every clause and
 rule carries a rank (its position in the materialized clause list: one
@@ -84,57 +84,21 @@ class Stats:
                                     # of an atom not derived from the facts
 
 
-@dataclass(frozen=True)
-class Family:
-    """The rules of one axiom over constants, as a product.
-
-    heads[h] = (head, zs) and choices[c] = (tails, guarded, rhs) make the
-    rule  z_i <= tail_i (each i), x <= guard (each guarded x)  ->
-    head <= rhs  at position h * len(choices) + c of the axiom's block.
-    Within a family no two rules share a conclusion.  Mon(f) has one head
-    (t, args) and one choice (args, (), t) per f-term t.  A rule whose
-    head is its choice's right-hand side, such as Mon's rule for (t, t),
-    concludes what reflexivity gives, so Triggers never yields it.
-    """
-
-    tag: str
-    heads: tuple[tuple[str, tuple[str, ...]], ...]
-    choices: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...]
-    guard: Optional[str] = None
-
-    def rule(self, hi: int, ci: int
-             ) -> tuple[int, tuple[AtomKey, ...], AtomKey]:
-        """The rule joining head hi and choice ci: its position, premises
-        (tails, then guard atoms, without repeats) and conclusion."""
-        head, zs = self.heads[hi]
-        tails, guarded, rhs = self.choices[ci]
-        premises = list(zip(zs, tails))
-        if self.guard is not None:
-            premises += [(x, self.guard) for x in guarded]
-        return (hi * len(self.choices) + ci, tuple(dict.fromkeys(premises)),
-                (head, rhs))
-
-    def rules(self) -> Iterator[tuple[int, tuple[AtomKey, ...], AtomKey]]:
-        """Every rule in position order, leaving out Mon's (t, t) rules as
-        algebra.composed does."""
-        mon = self.tag.startswith("Mon(")
-        return (self.rule(hi, ci) for hi, (head, _) in enumerate(self.heads)
-                for ci, (*_, rhs) in enumerate(self.choices)
-                if not (mon and head == rhs))
-
-
 class Triggers:
     """Rule families indexed by premise, fired by the solver on demand.
 
-    families: per axiom, its block and its Family, indexed by the premises
-    z_i <= tail_i (by tail, position and z) and by guard.
+    families: per axiom, its block and its rule family (an algebra.Family:
+    tag, heads, choices, guard and `rule`), indexed by the premises
+    z_i <= tail_i (by tail, position and z) and by guard.  A rule whose
+    head is its choice's right-hand side, such as Mon's rule for (t, t),
+    concludes what reflexivity gives, so it is never yielded.
 
     meets: meet constant -> operand constants, in order, all in meet_block.
     The rule for the meet m and the constant z != m is  z <= operands(m)
     ->  z <= m  at position index(m) * |universe| + index(z).
     """
 
-    def __init__(self, families: Iterable[tuple[int, Family]],
+    def __init__(self, families: Iterable[tuple],
                  meets: dict[str, tuple[str, ...]], meet_block: int,
                  universe: Sequence[str]):
         # tail constant -> (family, position, indices of the choices with
@@ -142,11 +106,11 @@ class Triggers:
         # with that z there; guard -> (family, guarded constant -> indices
         # of its choices); per family in block order, its heads and its
         # right-hand sides by constant
-        self.families: list[tuple[int, Family]] = []
+        self.families: list[tuple] = []
         self.by_tail: dict[str, list[tuple[int, int, list[int]]]] = {}
         self.heads_at: dict[tuple[int, int, str], list[int]] = {}
         self.by_guard: dict[str, list[tuple[int, dict[str, list[int]]]]] = {}
-        self.concluding: list[tuple[int, Family, dict[str, int],
+        self.concluding: list[tuple[int, object, dict[str, int],
                                     dict[str, int]]] = []
         for f, (block, fam) in enumerate(families):
             self.families.append((block << _RANK_BITS, fam))
@@ -159,8 +123,9 @@ class Triggers:
                         slot = slots[(pos, t)] = []
                         self.by_tail.setdefault(t, []).append((f, pos, slot))
                     slot.append(ci)
-                for x in dict.fromkeys(xs):
-                    guarded.setdefault(x, []).append(ci)
+                if fam.guard is not None:
+                    for x in dict.fromkeys(xs):
+                        guarded.setdefault(x, []).append(ci)
             for hi, (_, zs) in enumerate(fam.heads):
                 for pos, z in enumerate(zs):
                     self.heads_at.setdefault((f, pos, z), []).append(hi)

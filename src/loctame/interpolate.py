@@ -271,8 +271,7 @@ class _Attempt:
         psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
                               problem.axioms)
         instances = alg.instantiate(table, problem.axioms, psi)
-        self.purified = purified = red.flatten_purify(table, instances,
-                                                      problem.axioms)
+        self.purified = purified = red.flatten_purify(table, instances)
         if purified.target is None:
             raise LoctameError("the refuted atom was lost in purification")
 

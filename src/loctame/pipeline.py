@@ -12,13 +12,15 @@ run: name queries contribute no operator terms to the closure seed, so
 the reduction is the same for every such query and the verdict is just
 membership of the pair in the least model.
 
-In `chase` mode the solver fires, from its trigger index, the instances
-of the Mon/K2/K3 axioms whose premises are all concept atoms (one
-heads x choices family per axiom; instantiate leaves those axioms out)
-and meet introduction, instead of materializing them.  K1, K2 with a
-guard on a numeric position, Mon over operators with a numeric argument,
-and the lattice facts are materialized.  `instantiate`
-mode materializes everything, as the paper's reduction does.
+Both modes build the same purified problem: the instances of the
+Mon/K2/K3 axioms whose premises are all concept atoms stay one heads x
+choices family per axiom (instantiate leaves those axioms out), while
+K1, K2 with a guard on a numeric position and Mon over operators with a
+numeric argument are instantiated.  The modes part in combine_solve.
+`instantiate` mode writes the families, meet introduction and
+transitivity out and solves the whole, as the paper's reduction does;
+in `chase` mode the solver fires the families and meet introduction
+from its trigger index and closes under transitivity itself.
 Report.sl gives the full reduction in both modes; `chase` mode writes it
 out on first use from the solver's own term table and rule families.
 """
@@ -127,16 +129,14 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     micros["closure"] = _now() - t
 
     t = _now()
-    triggered: dict[int, alg.Composition] = {}
-    if mode == red.CHASE:
-        by_op = alg.terms_by_op(table, psi)
-        triggered = {i: alg.composition(table, problem.axioms[i], by_op)
-                     for i in red.triggered_axioms(problem)}
-    instances = alg.instantiate(table, problem.axioms, psi, skip=triggered)
+    by_op = alg.terms_by_op(table, psi)
+    families = {i: alg.composition(table, problem.axioms[i], by_op)
+                for i in red.triggered_axioms(problem)}
+    instances = alg.instantiate(table, problem.axioms, psi, skip=families)
     micros["instantiate"] = _now() - t
 
     t = _now()
-    purified = red.flatten_purify(table, instances, problem.axioms, triggered)
+    purified = red.flatten_purify(table, instances, families)
     micros["purify"] = _now() - t
 
     combine = concdom.combine_solve(purified, mode)

@@ -27,18 +27,18 @@ sl_instantiate is the one builder of the semilattice theory: the
 pipeline unrolls it over a purified problem, and interpolation over its
 term table alone, once per round, as separation adds defined constants.
 
-In `chase` mode two kinds of rules are not materialized at all but fired
-by the solver's trigger index (hornsat.Triggers): the instances of the
-Mon/K2/K3 axioms whose premises are all concept atoms (monotonicity of
-the operators whose arguments are all concepts, and the role
-compositions), and meet introduction.  flatten_purify still names their
-terms in the order the materialized instances would have (walking, per
-axiom, the first head with every choice and each later head with its
-first choice, which is linear in the closure terms involved), so the
-proxies, the dumped reduction and every derivation read the same in both
-forms.  To show the full reduction, sl_instantiate writes those rules
-out from the same table: each family in its axiom's place among the
-instances (hornsat.Family.rules), then meet introduction.
+The instances of the Mon/K2/K3 axioms whose premises are all concept
+atoms (monotonicity of the operators whose arguments are all concepts,
+and the role compositions) reach purification as rule families
+(algebra.Family), in both modes.  flatten_purify names their terms in
+the order the written-out instances would have (walking, per axiom, the
+first head with every choice and each later head with its first choice,
+which is linear in the closure terms involved), so the proxies, the
+dumped reduction and every derivation read the same in both modes.
+sl_instantiate writes the families out (each in its axiom's place among
+the instances, then meet introduction) for `instantiate` mode's solver
+and for the full reduction a report shows; the `chase` solver fires them
+and meet introduction from its trigger index (hornsat.Triggers) instead.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional
 
-from . import algebra as alg, hornsat
+from . import algebra as alg
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
                       K2, K3, Leq, Lit, Meet, Mon, OpTemplate, VarSlot)
 from .syntax import (CBox, CheckError, CONCEPT, Concept, Interval, NUM,
@@ -273,10 +273,10 @@ class PurifiedProblem(alg.TermTable):
     names: dict[int, str] = field(default_factory=dict)
     # meet proxies -> operand constants
     meets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    # axiom index -> the rules of the axioms whose instances `clauses`
-    # leaves out, because the chase fires them from the solver's trigger
-    # index
-    triggered: dict[int, hornsat.Family] = field(default_factory=dict)
+    # axiom index -> the rule family of an axiom whose instances `clauses`
+    # leaves out: the chase fires them from the solver's trigger index,
+    # and sl_instantiate writes them out
+    triggered: dict[int, alg.Family] = field(default_factory=dict)
     # proxy prefix -> how many constants it has numbered
     numbered: dict[str, int] = field(default_factory=dict)
 
@@ -375,72 +375,51 @@ def triggered_axioms(problem: alg.AlgebraicProblem) -> list[int]:
 
 
 def flatten_purify(table: PurifiedProblem, instances: list[Instance],
-                   axioms: tuple[alg.AlgAxiom, ...],
-                   triggered: Optional[dict[int, alg.Composition]] = None
+                   families: Optional[dict[int, alg.Family]] = None
                    ) -> PurifiedProblem:
     """Name every operator/meet term with a proxy constant, and take the
-    instances as the table's clauses.
+    instances as the table's clauses and the families that have an
+    instance as its triggered ones.
 
     Proxies are handed out in first-encounter order walking the goal, then
     the instances, each term after its arguments.
 
-    triggered maps the indices of the axioms whose instances were left out
-    of `instances` to their alg.composition.  Their terms are named where
+    families maps the indices of the axioms whose instances were left out
+    of `instances` to their rule families.  Their terms are named where
     their instances would have been walked (in axiom order), so the
     proxies come out as if they were there.
     """
     purify = table.purify
-    for lhs, rhs in table.facts:
-        purify(lhs)
-        purify(rhs)
-    if table.target is not None:
-        purify(table.target[0])
-        purify(table.target[1])
 
-    triggered = triggered or {}
-    pending = sorted(triggered)
+    def name(atoms) -> None:
+        for x, y in atoms:
+            purify(x)
+            purify(y)
+
+    name(table.goal_atoms())
+    families = families or {}
+    pending = sorted(families)
 
     def walk(i: int) -> None:
-        # instantiate joins each head with every choice, head-major; after
-        # a head's first instance its terms have proxies, and after the
-        # first head every choice's, so a later head stops at its first
-        ax = axioms[i]
-        guard = alg.guard_id(table, ax)
-        heads, choices = triggered[i]
-        walked = False
-        for n, head in enumerate(heads):
-            for choice in choices:
-                inst = alg.composed(ax, guard, head, choice)
-                if inst is None:
+        # the instances run head-major; after a head's first instance its
+        # terms have proxies, and after the first head every choice's
+        # (Mon's own choice for it repeats that head's terms), so a later
+        # head stops at its first.  A family without instances is not kept.
+        fam = families[i]
+        for hi in range(len(fam.heads)):
+            for ci in range(len(fam.choices)):
+                if fam.reflexive(hi, ci):
                     continue
-                premises, (lhs, rhs) = inst
-                for x, y in premises:
-                    purify(x)
-                    purify(y)
-                purify(lhs)
-                purify(rhs)
-                walked = True
-                if n:
+                _, premises, conclusion = fam.rule(hi, ci)
+                name((*premises, conclusion))
+                table.triggered[i] = fam
+                if hi:
                     break
-        if not walked:
-            return
-        # every term of the family is named now: each head is walked, and
-        # the first head with every choice (Mon's own choice for it
-        # repeats that head's terms)
-        table.triggered[i] = hornsat.Family(
-            alg.instance_tag(ax), tuple(heads),
-            tuple((tails, guarded if guard is not None else (), rhs)
-                  for tails, guarded, rhs in choices),
-            guard)
 
     for inst in instances:
         while pending and pending[0] < inst.axiom:
             walk(pending.pop(0))
-        for x, y in inst.premises:
-            purify(x)
-            purify(y)
-        purify(inst.conclusion[0])
-        purify(inst.conclusion[1])
+        name((*inst.premises, inst.conclusion))
     for i in pending:
         walk(i)
     table.clauses = instances

@@ -26,7 +26,6 @@ input is a ParseError.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -474,14 +473,27 @@ class _Parser:
         else:
             lhs = self.concept()
             tok = self.next()
-            if tok.kind != "ident" or tok.text not in ("sub", "equiv"):
+            if tok.text == "nsub" and "negated" in cbox_parts:
+                cbox_parts["negated"].append(Query(lhs, self.concept()))
+            elif tok.kind != "ident" or tok.text not in ("sub", "equiv"):
                 raise ParseError(f"expected 'sub' or 'equiv', got {tok.text!r}",
                                  tok.line, tok.col)
-            rhs = self.concept()
-            cbox_parts["gcis"].append(GCI(lhs, rhs))
-            if tok.text == "equiv":
-                cbox_parts["gcis"].append(GCI(rhs, lhs))
+            else:
+                rhs = self.concept()
+                cbox_parts["gcis"].append(GCI(lhs, rhs))
+                if tok.text == "equiv":
+                    cbox_parts["gcis"].append(GCI(rhs, lhs))
         self.expect("eol")
+
+    def side_tag(self) -> Optional[str]:
+        """Eat an `A:` or `B:` tag, the first two characters of a
+        statement, and return its side."""
+        tag = self.toks[self.pos:self.pos + 2]
+        if (len(tag) == 2 and tag[0].text in ("A", "B")
+                and tag[1].text == ":" and tag[1].col == tag[0].col + 1):
+            self.pos += 2
+            return tag[0].text
+        return None
 
     def parse_decl(self, cbox_parts: dict) -> None:
         self.expect("ident", "role")
@@ -569,17 +581,25 @@ class _Parser:
             RoleInclusion(tuple(chain), rhs, guard, parallel))
 
     def parse_cbox(self) -> CBox:
-        parts: dict = {"roles": {}, "restrictions": [], "gcis": [],
-                       "role_incls": [], "queries": []}
+        parts = _cbox_parts()
         while self.peek() is not None:
             self.statement(parts)
-        return CBox(
-            roles=parts["roles"],
-            restrictions=tuple(parts["restrictions"]),
-            gcis=tuple(parts["gcis"]),
-            role_incls=tuple(parts["role_incls"]),
-            queries=tuple(parts["queries"]),
-        )
+        return _cbox(parts)
+
+
+def _cbox_parts() -> dict:
+    return {"roles": {}, "restrictions": [], "gcis": [], "role_incls": [],
+            "queries": []}
+
+
+def _cbox(parts: dict) -> CBox:
+    return CBox(
+        roles=parts["roles"],
+        restrictions=tuple(parts["restrictions"]),
+        gcis=tuple(parts["gcis"]),
+        role_incls=tuple(parts["role_incls"]),
+        queries=tuple(parts["queries"]),
+    )
 
 
 def parse_cbox(text: str) -> CBox:
@@ -812,57 +832,41 @@ class InterpolationInput:
 
 
 def parse_interpolation_input(text: str) -> InterpolationInput:
-    # each part is parsed from the file's lines with the other parts'
-    # lines blanked and the side tag overwritten in place, so parse errors
-    # carry the file's own line and column
-    lines = text.splitlines()
-    parts: dict[str, list[str]] = {k: [""] * len(lines) for k in "SAB?"}
-    neg_line: Optional[int] = None
-    for i, raw in enumerate(lines):
-        code = raw.split("#", 1)[0]
-        tag = len(code) - len(code.lstrip())
-        side, rest = code[tag:tag + 2], code[tag + 2:]
-        if side not in ("A:", "B:"):
-            parts["S"][i] = code
-        elif re.search(r"\bnsub\b", rest):
-            if side != "B:":
+    """One pass over the file: each statement goes to the shared CBox or,
+    after its side tag, to that side, and each rejection is reported at
+    the statement that causes it."""
+    p = _Parser(text)
+    parts = {side: {**_cbox_parts(), "negated": []}
+             for side in ("A", "B", None)}
+    neg: Optional[Query] = None
+    while p.peek() is not None:
+        start = p.peek()
+        side = p.side_tag()
+        if side is not None and p.eat("eol"):
+            continue                # a tag alone on its line
+        box = parts[side]
+        p.statement(box)
+        if box["negated"]:
+            if side != "B":
                 raise ParseError("the negated inclusion belongs on the B side",
-                                 i + 1, tag + 1)
-            if neg_line is not None:
-                raise ParseError("more than one 'nsub' line", i + 1, tag + 1)
-            neg_line = i + 1
-            parts["?"][i] = (code[:tag] + "? "
-                             + re.sub(r"\bnsub\b", " sub", rest, count=1))
-        else:
-            parts[side[0]][i] = code[:tag] + "  " + rest
-    if neg_line is None:
-        raise ParseError("an interpolation problem needs one 'B: C nsub D' line",
-                         len(lines) or 1, 1)
-
-    def parse_part(key: str) -> CBox:
-        return parse_cbox("\n".join(parts[key]))
-
-    def first_line(key: str) -> int:
-        return next((i + 1 for i, s in enumerate(parts[key]) if s.strip()), 1)
-
-    def parse_side(key: str) -> tuple[tuple[GCI, ...], tuple[RoleInclusion, ...]]:
-        box = parse_part(key)
-        if box.queries or box.restrictions or box.roles:
+                                 start.line, start.col)
+            if neg is not None:
+                raise ParseError("more than one 'nsub' line",
+                                 start.line, start.col)
+            neg = box["negated"].pop()
+        if side is None and (box["gcis"] or box["queries"]):
+            raise ParseError("untagged lines may only declare or relate roles",
+                             start.line, start.col)
+        if side is not None and (box["roles"] or box["restrictions"]
+                                 or box["queries"]):
             raise ParseError("side-tagged lines may only contain inclusions",
-                             first_line(key), 1)
-        return box.gcis, box.role_incls
-
-    a_gcis, a_ris = parse_side("A")
-    b_gcis, b_ris = parse_side("B")
-    shared = parse_part("S")
-    if shared.gcis or shared.queries:
-        raise ParseError("untagged lines may only declare or relate roles",
-                         first_line("S"), 1)
-
-    neg_box = parse_part("?")
-    if len(neg_box.queries) != 1:
-        raise ParseError("malformed 'nsub' line", neg_line, 1)
-    q = neg_box.queries[0]
-    return InterpolationInput(cbox=shared, a_gcis=a_gcis, b_gcis=b_gcis,
-                              neg=Query(q.lhs, q.rhs),
-                              a_role_incls=a_ris, b_role_incls=b_ris)
+                             start.line, start.col)
+    if neg is None:
+        raise ParseError("an interpolation problem needs one 'B: C nsub D' line",
+                         len(text.splitlines()) or 1, 1)
+    a, b = parts["A"], parts["B"]
+    return InterpolationInput(
+        cbox=_cbox(parts[None]), a_gcis=tuple(a["gcis"]),
+        b_gcis=tuple(b["gcis"]), neg=neg,
+        a_role_incls=tuple(a["role_incls"]),
+        b_role_incls=tuple(b["role_incls"]))

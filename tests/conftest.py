@@ -95,12 +95,13 @@ def closure_terms(seeds, axioms) -> list:
 
 def purified_problem(problem) -> red.PurifiedProblem:
     """The purified problem with every closure-local instance
-    materialized, as `instantiate` mode builds it."""
+    materialized by alg.instantiate, and no rule families: a reference
+    for the reduction the pipeline builds from its families."""
     table = red.PurifiedProblem.of(problem)
     psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
                           problem.axioms)
-    return red.flatten_purify(
-        table, alg.instantiate(table, problem.axioms, psi), problem.axioms)
+    instances = alg.instantiate(table, problem.axioms, psi)
+    return red.flatten_purify(table, instances)
 
 
 @pytest.fixture

@@ -152,6 +152,13 @@ def test_classification_model_equals_the_materialized_one():
         len(res.solver.atom_keys)
 
 
+def _reference_sl(report: pipeline.Report) -> red.SLProblem:
+    """The full reduction of a report's problem with every instance
+    materialized by alg.instantiate, with no rule families."""
+    return red.sl_instantiate(
+        concdom.split_problem(purified_problem(report.problem)).concept)
+
+
 def _without_trans(sl: red.SLProblem) -> red.SLProblem:
     """An `instantiate`-mode reduction without its trailing transitivity
     clauses, read as a `chase`-mode one."""
@@ -170,9 +177,10 @@ def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
     built = {tag for _, _, tag in chase.combine.sl.clauses}
     assert not any(t.startswith("Mon") or t == "meet-intro" for t in built)
     assert chase.purified.triggered
-    # ... while the report shows the whole reduction: the `instantiate`
-    # one without its transitivity clauses
-    assert _without_trans(inst.sl) == chase.sl
+    # ... while the report shows the whole reduction: in both modes the
+    # materialized one (`instantiate` mode's with transitivity clauses)
+    assert chase.sl == _reference_sl(chase)
+    assert _without_trans(inst.sl) == _reference_sl(inst)
     assert {tag for *_, tag in chase.sl.clauses} >= {"Mon(f_r1)", "meet-intro"}
 
 
@@ -199,7 +207,9 @@ def test_the_full_reduction_is_the_instantiate_one_without_transitivity(
         if inst.sl is None:
             assert chase.sl is None
             continue
-        assert chase.sl == _without_trans(inst.sl)
+        reference = _reference_sl(chase)
+        assert chase.sl == reference
+        assert _without_trans(inst.sl) == reference
         written += bool(chase.purified.triggered)
     assert written >= 100
 
@@ -254,8 +264,8 @@ def _random_composition(rng, k, consts, universe):
         choices.append((tails, guarded, f"k{k}r{c}"))
     universe += [h for h, _ in heads] + [r for *_, r in choices]
     guard = rng.choice(universe) if rng.random() < 0.5 else None
-    return hornsat.Family(rng.choice(("K2", "K3")), tuple(heads),
-                          tuple(choices), guard)
+    return alg.Family(rng.choice(("K2", "K3")), tuple(heads),
+                      tuple(choices), guard)
 
 
 def _comp_rules(family):
@@ -273,11 +283,11 @@ def _random_problem(rng: random.Random):
     # the triggered families in block order, family j in block 2j + 1
     families = []
     for k in range(rng.randint(0, 3)):
-        comps = [f for f in families if isinstance(f, hornsat.Family)]
+        comps = [f for f in families if isinstance(f, alg.Family)]
         if comps and rng.random() < 0.3:
             # a second axiom with some of an earlier one's instances
             twin = rng.choice(comps)
-            families.append(hornsat.Family(
+            families.append(alg.Family(
                 "K3" if twin.tag == "K2" else "K2", twin.heads,
                 twin.choices[:rng.randint(1, len(twin.choices))], twin.guard))
         else:
@@ -308,7 +318,7 @@ def _random_problem(rng: random.Random):
     # the others for K1 between triggered axioms or for Mon over operators
     # with a numeric argument; some repeat a K2/K3 rule of another block,
     # some derive a premise of one
-    comp_rules = [rule for f in families if isinstance(f, hornsat.Family)
+    comp_rules = [rule for f in families if isinstance(f, alg.Family)
                   for rule in _comp_rules(f)]
     extra = []
     for i in range(rng.randint(0, 8)):
@@ -348,7 +358,7 @@ def _materialized_clauses(families, meets, universe, extra):
     out = list(extra)
     for j, family in enumerate(families):
         block = 2 * j + 1
-        if isinstance(family, hornsat.Family):
+        if isinstance(family, alg.Family):
             out += [(block, p, c, family.tag) for p, c in _comp_rules(family)]
             continue
         tag, terms = family
@@ -367,13 +377,13 @@ def _materialized_clauses(families, meets, universe, extra):
 def _mon_family(tag, terms):
     """Mon over (constant, argument constants) terms: one head and one
     choice per term."""
-    return hornsat.Family(tag, tuple(terms),
-                          tuple((args, (), t) for t, args in terms))
+    return alg.Family(tag, tuple(terms),
+                      tuple((args, (), t) for t, args in terms))
 
 
 def _triggers(families, meets, universe):
     return hornsat.Triggers(
-        [(2 * j + 1, f if isinstance(f, hornsat.Family) else _mon_family(*f))
+        [(2 * j + 1, f if isinstance(f, alg.Family) else _mon_family(*f))
          for j, f in enumerate(families)],
         meets, meet_block=2 * len(families) + 1, universe=universe)
 

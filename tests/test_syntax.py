@@ -153,7 +153,12 @@ def test_interpolation_input_rejects_misplaced_lines():
     ("A: X sub Y\n  B:  X nsub (Y and\n", 2, 20),
     ("A: X sub Y\nB: X nsub Y\nB: Z sub $\n", 3, 10),
     ("A: X sub Y\n\nB: X nsub Y\nrole r sub $\n", 4, 12),
-], ids=["side", "negated", "other-side", "untagged"])
+    # a rejected statement, not the first line of its part
+    ("role r sub s\nA: X sub Y\nB: X nsub Y\n  A: decl role t : 2\n", 4, 3),
+    ("role r sub s\nB: X nsub Y\nX sub Y\n", 3, 1),
+    ("A: X sub Y\nB: X nsub Y\n B: Y nsub X\n", 3, 2),
+], ids=["side", "negated", "other-side", "untagged", "tagged-decl",
+        "untagged-inclusion", "second-nsub"])
 def test_interpolation_parse_errors_carry_file_positions(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse_interpolation_input(text)
