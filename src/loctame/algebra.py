@@ -600,29 +600,28 @@ def composition(table: TermTable, ax: Union[Mon, K2, K3],
 
 
 def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
-                psi: Iterable[int], skip: Container[int] = ()
+                by_op: dict[str, list[int]], skip: Container[int] = ()
                 ) -> list[Instance]:
     """All closure-local instances of the axioms, duplicates removed, except
-    those of the axioms whose indices are in skip.
+    those of the axioms whose indices are in skip; by_op holds the closure
+    terms of each operator (terms_by_op).
 
     Mon yields an instance for every ordered pair of distinct closure terms
     with its operator; for an operator with k closure terms that is
     k*(k-1) instances.
     """
-    by_op = terms_by_op(table, psi)
     args = table.args
 
     out: list[Instance] = []
     seen: set[tuple[frozenset[Atom], Atom]] = set()
 
-    def emit(premises: Iterable[Atom], conclusion: Atom, tag: str) -> None:
-        # drop duplicate premises, then duplicate clauses
-        prem = tuple(dict.fromkeys(premises))
-        key = (frozenset(prem), conclusion)
+    def emit(premises: tuple[Atom, ...], conclusion: Atom, tag: str) -> None:
+        # premises come without repeats; drop duplicate clauses
+        key = (frozenset(premises), conclusion)
         if key in seen:
             return
         seen.add(key)
-        out.append(Instance(prem, conclusion, tag, i))
+        out.append(Instance(premises, conclusion, tag, i))
 
     for i, ax in enumerate(axioms):
         if i in skip:
@@ -633,7 +632,8 @@ def instantiate(table: TermTable, axioms: Iterable[AlgAxiom],
                 vals = c.g.match(args[t])
                 if vals is None:
                     continue
-                guards = ([(x, c.guard) for x in vals]
+                # two variables may take one value, as in f(A, A)
+                guards = (tuple(dict.fromkeys((x, c.guard) for x in vals))
                           if c.guard is not None else ())
                 emit(guards, (t, c.h.build(table, vals)), "K1")
         elif isinstance(ax, (Mon, K2, K3)):

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 from . import hornsat, oracle, pipeline, randgen
 from . import reduce as red
 from .interpolate import NotUnsat, interpolate_input
-from .syntax import (Bot, CheckError, LoctameError, Name, Query, Top,
+from .syntax import (Bot, CBox, CheckError, LoctameError, Name, Query, Top,
                      parse_cbox, parse_interpolation_input)
 
 
@@ -47,7 +47,7 @@ def _parse_query(text: str) -> Query:
     if not stripped.startswith("?"):
         stripped = "? " + stripped
     box = parse_cbox(stripped + "\n")
-    if len(box.queries) != 1 or box.gcis or box.role_incls or box.roles:
+    if len(box.queries) != 1 or box != CBox(queries=box.queries):
         raise CheckError(f"expected a single query, got {text!r}")
     return box.queries[0]
 

@@ -270,7 +270,8 @@ class _Attempt:
             _algebraic_problem(problem.axioms, goal, problem.op_role))
         psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
                               problem.axioms)
-        instances = alg.instantiate(table, problem.axioms, psi)
+        instances = alg.instantiate(table, problem.axioms,
+                                    alg.terms_by_op(table, psi))
         self.purified = purified = red.flatten_purify(table, instances)
         if purified.target is None:
             raise LoctameError("the refuted atom was lost in purification")

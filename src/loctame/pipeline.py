@@ -132,7 +132,7 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
     by_op = alg.terms_by_op(table, psi)
     families = {i: alg.composition(table, problem.axioms[i], by_op)
                 for i in red.triggered_axioms(problem)}
-    instances = alg.instantiate(table, problem.axioms, psi, skip=families)
+    instances = alg.instantiate(table, problem.axioms, by_op, skip=families)
     micros["instantiate"] = _now() - t
 
     t = _now()

@@ -26,9 +26,11 @@ input is a ParseError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import (Any, Callable, Container, Iterator, NamedTuple, Optional,
+                    Union)
 
 
 class LoctameError(Exception):
@@ -275,55 +277,53 @@ def render_cbox(cbox: CBox) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# scanner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "number", "punct", "eol"
-    text: str
-    line: int
-    col: int
+# str.isdigit holds for these besides the decimal digits of `\d`
+# (superscripts, subscripts, circled digits, ...): they start or continue
+# a number token, which Fraction and int then reject.  Regex `\s`, `\w`
+# and `\d` are str.isspace, isalnum-or-'_' and isdecimal already.
+_OTHER_DIGITS = ("\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079"
+                 "\u2080-\u2089\u2460-\u2468\u2474-\u247c\u2488-\u2490"
+                 "\u24ea\u24f5-\u24fd\u24ff\u2776-\u277e\u2780-\u2788"
+                 "\u278a-\u2792\U00010a40-\U00010a43\U00010e60-\U00010e68"
+                 "\U00011052-\U0001105a\U0001f100-\U0001f10a")
+_DIGIT = rf"[\d{_OTHER_DIGITS}]"
+
+# a token after optional blanks: a number (a '.' ends it unless a digit
+# follows, so `exists r . 2` keeps its filler dot), an ASCII name,
+# punctuation, or anything else up to the end of its word, which is a
+# name if it starts with a letter (str.isalpha) and an error otherwise
+_TOKEN = re.compile(rf"""\s*(?:
+    (?P<number>-?{_DIGIT}(?:{_DIGIT}|/|\.(?={_DIGIT}))*)
+  | (?P<name>[A-Za-z_][\w-]*)
+  | (?P<punct>[()\[\],.:=?])
+  | (?P<other>\S[\w-]*))""", re.VERBOSE)
 
 
-_PUNCT = {"(", ")", ",", ".", ":", "=", "?", "[", "]"}
-
-
-def _tokenize(text: str) -> Iterator[Token]:
+def _scan(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) for each token of each line, `#` comments
+    cut; a line with a token ends with an ("eol", "", line, col) token."""
+    toks: list[tuple[str, str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        i, n = 0, len(line)
-        any_tok = False
-        while i < n:
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if ch in _PUNCT:
-                yield Token("punct", ch, lineno, col)
-                i += 1
-            elif ch.isdigit() or (ch == "-" and i + 1 < n and line[i + 1].isdigit()):
-                j = i + 1
-                while j < n and (line[j].isdigit() or line[j] in "./"):
-                    # a '.' directly followed by a non-digit ends the number
-                    # (it is the filler dot of an existential)
-                    if line[j] == "." and not (j + 1 < n and line[j + 1].isdigit()):
-                        break
-                    j += 1
-                yield Token("number", line[i:j], lineno, col)
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (line[j].isalnum() or line[j] in "_-"):
-                    j += 1
-                yield Token("ident", line[i:j], lineno, col)
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", lineno, col)
-            any_tok = True
-        if any_tok:
-            yield Token("eol", "", lineno, n + 1)
+        first = len(toks)
+        # without rstrip the search would start again at each blank of a
+        # trailing run, quadratic in its length
+        for m in _TOKEN.finditer(line.rstrip()):
+            kind = m.lastgroup
+            word = m[kind]
+            col = m.start(kind) + 1
+            if kind == "other":
+                if not word[0].isalpha():
+                    raise ParseError(f"unexpected character {word[0]!r}",
+                                     lineno, col)
+                kind = "name"
+            toks.append((kind, word, lineno, col))
+        if len(toks) > first:
+            toks.append(("eol", "", lineno, len(line) + 1))
+    return toks
 
 
 # the parser and the recursive passes after it (translation, closure,
@@ -332,288 +332,276 @@ def _tokenize(text: str) -> Iterator[Token]:
 MAX_NESTING = 200
 
 
+class _Decl(NamedTuple):
+    """`decl role name : ...`: the role's sorts, subject first."""
+    name: str
+    sig: tuple[str, ...]
+
+
+class _Negated(NamedTuple):
+    """`C nsub D`: the B side of an interpolation problem refutes C <= D."""
+    query: Query
+
+
 class _Parser:
+    """Reads the scanned tokens by index.  A statement ends at its line's
+    end-of-line token, and reading inside a statement never moves past
+    one, so it never runs off the token list."""
+
     def __init__(self, text: str):
-        self.toks = list(_tokenize(text))
+        self.toks = _scan(text)
         self.pos = 0
         self.nesting = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def more(self) -> bool:
+        return self.pos < len(self.toks)
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else Token("eol", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+    def next(self) -> tuple[str, str, int, int]:
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
+    def error(self, msg: str) -> ParseError:
+        """A ParseError at the token just read."""
+        return ParseError(msg, *self.toks[self.pos - 1][2:])
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return (tok is not None and tok.kind == kind
-                and (text is None or tok.text == text))
-
-    def eat(self, kind: str, text: Optional[str] = None) -> bool:
-        if self.at(kind, text):
+    def eat(self, text: str) -> bool:
+        if self.toks[self.pos][1] == text:
             self.pos += 1
             return True
         return False
 
-    def ident(self, what: str = "name") -> str:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is a keyword, not a {what}", tok.line, tok.col)
-        if tok.text.startswith("_"):
-            raise ParseError(f"names starting with '_' are reserved: {tok.text!r}",
-                             tok.line, tok.col)
-        return tok.text
+    def expect(self, text: str) -> None:
+        """Read a token, which must be `text` ("" for the end of line)."""
+        got = self.next()[1]
+        if got != text:
+            raise self.error(f"expected {text or 'eol'!r}, got {got!r}")
 
-    def fraction(self) -> Fraction:
-        tok = self.next()
-        if tok.kind != "number":
-            raise ParseError(f"expected a number, got {tok.text!r}", tok.line, tok.col)
+    def ident(self, what: str = "name") -> str:
+        kind, text, _, _ = self.next()
+        if kind != "name":
+            raise self.error(f"expected {what}, got {text!r}")
+        if text in RESERVED:
+            raise self.error(f"{text!r} is a keyword, not a {what}")
+        if text[0] == "_":
+            raise self.error(f"names starting with '_' are reserved: {text!r}")
+        return text
+
+    def number(self, convert: Callable[[str], Any] = Fraction,
+               what: str = "number") -> Any:
+        """The next token as a number: a Fraction, or an int (`convert`)
+        for an arity or a position (`what`)."""
+        kind, text, _, _ = self.next()
+        if kind != "number":
+            raise self.error(f"expected a number, got {text!r}")
         try:
-            return Fraction(tok.text)
+            return convert(text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+            raise self.error(f"bad {what} {text!r}") from None
 
     # -- concepts ----------------------------------------------------------
 
     def concept(self) -> Concept:
-        first = self.unary()
-        if not self.at("ident", "and"):
-            return first
-        args = [first]
-        while self.eat("ident", "and"):
+        args = [self.unary()]
+        while self.eat("and"):
             args.append(self.unary())
-        return And(tuple(args))
+        return args[0] if len(args) == 1 else And(tuple(args))
 
-    def nest(self, tok: Token) -> None:
+    def opens(self, text: str) -> bool:
+        """Eat `text`, an `exists` or a `(`, if it comes next, and count
+        the nesting level it opens."""
+        if not self.eat(text):
+            return False
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ParseError(f"concept nested deeper than {MAX_NESTING} levels",
-                             tok.line, tok.col)
+            raise self.error(f"concept nested deeper than {MAX_NESTING} levels")
+        return True
 
     def unary(self) -> Concept:
-        if self.at("ident", "exists"):
-            self.nest(self.next())
+        if self.opens("exists"):
             role = self.ident("role name")
-            self.expect("punct", ".")
+            self.expect(".")
             c = Exists(role, self.fillers())
             self.nesting -= 1
             return c
         return self.primary()
 
     def fillers(self) -> tuple[Concept, ...]:
-        if self.at("punct", "("):
-            self.nest(self.next())
+        if self.opens("("):
             items = [self.concept()]
-            while self.eat("punct", ","):
+            while self.eat(","):
                 items.append(self.concept())
-            self.expect("punct", ")")
+            self.expect(")")
             self.nesting -= 1
             return tuple(items)
         return (self.unary(),)
 
     def primary(self) -> Concept:
-        if self.at("punct", "("):
-            self.nest(self.next())
+        if self.opens("("):
             c = self.concept()
-            self.expect("punct", ")")
+            self.expect(")")
             self.nesting -= 1
             return c
-        if self.eat("ident", "top"):
+        if self.eat("top"):
             return TOP
-        if self.eat("ident", "bot"):
+        if self.eat("bot"):
             return BOT
-        if self.at("ident", "num"):
+        if self.eat("num"):
             return self.interval()
         return Name(self.ident("concept name"))
 
     def interval(self) -> Interval:
-        tok = self.expect("ident", "num")
-        if self.eat("ident", "up"):
-            return Interval(self.fraction(), None)
-        if self.eat("ident", "down"):
-            return Interval(None, self.fraction())
-        if self.eat("punct", "["):
-            lo = self.fraction()
-            self.expect("punct", ",")
-            hi = self.fraction()
-            close = self.expect("punct", "]")
-            if lo > hi:
-                raise ParseError(f"empty interval [{lo}, {hi}]", close.line, close.col)
-            return Interval(lo, hi)
-        raise ParseError("expected 'up', 'down' or '[' after 'num'", tok.line, tok.col)
+        if self.eat("up"):
+            return Interval(self.number(), None)
+        if self.eat("down"):
+            return Interval(None, self.number())
+        if not self.eat("["):
+            raise self.error("expected 'up', 'down' or '[' after 'num'")
+        lo = self.number()
+        self.expect(",")
+        hi = self.number()
+        self.expect("]")
+        if lo > hi:
+            raise self.error(f"empty interval [{lo}, {hi}]")
+        return Interval(lo, hi)
 
     # -- statements ----------------------------------------------------------
 
-    def statement(self, cbox_parts: dict) -> None:
-        if self.eat("ident", "decl"):
-            self.parse_decl(cbox_parts)
-        elif self.at("ident", "role"):
-            self.parse_role_stmt(cbox_parts)
-        elif self.eat("punct", "?"):
+    def statement(self, declared: Container[str], negated: bool = False
+                  ) -> list:
+        """What one line states, read through its end of line: a _Decl,
+        a RoleRestriction, a RoleInclusion, a Query, one GCI (two for
+        `equiv`) or, where `negated` admits one, a _Negated.  `declared`
+        holds the roles declared so far."""
+        if self.eat("decl"):
+            out = [self.decl(declared)]
+        elif self.eat("role"):
+            out = [self.role_axiom()]
+        elif self.eat("?"):
             lhs = self.concept()
-            self.expect("ident", "sub")
-            rhs = self.concept()
-            cbox_parts["queries"].append(Query(lhs, rhs))
+            self.expect("sub")
+            out = [Query(lhs, self.concept())]
         else:
             lhs = self.concept()
-            tok = self.next()
-            if tok.text == "nsub" and "negated" in cbox_parts:
-                cbox_parts["negated"].append(Query(lhs, self.concept()))
-            elif tok.kind != "ident" or tok.text not in ("sub", "equiv"):
-                raise ParseError(f"expected 'sub' or 'equiv', got {tok.text!r}",
-                                 tok.line, tok.col)
+            text = self.next()[1]
+            if text == "nsub" and negated:
+                out = [_Negated(Query(lhs, self.concept()))]
+            elif text not in ("sub", "equiv"):
+                raise self.error(f"expected 'sub' or 'equiv', got {text!r}")
             else:
                 rhs = self.concept()
-                cbox_parts["gcis"].append(GCI(lhs, rhs))
-                if tok.text == "equiv":
-                    cbox_parts["gcis"].append(GCI(rhs, lhs))
-        self.expect("eol")
+                out = [GCI(lhs, rhs)]
+                if text == "equiv":
+                    out.append(GCI(rhs, lhs))
+        self.expect("")
+        return out
 
     def side_tag(self) -> Optional[str]:
         """Eat an `A:` or `B:` tag, the first two characters of a
         statement, and return its side."""
-        tag = self.toks[self.pos:self.pos + 2]
-        if (len(tag) == 2 and tag[0].text in ("A", "B")
-                and tag[1].text == ":" and tag[1].col == tag[0].col + 1):
+        tag, colon = self.toks[self.pos:self.pos + 2]
+        if tag[1] in ("A", "B") and colon[1] == ":" and colon[3] == tag[3] + 1:
             self.pos += 2
-            return tag[0].text
+            return tag[1]
         return None
 
-    def parse_decl(self, cbox_parts: dict) -> None:
-        self.expect("ident", "role")
+    def decl(self, declared: Container[str]) -> _Decl:
+        self.expect("role")
         name = self.ident("role name")
-        colon = self.expect("punct", ":")
-        if name in cbox_parts["roles"]:
-            raise ParseError(f"role {name!r} declared twice", colon.line, colon.col)
-        if self.at("number"):
-            tok = self.next()
-            try:
-                arity = int(tok.text)
-            except ValueError:
-                raise ParseError(f"bad arity {tok.text!r}", tok.line, tok.col) from None
-            if arity < 2:
-                raise ParseError("a role needs at least a subject and one filler",
-                                 tok.line, tok.col)
-            cbox_parts["roles"][name] = (CONCEPT,) * arity
+        self.expect(":")
+        if name in declared:
+            raise self.error(f"role {name!r} declared twice")
+        if self.toks[self.pos][0] == "number":
+            sorts = [CONCEPT] * self.number(int, "arity")
         else:
-            self.expect("punct", "(")
+            self.expect("(")
             sorts = [self.sort()]
-            while self.eat("punct", ","):
+            while self.eat(","):
                 sorts.append(self.sort())
-            close = self.expect("punct", ")")
-            if len(sorts) < 2:
-                raise ParseError("a role needs at least a subject and one filler",
-                                 close.line, close.col)
-            if sorts[0] != CONCEPT:
-                raise ParseError("the subject position of a role must have sort "
-                                 "'concept'", close.line, close.col)
-            cbox_parts["roles"][name] = tuple(sorts)
+            self.expect(")")
+        if len(sorts) < 2:
+            raise self.error("a role needs at least a subject and one filler")
+        if sorts[0] != CONCEPT:
+            raise self.error("the subject position of a role must have sort "
+                             "'concept'")
+        return _Decl(name, tuple(sorts))
 
     def sort(self) -> str:
-        tok = self.next()
-        if tok.kind == "ident" and tok.text in (CONCEPT, NUM):
-            return tok.text
-        raise ParseError(f"expected 'concept' or 'num', got {tok.text!r}",
-                         tok.line, tok.col)
+        text = self.next()[1]
+        if text not in (CONCEPT, NUM):
+            raise self.error(f"expected 'concept' or 'num', got {text!r}")
+        return text
 
-    def parse_role_stmt(self, cbox_parts: dict) -> None:
-        self.expect("ident", "role")
+    def role_axiom(self) -> Union[RoleRestriction, RoleInclusion]:
         first = self.ident("role name")
-        if self.eat("punct", "="):
-            self.expect("ident", "restrict")
+        if self.eat("="):
+            self.expect("restrict")
             base = self.ident("role name")
-            self.expect("ident", "at")
-            tok = self.expect("number")
-            try:
-                pos = int(tok.text)
-            except ValueError:
-                raise ParseError(f"bad position {tok.text!r}", tok.line, tok.col) from None
+            self.expect("at")
+            pos = self.number(int, "position")
             if pos < 1:
-                raise ParseError("positions count filler slots from 1", tok.line, tok.col)
-            self.expect("ident", "to")
-            concept = self.concept()
-            cbox_parts["restrictions"].append(RoleRestriction(first, base, pos, concept))
-            return
+                raise self.error("positions count filler slots from 1")
+            self.expect("to")
+            return RoleRestriction(first, base, pos, self.concept())
 
         chain = [first]
         parallel = False
-        while self.eat("ident", "o"):
-            if self.eat("punct", "("):
+        while self.eat("o"):
+            if self.eat("("):
                 if len(chain) > 1:
-                    tok = self.peek()
-                    raise ParseError("a tuple of roles must follow the first role "
-                                     "directly", tok.line, tok.col)
+                    raise ParseError("a tuple of roles must follow the first "
+                                     "role directly", *self.toks[self.pos][2:])
                 chain.append(self.ident("role name"))
-                while self.eat("punct", ","):
+                while self.eat(","):
                     chain.append(self.ident("role name"))
-                self.expect("punct", ")")
+                self.expect(")")
                 parallel = len(chain) > 2
                 break
             chain.append(self.ident("role name"))
 
-        self.expect("ident", "sub")
-        if self.eat("ident", "id"):
+        self.expect("sub")
+        if self.eat("id"):
             rhs: Optional[str] = None
             if len(chain) < 2:
-                tok = self.toks[self.pos - 1]
-                raise ParseError("only compositions can be included in the identity",
-                                 tok.line, tok.col)
+                raise self.error("only compositions can be included in the "
+                                 "identity")
         else:
             rhs = self.ident("role name")
-        guard = self.concept() if self.eat("ident", "guard") else None
-        cbox_parts["role_incls"].append(
-            RoleInclusion(tuple(chain), rhs, guard, parallel))
-
-    def parse_cbox(self) -> CBox:
-        parts = _cbox_parts()
-        while self.peek() is not None:
-            self.statement(parts)
-        return _cbox(parts)
+        guard = self.concept() if self.eat("guard") else None
+        return RoleInclusion(tuple(chain), rhs, guard, parallel)
 
 
-def _cbox_parts() -> dict:
-    return {"roles": {}, "restrictions": [], "gcis": [], "role_incls": [],
-            "queries": []}
-
-
-def _cbox(parts: dict) -> CBox:
-    return CBox(
-        roles=parts["roles"],
-        restrictions=tuple(parts["restrictions"]),
-        gcis=tuple(parts["gcis"]),
-        role_incls=tuple(parts["role_incls"]),
-        queries=tuple(parts["queries"]),
-    )
+def _cbox(roles: dict[str, tuple[str, ...]], statements: list) -> CBox:
+    """The declared roles and the statements of each kind, in order."""
+    def of(kind: type) -> tuple:
+        return tuple(s for s in statements if isinstance(s, kind))
+    return CBox(roles=roles, restrictions=of(RoleRestriction), gcis=of(GCI),
+                role_incls=of(RoleInclusion), queries=of(Query))
 
 
 def parse_cbox(text: str) -> CBox:
-    return _Parser(text).parse_cbox()
+    p = _Parser(text)
+    roles: dict[str, tuple[str, ...]] = {}
+    statements: list = []
+    while p.more():
+        for s in p.statement(roles):
+            if isinstance(s, _Decl):
+                roles[s.name] = s.sig
+            else:
+                statements.append(s)
+    return _cbox(roles, statements)
 
 
 def parse_concept(text: str) -> Concept:
     p = _Parser(text)
+    if not p.more():
+        raise ParseError("unexpected end of input", 1, 1)
     c = p.concept()
-    if p.eat("eol"):
-        pass
-    if p.peek() is not None:
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    p.eat("")
+    if p.more():
+        raise p.error(f"trailing input {p.next()[1]!r}")
     return c
 
 
@@ -836,37 +824,37 @@ def parse_interpolation_input(text: str) -> InterpolationInput:
     after its side tag, to that side, and each rejection is reported at
     the statement that causes it."""
     p = _Parser(text)
-    parts = {side: {**_cbox_parts(), "negated": []}
-             for side in ("A", "B", None)}
+    roles: dict[str, tuple[str, ...]] = {}
+    parts: dict[Optional[str], list] = {None: [], "A": [], "B": []}
     neg: Optional[Query] = None
-    while p.peek() is not None:
-        start = p.peek()
+    while p.more():
+        start = p.toks[p.pos][2:]
         side = p.side_tag()
-        if side is not None and p.eat("eol"):
+        if side is not None and p.eat(""):
             continue                # a tag alone on its line
-        box = parts[side]
-        p.statement(box)
-        if box["negated"]:
-            if side != "B":
-                raise ParseError("the negated inclusion belongs on the B side",
-                                 start.line, start.col)
-            if neg is not None:
-                raise ParseError("more than one 'nsub' line",
-                                 start.line, start.col)
-            neg = box["negated"].pop()
-        if side is None and (box["gcis"] or box["queries"]):
-            raise ParseError("untagged lines may only declare or relate roles",
-                             start.line, start.col)
-        if side is not None and (box["roles"] or box["restrictions"]
-                                 or box["queries"]):
-            raise ParseError("side-tagged lines may only contain inclusions",
-                             start.line, start.col)
+        # a side's declarations are rejected below, not checked for repeats
+        for s in p.statement(roles if side is None else (), negated=True):
+            if isinstance(s, _Negated):
+                if side != "B":
+                    raise ParseError("the negated inclusion belongs on the B "
+                                     "side", *start)
+                if neg is not None:
+                    raise ParseError("more than one 'nsub' line", *start)
+                neg = s.query
+            elif side is None and isinstance(s, (GCI, Query)):
+                raise ParseError("untagged lines may only declare or relate "
+                                 "roles", *start)
+            elif side is not None and not isinstance(s, (GCI, RoleInclusion)):
+                raise ParseError("side-tagged lines may only contain "
+                                 "inclusions", *start)
+            elif isinstance(s, _Decl):
+                roles[s.name] = s.sig
+            else:
+                parts[side].append(s)
     if neg is None:
         raise ParseError("an interpolation problem needs one 'B: C nsub D' line",
                          len(text.splitlines()) or 1, 1)
-    a, b = parts["A"], parts["B"]
+    a, b = _cbox({}, parts["A"]), _cbox({}, parts["B"])
     return InterpolationInput(
-        cbox=_cbox(parts[None]), a_gcis=tuple(a["gcis"]),
-        b_gcis=tuple(b["gcis"]), neg=neg,
-        a_role_incls=tuple(a["role_incls"]),
-        b_role_incls=tuple(b["role_incls"]))
+        cbox=_cbox(roles, parts[None]), a_gcis=a.gcis, b_gcis=b.gcis,
+        neg=neg, a_role_incls=a.role_incls, b_role_incls=b.role_incls)

@@ -100,7 +100,8 @@ def purified_problem(problem) -> red.PurifiedProblem:
     table = red.PurifiedProblem.of(problem)
     psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
                           problem.axioms)
-    instances = alg.instantiate(table, problem.axioms, psi)
+    instances = alg.instantiate(table, problem.axioms,
+                                alg.terms_by_op(table, psi))
     return red.flatten_purify(table, instances)
 
 

@@ -30,7 +30,7 @@ def _instantiate(axioms, psi):
     table = alg.TermTable()
     ids = [table.intern(t) for t in psi]
     out = []
-    for inst in alg.instantiate(table, axioms, ids):
+    for inst in alg.instantiate(table, axioms, alg.terms_by_op(table, ids)):
         premises = " & ".join(str(table.leq(p)) for p in inst.premises)
         out.append((f"{premises} -> {table.leq(inst.conclusion)}", inst.tag))
     return out

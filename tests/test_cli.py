@@ -125,6 +125,17 @@ def test_explain_accepts_an_explicit_query(files, capsys):
     assert "subsumed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("query", [
+    "A sub B\nrole p = restrict w at 1 to C", "A sub B\nrole p sub w",
+    "A sub B\ndecl role w : 3", "A sub B\nC sub D", "A sub B\n? C sub D",
+], ids=["restriction", "role-inclusion", "declaration", "inclusion",
+        "second-query"])
+def test_explain_rejects_a_query_text_with_more_than_the_query(
+        files, query, capsys):
+    assert cli.main(["explain", files["anatomy"], query]) == 2
+    assert "expected a single query" in capsys.readouterr().err
+
+
 def test_explain_non_theorem_exits_one(files, capsys):
     assert cli.main(["explain", files["anatomy"],
                      "Heart sub Endocarditis"]) == 1

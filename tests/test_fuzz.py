@@ -31,6 +31,10 @@ _TOKENS = (
     "at", "to", "guard", "top", "bot", "num", "up", "down", "[", "]", "2",
     "3/2", "-1", "concept", "A:", "B:", "fact", "clause", "goal", "<=",
     "->", "_t0", "#",
+    # the edges of the scanner's character classes: str.isdigit and
+    # isnumeric but no decimal digit, a letter beyond ASCII, a blank, and
+    # a line break that splitlines honours
+    "\u00bd", "\u00b2", "\u00e9", "\t", "\u2028",
 )
 
 _NAME = st.sampled_from(("A", "B", "C", "D", "top", "bot"))

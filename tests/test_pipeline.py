@@ -34,8 +34,9 @@ def test_defs_reduction_contains_the_decisive_monotonicity_step(defs_cbox):
     instances = [
         inst._replace(premises=tuple(map(table.leq, inst.premises)),
                       conclusion=table.leq(inst.conclusion))
-        for inst in alg.instantiate(table, report.problem.axioms,
-                                    report.psi_ids)]
+        for inst in alg.instantiate(
+            table, report.problem.axioms,
+            alg.terms_by_op(table, report.psi_ids))]
     hits = [
         inst for inst in instances
         if inst.tag.startswith("Mon") and len(inst.premises) == 1

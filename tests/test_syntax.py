@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loctame import randgen
+from loctame import randgen, syntax
 from loctame.syntax import (And, CheckError, Exists, GCI, Interval,
                             MAX_NESTING, Name, ParseError, Query,
                             RoleInclusion, Top, check_cbox,
@@ -80,12 +82,69 @@ def test_comments_and_blank_lines():
     assert cbox.gcis == (GCI(Name("A"), Name("B")),)
 
 
-def test_parse_errors():
-    for bad in ["A sub", "sub B", "? A", "role", "A and sub B",
-                "decl role r : 1", "exists r B sub C",
-                "role r = restrict w at 0 to C"]:
-        with pytest.raises(ParseError):
-            parse_cbox(bad + "\n")
+@pytest.mark.parametrize("text, line, col", [
+    pytest.param("A sub $", 1, 7, id="unexpected-character"),
+    pytest.param("A sub\nB sub $", 2, 7, id="scanned-before-parsing"),
+    pytest.param("A sub -B", 1, 7, id="minus-without-digit"),
+    pytest.param("A sub num up 1/0", 1, 14, id="bad-number"),
+    pytest.param("A sub num up B", 1, 14, id="no-number"),
+    pytest.param("A sub num B", 1, 7, id="after-num"),
+    pytest.param("A sub exists to . B", 1, 14, id="keyword-as-name"),
+    pytest.param("sub B", 1, 1, id="keyword-as-concept"),
+    pytest.param("A and sub B", 1, 7, id="keyword-after-and"),
+    pytest.param("A sub ,", 1, 7, id="no-name"),
+    pytest.param("A sub _x", 1, 7, id="underscore-name"),
+    pytest.param("(" * 201 + "A" + ")" * 201 + " sub B", 1, 201,
+                 id="nesting-bound"),
+    pytest.param("A sub num [3, 1]", 1, 16, id="empty-interval"),
+    pytest.param("exists r B sub C", 1, 10, id="no-filler-dot"),
+    pytest.param("A sub", 1, 6, id="end-of-line"),
+    pytest.param("A sub B C", 1, 9, id="no-end-of-line"),
+    pytest.param("A nsub B", 1, 3, id="nsub-outside-interpolation"),
+    pytest.param("? A", 1, 4, id="query-without-sub"),
+    pytest.param("decl role r : 1", 1, 15, id="arity-1"),
+    pytest.param("decl role r : 3/2", 1, 15, id="bad-arity"),
+    pytest.param("decl role r : (concept)", 1, 23, id="one-sort"),
+    pytest.param("decl role r : (num, concept)", 1, 28, id="numeric-subject"),
+    pytest.param("decl role r : (concept, int)", 1, 25, id="unknown-sort"),
+    pytest.param("decl role r : 2\ndecl role r : 3", 2, 13,
+                 id="declared-twice"),
+    pytest.param("role", 1, 5, id="role-without-name"),
+    pytest.param("role p = restrict w at 0 to C", 1, 24, id="position-0"),
+    pytest.param("role p = restrict w at 1/2 to C", 1, 24, id="bad-position"),
+    pytest.param("role r o s o (t, u) sub v", 1, 15, id="tuple-after-chain"),
+    pytest.param("role r sub id", 1, 12, id="id-with-one-role"),
+    # str.isalpha/isdigit/isspace decide the classes, not regex \w and \d
+    pytest.param("\u00bd sub B", 1, 1, id="one-half"),
+    pytest.param("\u216b sub B", 1, 1, id="roman-twelve"),
+    pytest.param("\u00b2 sub B", 1, 1, id="superscript-two"),
+    pytest.param("A sub\n\u00b2", 1, 6, id="superscript-is-a-number"),
+    pytest.param("decl role r : 3\u00b2", 1, 15, id="superscript-ends-a-number"),
+    pytest.param("Gr\u00f6\u00dfe sub \u00bd", 1, 11, id="letters-beyond-ascii"),
+    pytest.param("A sub B\x0bC sub $", 2, 7, id="vertical-tab-breaks-lines"),
+    pytest.param("A sub B\u2028C sub \u00bd", 2, 7,
+                 id="line-separator-breaks-lines"),
+])
+def test_parse_errors(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_cbox(text + "\n")
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_number_characters_are_those_of_str_isdigit():
+    digit = re.compile(syntax._DIGIT)
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    assert [c for c in chars if digit.fullmatch(c)] == \
+        [c for c in chars if c.isdigit()]
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("A B", 1, 3), ("A\nB", 2, 1), ("", 1, 1), ("# nothing\n", 1, 1),
+], ids=["trailing-input", "second-line", "empty", "comment-only"])
+def test_concept_parse_errors(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_concept(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_underscore_names_reserved():
