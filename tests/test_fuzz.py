@@ -31,9 +31,9 @@ _TOKENS = (
     "at", "to", "guard", "top", "bot", "num", "up", "down", "[", "]", "2",
     "3/2", "-1", "concept", "A:", "B:", "fact", "clause", "goal", "<=",
     "->", "_t0", "#",
-    # the edges of the scanner's character classes: str.isdigit and
-    # isnumeric but no decimal digit, a letter beyond ASCII, a blank, and
-    # a line break that splitlines honours
+    # the edges of the scanner's character classes: a numeric character
+    # that is no digit, a digit that is not decimal, a letter beyond
+    # ASCII, a blank, and a line break that splitlines honours
     "\u00bd", "\u00b2", "\u00e9", "\t", "\u2028",
 )
 
