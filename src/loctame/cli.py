@@ -17,17 +17,18 @@ an internal error (a fault in loctame, reported in one line).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from . import hornsat, oracle, pipeline, randgen
 from . import reduce as red
 from .interpolate import NotUnsat, interpolate_input
-from .syntax import (Bot, CBox, CheckError, LoctameError, Name, Query, Top,
+from .syntax import (CBox, CheckError, Concept, LoctameError, Name, Query,
                      parse_cbox, parse_interpolation_input)
 
 
@@ -61,10 +62,6 @@ def _parse_query(text: str) -> Query:
 Outcome = tuple[int, str]
 
 
-def _wants_dump(args: argparse.Namespace) -> bool:
-    return args.emit_psi or args.emit_reduction
-
-
 def _dumps(report: pipeline.Report, args: argparse.Namespace,
            header: Optional[str] = None) -> str:
     out = f"# {header}\n" if header is not None else ""
@@ -84,26 +81,46 @@ def _lines(lines: Iterable[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# check
+# check and explain
 # ---------------------------------------------------------------------------
 
-def cmd_check(args: argparse.Namespace) -> Outcome:
-    cbox = parse_cbox(_load(args.file))
+def _decide(args: argparse.Namespace, cbox: CBox,
+            explain: bool = False) -> Outcome:
+    """Decide every query of the CBox; `explain` adds the derivations."""
     if not cbox.queries:
-        raise CheckError("the file has no queries (add `? C sub D` lines)")
-    reports = [pipeline.check_subsumption(cbox, q, mode=args.mode,
-                                          normalize=args.normalize)
-               for q in cbox.queries]
+        raise CheckError("nothing to explain: pass a query or add `?` lines"
+                         if explain else
+                         "the file has no queries (add `? C sub D` lines)")
+    reports = pipeline.check_queries(cbox, cbox.queries, mode=args.mode,
+                                     normalize=args.normalize)
+    derivations = [pipeline.derivation(r) if explain else []
+                   for r in reports]
     status = 0 if all(r.subsumed for r in reports) else 1
     if args.json:
-        return status, _json([pipeline.json_report(r) for r in reports])
-    if _wants_dump(args):
+        return status, _json([
+            {**pipeline.json_report(r),
+             **({"derivation": lines} if explain else {})}
+            for r, lines in zip(reports, derivations)])
+    if args.emit_psi or args.emit_reduction:
         many = len(reports) > 1
         return status, "".join(_dumps(r, args, str(r.query) if many else None)
                                for r in reports)
-    return status, _lines(
-        f"{r.query}: {'subsumed' if r.subsumed else 'not subsumed'}"
-        for r in reports)
+    out = []
+    for r, lines in zip(reports, derivations):
+        out.append(f"{r.query}: {'subsumed' if r.subsumed else 'not subsumed'}")
+        out += [f"  {line}" for line in lines]
+    return status, _lines(out)
+
+
+def cmd_check(args: argparse.Namespace) -> Outcome:
+    return _decide(args, parse_cbox(_load(args.file)))
+
+
+def cmd_explain(args: argparse.Namespace) -> Outcome:
+    cbox = parse_cbox(_load(args.file))
+    if args.query is not None:
+        cbox = replace(cbox, queries=(_parse_query(args.query),))
+    return _decide(args, cbox, explain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -120,42 +137,11 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
         body["subsumers"] = {a: sorted(b for b in names if cls.holds(a, b))
                              for a in names}
         return 0, _json(body)
-    if _wants_dump(args):
+    if args.emit_psi or args.emit_reduction:
         return 0, _dumps(cls.report, args)
     pairs = sorted(cls.pairs())
     return 0, _lines([*(f"{a} sub {b}" for a, b in pairs),
                       f"# {len(names)} names, {len(pairs)} proper subsumptions"])
-
-
-# ---------------------------------------------------------------------------
-# explain
-# ---------------------------------------------------------------------------
-
-def cmd_explain(args: argparse.Namespace) -> Outcome:
-    cbox = parse_cbox(_load(args.file))
-    if args.query is not None:
-        queries = [_parse_query(args.query)]
-        cbox = replace(cbox, queries=tuple(queries))
-    else:
-        queries = list(cbox.queries)
-    if not queries:
-        raise CheckError("nothing to explain: pass a query or add `?` lines")
-
-    explained = [pipeline.explain(cbox, q, mode=args.mode) for q in queries]
-    status = 0 if all(report.subsumed for report, _ in explained) else 1
-    if args.json:
-        return status, _json([{**pipeline.json_report(report),
-                               "derivation": lines}
-                              for report, lines in explained])
-    if _wants_dump(args):
-        many = len(queries) > 1
-        return status, "".join(_dumps(report, args, str(q) if many else None)
-                               for q, (report, _) in zip(queries, explained))
-    out = []
-    for q, (report, lines) in zip(queries, explained):
-        out.append(f"{q}: {'subsumed' if report.subsumed else 'not subsumed'}")
-        out += [f"  {line}" for line in lines]
-    return status, _lines(out)
 
 
 # ---------------------------------------------------------------------------
@@ -218,128 +204,126 @@ def cmd_interpolate(args: argparse.Namespace) -> Outcome:
 # cross-check
 # ---------------------------------------------------------------------------
 
-def _atomic_key(c) -> Optional[str]:
-    if isinstance(c, Name):
-        return c.name
-    if isinstance(c, Top):
-        return oracle.TOP_KEY
-    if isinstance(c, Bot):
-        return oracle.BOT_KEY
-    return None
-
-
-def _completion_holds(subs: dict[str, frozenset[str]], a: str, b: str) -> bool:
+def _completion(subs: dict[str, frozenset[str]], lhs: Concept,
+                rhs: Concept) -> Optional[bool]:
+    """Completion's verdict on `lhs sub rhs`; None unless both sides are
+    names, top or bot."""
+    try:
+        a, b = oracle._atomic(lhs), oracle._atomic(rhs)
+    except oracle.UnsupportedConstruct:
+        return None
     below = subs.get(a, frozenset())
     return b in below or oracle.BOT_KEY in below
 
 
-def _check_file_queries(cbox, failures: list[str], lines: list[str]) -> int:
-    """Cross-check every query of a parsed file; returns the check count."""
+def _word(held: bool) -> str:
+    return "subsumed" if held else "not-subsumed"
+
+
+@dataclass
+class _Tally:
+    """What a cross-check run has checked, written and found failing."""
+    checks: int = 0
+    lines: list[str] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
+
+    def judge(self, label: str, chase: bool, inst: bool,
+              completion: Optional[bool],
+              search: oracle.CounterModel | oracle.SearchCut | None,
+              verbose: bool) -> bool:
+        """Decide whether one query's verdicts disagree, for every source.
+        Returns whether they agree.  A quiet check writes its line only on
+        a failure or a cut search."""
+        self.checks += 1
+        parts = [f"chase={_word(chase)}", f"instantiate={_word(inst)}"]
+        bad = []
+        if chase != inst:
+            bad.append("the two modes disagree")
+        if completion is not None:
+            parts.append(f"completion={_word(completion)}")
+            if completion != chase:
+                bad.append("completion disagrees")
+        cut = isinstance(search, oracle.SearchCut)
+        if cut:
+            parts.append(str(search))
+        elif search is not None:
+            parts.append(f"countermodel of size {search.size}")
+            if chase:
+                bad.append("a countermodel refutes the subsumed verdict")
+        if bad:
+            self.failures.append(f"{label}: {'; '.join(bad)}")
+        if bad or cut or verbose:
+            status = f"FAIL: {'; '.join(bad)}" if bad else "OK"
+            self.lines.append(f"{label}: {', '.join(parts)} -- {status}")
+        return not bad
+
+
+def _cross_check_queries(cbox: CBox, tally: _Tally,
+                         seed: Optional[int] = None) -> None:
+    """Cross-check every query of a file, or of the guarded sample drawn
+    from `seed`: the two modes, completion where both sides are names and
+    the CBox is in normal form, and the countermodel search."""
     try:
         subs = oracle.completion_classify(cbox)
     except LoctameError:
         subs = None
-    checks = 0
     for q in cbox.queries:
-        checks += 1
         chase = pipeline.subsumes(cbox, q, mode=red.CHASE)
         inst = pipeline.subsumes(cbox, q, mode=red.INSTANTIATE)
-        parts = [f"chase={'subsumed' if chase else 'not-subsumed'}",
-                 f"instantiate={'subsumed' if inst else 'not-subsumed'}"]
-        bad = []
-        if chase != inst:
-            bad.append("the two modes disagree")
-        a, b = _atomic_key(q.lhs), _atomic_key(q.rhs)
-        if subs is not None and a is not None and b is not None:
-            want = _completion_holds(subs, a, b)
-            parts.append(f"completion={'subsumed' if want else 'not-subsumed'}")
-            if want != chase:
-                bad.append("completion disagrees")
+        completion = (_completion(subs, q.lhs, q.rhs) if subs is not None
+                      else None)
         try:
-            model = oracle.bounded_model_search(cbox, q, max_size=3)
+            search = oracle.bounded_model_search(cbox, q, max_size=3)
         except oracle.SearchCut as exc:
-            parts.append(str(exc))
+            search = exc
         except LoctameError:
-            pass
-        else:
-            if model is not None:
-                parts.append(f"countermodel of size {model.size}")
-                if chase:
-                    bad.append("a countermodel refutes the subsumed verdict")
-        status = "FAIL: " + "; ".join(bad) if bad else "OK"
-        lines.append(f"{q}: {', '.join(parts)} -- {status}")
-        if bad:
-            failures.append(f"{q}: {'; '.join(bad)}")
-    return checks
+            search = None
+        tally.judge(str(q) if seed is None else f"seed {seed} (guarded)",
+                    chase, inst, completion, search, verbose=seed is None)
 
 
-def _check_sample(seed: int, failures: list[str], lines: list[str]) -> int:
-    """One random instance against the oracles; returns the pair count."""
+def _check_sample(seed: int, tally: _Tally) -> None:
+    """One random instance against the oracles.  A guarded sample is
+    checked as a file with its one query; a normal one pair by pair off
+    two classifications, up to the first failure."""
     rng = random.Random(seed)
     if seed % 5 == 4:
         cbox = randgen.extended_cbox(rng)
         query = randgen.random_query(rng, cbox)
-        chase = pipeline.subsumes(cbox, query, mode=red.CHASE)
-        inst = pipeline.subsumes(cbox, query, mode=red.INSTANTIATE)
-        bad = []
-        if chase != inst:
-            bad.append("the two modes disagree")
-        if chase:
-            try:
-                if oracle.bounded_model_search(cbox, query, 3) is not None:
-                    bad.append("a countermodel refutes the subsumed verdict")
-            except oracle.SearchCut as exc:
-                lines.append(f"seed {seed} (guarded): {exc}")
-        if bad:
-            failures.append(f"seed {seed}: {'; '.join(bad)}")
-            lines.append(f"seed {seed} (guarded): FAIL {'; '.join(bad)}")
-        return 1
+        _cross_check_queries(replace(cbox, queries=(query,)), tally, seed)
+        return
 
     cbox = randgen.normal_cbox(rng)
     subs = oracle.completion_classify(cbox)
     chase = pipeline.classify(cbox, mode=red.CHASE)
     inst = pipeline.classify(cbox, mode=red.INSTANTIATE)
-    checked = 0
-    for a in chase.names:
-        for b in chase.names:
-            checked += 1
-            got = chase.holds(a, b)
-            if got != inst.holds(a, b):
-                failures.append(f"seed {seed}: modes split on {a} sub {b}")
-                lines.append(f"seed {seed}: FAIL modes split on {a} sub {b}")
-                return checked
-            if got != _completion_holds(subs, a, b):
-                failures.append(f"seed {seed}: {a} sub {b} is "
-                                f"{'derivable' if got else 'underivable'} in "
-                                "the pipeline but not for completion")
-                lines.append(f"seed {seed}: FAIL completion split "
-                             f"on {a} sub {b}")
-                return checked
-    return checked
+    for a, b in itertools.product(chase.names, repeat=2):
+        completion = _completion(subs, Name(a), Name(b))
+        if not tally.judge(f"seed {seed} ({a} sub {b})", chase.holds(a, b),
+                           inst.holds(a, b), completion, None, verbose=False):
+            return
 
 
 def cmd_cross_check(args: argparse.Namespace) -> Outcome:
-    failures: list[str] = []
-    lines: list[str] = []
-    checks = 0
+    tally = _Tally()
     if args.file is not None:
-        checks += _check_file_queries(parse_cbox(_load(args.file)),
-                                      failures, lines)
+        _cross_check_queries(parse_cbox(_load(args.file)), tally)
     for i in range(args.samples):
-        checks += _check_sample(args.seed + i, failures, lines)
-    if checks == 0:
+        _check_sample(args.seed + i, tally)
+    if tally.checks == 0:
         raise CheckError("nothing to cross-check: pass a file with queries "
                          "or --samples N")
-    status = 1 if failures else 0
+    status = 1 if tally.failures else 0
     if args.json:
         return status, _json({
-            "checks": checks,
+            "checks": tally.checks,
             "samples": args.samples,
-            "failures": failures,
+            "failures": tally.failures,
         })
-    verdict = "FAIL" if failures else "PASS"
-    return status, _lines([*lines, f"cross-check {verdict}: {checks} checks, "
-                                   f"{len(failures)} failures"])
+    verdict = "FAIL" if tally.failures else "PASS"
+    return status, _lines([*tally.lines,
+                           f"cross-check {verdict}: {tally.checks} checks, "
+                           f"{len(tally.failures)} failures"])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ check_subsumption runs the full reduction for one query:
 
     translate -> closure -> instantiate -> purify -> split/solve
 
+check_queries runs it for each query of a CBox, which it validates once.
+
 decide is everything after translate; interpolation's entailment check
 calls it on problems it builds itself.
 
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from . import algebra as alg
 from . import concdom, hornsat, normalize as norm
 from . import reduce as red
-from .syntax import CBox, Name, Query, LoctameError
+from .syntax import CBox, LoctameError, Name, Query, check_cbox
 
 
 @dataclass
@@ -101,21 +103,29 @@ def _now() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def _reduce(cbox: CBox, query: Optional[Query], mode: str,
-            normalize: bool) -> Report:
-    micros: dict[str, int] = {}
+def check_queries(cbox: CBox, queries: tuple[Optional[Query], ...],
+                  mode: str = red.CHASE,
+                  normalize: bool = False) -> list[Report]:
+    """A report per query, each the CBox's own or None (goal-free).  The CBox
+    is normalized and validated once; the first report's times hold that."""
+    shared: dict[str, int] = {}
     t = _now()
     if normalize:
         cbox = norm.normalize(cbox)
-        micros["normalize"] = _now() - t
+        shared["normalize"] = _now() - t
         t = _now()
-    problem = red.translate(cbox, query)
-    micros["translate"] = _now() - t
-    report = decide(problem, mode)
-    report.query = query
-    micros.update(report.micros)
-    report.micros = micros
-    return report
+    env = check_cbox(cbox)
+    reports = []
+    for query in queries:
+        # each translation names its chain roles in its own copy of env
+        own = env if len(queries) == 1 else replace(env, sigs=dict(env.sigs))
+        problem = red.translate(cbox, query, own)
+        micros = {**shared, "translate": _now() - t}
+        report = decide(problem, mode)
+        report.query, report.micros = query, {**micros, **report.micros}
+        reports.append(report)
+        shared, t = dict.fromkeys(shared, 0), _now()
+    return reports
 
 
 def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
@@ -149,7 +159,11 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
 
 def check_subsumption(cbox: CBox, query: Query, mode: str = red.CHASE,
                       normalize: bool = False) -> Report:
-    return _reduce(cbox, query, mode, normalize)
+    if query not in cbox.queries:
+        # the query's roles resolve exactly like the CBox's own
+        cbox = replace(cbox, queries=cbox.queries + (query,))
+    [report] = check_queries(cbox, (query,), mode, normalize)
+    return report
 
 
 def subsumes(cbox: CBox, query: Query, mode: str = red.CHASE) -> bool:
@@ -175,7 +189,7 @@ class Classification:
     def holds(self, a: str, b: str) -> bool:
         """Is the name a subsumed by the name b?"""
         res = self._run()
-        if res is None:
+        if res is None or a == b:
             return True
         # a name only a query mentions is no constant of the reduction
         ids = self.report.purified.ids
@@ -225,7 +239,7 @@ def concept_names(cbox: CBox) -> list[str]:
 def classify(cbox: CBox, mode: str = red.CHASE,
              normalize: bool = False) -> Classification:
     """All name-against-name subsumptions from one goal-free run."""
-    report = _reduce(cbox, None, mode, normalize)
+    [report] = check_queries(cbox, (None,), mode, normalize)
     return Classification(concept_names(cbox), report)
 
 
@@ -250,30 +264,31 @@ def render_steps(steps: list[hornsat.TraceStep],
     return lines
 
 
-def explain(cbox: CBox, query: Query, mode: str = red.CHASE) -> tuple[Report, list[str]]:
-    """The verdict together with a step list; proxies are unfolded back to
+def explain(cbox: CBox, query: Query, mode: str = red.CHASE,
+            normalize: bool = False) -> tuple[Report, list[str]]:
+    """The verdict together with its derivation."""
+    report = check_subsumption(cbox, query, mode, normalize)
+    return report, derivation(report)
+
+
+def derivation(report: Report) -> list[str]:
+    """A step list for a report's verdict; proxies are unfolded back to
     operator/meet terms so the steps read in the reduction's own language."""
-    report = check_subsumption(cbox, query, mode)
-    lines: list[str] = []
     if not report.subsumed:
-        lines.append("not subsumed: no derivation of the goal exists")
-        return report, lines
+        return ["not subsumed: no derivation of the goal exists"]
     comb = report.combine
     if comb.vacuous:
-        lines.append("subsumed vacuously: the numeric axioms are inconsistent")
-        return report, lines
+        return ["subsumed vacuously: the numeric axioms are inconsistent"]
     if comb.result is None:
-        lines.append("subsumed: the numeric axioms entail the goal endpoints")
-        return report, lines
-    for tag, atom in comb.movements:
-        lines.append(f"moved from the numeric side [{tag}]: "
-                     f"{render_atom(report.purified, atom)}")
+        return ["subsumed: the numeric axioms entail the goal endpoints"]
     if comb.sl is None or comb.sl.goal is None:
         raise LoctameError("a subsumed verdict from the lattice solver "
                            "without a lattice goal")
-    lines += render_steps(comb.result.solver.trace(comb.sl.goal),
-                          lambda atom: render_atom(report.purified, atom))
-    return report, lines
+    render = partial(render_atom, report.purified)
+    moved = [f"moved from the numeric side [{tag}]: {render(atom)}"
+             for tag, atom in comb.movements]
+    return moved + render_steps(comb.result.solver.trace(comb.sl.goal),
+                                render)
 
 
 def emit_psi(report: Report) -> str:

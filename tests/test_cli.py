@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,6 +151,62 @@ def test_explain_numeric_movements(files, capsys):
     assert "[Mon(f_price)]" in out and "[Mon(f_weight)]" in out
 
 
+def test_explain_reads_normalize(tmp_path, capsys):
+    p = tmp_path / "meet.lt"
+    p.write_text("A sub B and C\nB sub D\n? A sub D\n")
+    cli.main(["check", "--normalize", "--emit-reduction", str(p)])
+    normalized = capsys.readouterr().out
+    assert cli.main(["explain", "--normalize", "--emit-reduction",
+                     str(p)]) == 0
+    assert capsys.readouterr().out == normalized
+    assert cli.main(["explain", "--normalize", str(p)]) == 0
+    assert capsys.readouterr().out == ("? A sub D: subsumed\n"
+                                       "  A <= B   [input:1]\n"
+                                       "  B <= D   [input:2]\n"
+                                       "  A <= D   [trans: A <= B; B <= D]\n")
+
+
+@pytest.mark.parametrize("mode", ["chase", "instantiate"])
+def test_explain_decides_as_check_does(tmp_path, capsys, mode):
+    p = tmp_path / "many.lt"
+    p.write_text(ANATOMY_TEXT + "? Heart sub Disease\n"
+                 "? Endocarditis sub Disease\n")
+    runs = {}
+    for command in ("check", "explain"):
+        status = cli.main([command, f"--mode={mode}", str(p)])
+        lines = capsys.readouterr().out.splitlines()
+        assert cli.main([command, f"--mode={mode}", "--json", str(p)]) == status
+        body = json.loads(capsys.readouterr().out)
+        runs[command] = (status, [line for line in lines
+                                  if not line.startswith("  ")], body)
+    (status, verdicts, body), (e_status, e_verdicts, e_body) = (
+        runs["check"], runs["explain"])
+    assert status == e_status == 1
+    assert verdicts == e_verdicts and len(verdicts) == 3
+    for plain, explained in zip(body, e_body):
+        assert explained.pop("derivation")
+        for report in (plain, explained):
+            report["micros_per_stage"] = sorted(report["micros_per_stage"])
+        assert plain == explained
+
+
+def test_a_file_is_validated_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    for module in (cli.pipeline, cli.red):
+        if hasattr(module, "check_cbox"):
+            checker = module.check_cbox
+
+            def counted(cbox, checker=checker):
+                calls.append(cbox)
+                return checker(cbox)
+
+            monkeypatch.setattr(module, "check_cbox", counted)
+    p = tmp_path / "three.lt"
+    p.write_text("A sub B\nB sub C\n? A sub B\n? A sub C\n? C sub A\n")
+    assert cli.main(["check", str(p)]) == 1
+    assert len(calls) == 1
+
+
 def test_solve_round_trip_derives_the_goal(files, tmp_path, capsys):
     assert cli.main(["check", "--emit-reduction", files["defs"]]) == 0
     red_file = tmp_path / "defs.red"
@@ -200,7 +258,8 @@ def test_classify_json_lists_a_name_only_a_query_mentions(tmp_path, capsys):
     p.write_text("A sub B\n? A sub Z\n")
     assert cli.main(["classify", "--json", str(p)]) == 0
     body = json.loads(capsys.readouterr().out)
-    assert body["subsumers"] == {"A": ["A", "B"], "B": ["B"], "Z": []}
+    # a name that occurs in no axiom still subsumes itself
+    assert body["subsumers"] == {"A": ["A", "B"], "B": ["B"], "Z": ["Z"]}
 
 
 def test_interpolate_json_schema(files, capsys):
@@ -255,7 +314,8 @@ def test_a_cut_sample_search_is_reported_and_no_failure(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "DPLL_BUDGET", 0)
     assert cli.main(["cross-check", "--samples", "1", "--seed", "179"]) == 0
     out = capsys.readouterr().out
-    assert "seed 179 (guarded): countermodel search cut at size 3" in out
+    assert ("seed 179 (guarded): chase=subsumed, instantiate=subsumed, "
+            "countermodel search cut at size 3 -- OK") in out
     assert "cross-check PASS: 1 checks, 0 failures" in out
 
 
@@ -353,7 +413,7 @@ def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise KeyError("no such\nthing")
 
-    monkeypatch.setattr(cli.pipeline, "check_subsumption", boom)
+    monkeypatch.setattr(cli.pipeline, "check_queries", boom)
     status = cli.main(["check", files["defs"]])
     assert status == cli.EXIT_INTERNAL and status not in (0, 1, 2)
     err = capsys.readouterr().err
@@ -379,3 +439,104 @@ def test_a_reader_closing_the_pipe_is_no_error(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# cross-check failures: each source and each kind of disagreement, forced
+# ---------------------------------------------------------------------------
+
+def _instantiate_flips(monkeypatch):
+    subsumes = cli.pipeline.subsumes
+
+    def flipped(cbox, query, mode="chase"):
+        held = subsumes(cbox, query, mode=mode)
+        return not held if mode == "instantiate" else held
+
+    monkeypatch.setattr(cli.pipeline, "subsumes", flipped)
+
+
+def _a_countermodel_always(monkeypatch):
+    monkeypatch.setattr(oracle, "bounded_model_search",
+                        lambda cbox, query, max_size=3: SimpleNamespace(size=2))
+
+
+def _completion_knows_nothing(monkeypatch):
+    monkeypatch.setattr(oracle, "completion_classify", lambda cbox: {})
+
+
+def _failed_cross_check(argv, capsys) -> list[str]:
+    assert cli.main(["cross-check", *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "cross-check FAIL: 1 checks, 1 failures"
+    failed = [line for line in lines[:-1] if "FAIL" in line]
+    assert len(failed) == 1
+    return failed
+
+
+@pytest.mark.parametrize("force, message", [
+    (_instantiate_flips, "the two modes disagree"),
+    (_completion_knows_nothing, "completion disagrees"),
+    (_a_countermodel_always, "a countermodel refutes the subsumed verdict"),
+], ids=["modes", "completion", "countermodel"])
+def test_cross_check_fails_on_a_file_query(tmp_path, monkeypatch, capsys,
+                                           force, message):
+    p = tmp_path / "one.lt"
+    p.write_text("A sub B\n? A sub B\n")
+    force(monkeypatch)
+    [line] = _failed_cross_check([str(p)], capsys)
+    assert line.startswith("? A sub B: ") and message in line
+
+
+@pytest.mark.parametrize("force, message", [
+    (_instantiate_flips, "the two modes disagree"),
+    (_a_countermodel_always, "a countermodel refutes the subsumed verdict"),
+], ids=["modes", "countermodel"])
+def test_cross_check_fails_on_a_guarded_sample(monkeypatch, capsys, force,
+                                               message):
+    # seed 179 draws a guarded sample whose query is subsumed
+    force(monkeypatch)
+    [line] = _failed_cross_check(["--samples", "1", "--seed", "179"], capsys)
+    assert line.startswith("seed 179 (guarded)") and message in line
+
+
+def _classify_flips_in_instantiate_mode(monkeypatch):
+    holds = cli.pipeline.Classification.holds
+
+    def flipped(self, a, b):
+        held = holds(self, a, b)
+        return not held if self.report.mode == "instantiate" else held
+
+    monkeypatch.setattr(cli.pipeline.Classification, "holds", flipped)
+
+
+@pytest.mark.parametrize("force", [_classify_flips_in_instantiate_mode,
+                                   _completion_knows_nothing],
+                         ids=["modes", "completion"])
+def test_cross_check_fails_on_a_normal_sample_pair(monkeypatch, capsys, force):
+    # seed 0 draws a normal-form sample; its first pair is its first name
+    # against itself, which holds, and the check stops at the first failure
+    first = cli.pipeline.classify(randgen.normal_cbox(random.Random(0))).names[0]
+    force(monkeypatch)
+    [line] = _failed_cross_check(["--samples", "1", "--seed", "0"], capsys)
+    assert line.startswith("seed 0") and f"{first} sub {first}" in line
+
+
+def test_a_guarded_sample_is_checked_as_a_file_query(monkeypatch, capsys):
+    # seed 9 draws a guarded sample whose query `top sub D` is not
+    # subsumed: the search runs on it, and a countermodel is no failure
+    searched = []
+
+    def search(cbox, query, max_size=3):
+        searched.append(str(query))
+        return SimpleNamespace(size=1)
+
+    monkeypatch.setattr(oracle, "bounded_model_search", search)
+    assert cli.main(["cross-check", "--samples", "1", "--seed", "9"]) == 0
+    assert searched == ["? top sub D"]
+    assert capsys.readouterr().out == "cross-check PASS: 1 checks, 0 failures\n"
+    # seed 24 draws `C sub A`, not subsumed; completion is asked too
+    monkeypatch.setattr(oracle, "completion_classify",
+                        lambda cbox: {"C": frozenset({"A"})})
+    [line] = _failed_cross_check(["--samples", "1", "--seed", "24"], capsys)
+    assert line.startswith("seed 24 (guarded)")
+    assert "completion disagrees" in line

@@ -203,6 +203,43 @@ def test_pairs_of_a_vacuous_classification_are_all_pairs():
     assert cls.pairs() == [(a, b) for a in cls.names for b in cls.names if a != b]
 
 
+def test_every_name_subsumes_itself():
+    # X occurs only in the query, so it is no constant of the reduction
+    cbox = parse_cbox("A sub B\n? X sub A\n")
+    cls = pipeline.classify(cbox)
+    assert cls.holds("X", "X") and cls.holds("A", "A")
+    assert not cls.holds("X", "A")
+    assert cls.pairs() == [("A", "B")]
+    query = syntax.Query(syntax.Name("X"), syntax.Name("X"))
+    assert pipeline.subsumes(cbox, query)
+
+
+CHAINS_TEXT = """\
+role r o s o t sub u
+role u o r o s sub t
+A sub exists r . exists s . exists t . B
+C sub exists u . exists r . exists s . D
+? A sub exists u . B
+? C sub exists t . D
+? A sub C
+"""
+
+
+@pytest.mark.parametrize("mode", [red.CHASE, red.INSTANTIATE])
+def test_the_queries_of_a_file_are_decided_as_one_by_one(mode):
+    # check_queries validates the CBox once, yet each translation names
+    # its own chain roles, so every report equals the one-query report
+    cbox = parse_cbox(CHAINS_TEXT)
+    together = pipeline.check_queries(cbox, cbox.queries, mode=mode)
+    alone = [pipeline.check_subsumption(cbox, q, mode=mode)
+             for q in cbox.queries]
+    assert [r.subsumed for r in together] == [True, True, False]
+    for a, b in zip(together, alone):
+        assert a.query == b.query and a.subsumed == b.subsumed
+        assert pipeline.emit_psi(a) == pipeline.emit_psi(b)
+        assert pipeline.emit_reduction(a) == pipeline.emit_reduction(b)
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
