@@ -106,8 +106,13 @@ def _now() -> int:
 def check_queries(cbox: CBox, queries: tuple[Optional[Query], ...],
                   mode: str = red.CHASE,
                   normalize: bool = False) -> list[Report]:
-    """A report per query, each the CBox's own or None (goal-free).  The CBox
-    is normalized and validated once; the first report's times hold that."""
+    """A report per query, or per None for a goal-free run.  The CBox, with
+    each query it lacks, is normalized and validated once; the first
+    report's times hold that."""
+    extra = tuple(q for q in queries if q is not None and q not in cbox.queries)
+    if extra:
+        # the query's roles resolve exactly like the CBox's own
+        cbox = replace(cbox, queries=cbox.queries + extra)
     shared: dict[str, int] = {}
     t = _now()
     if normalize:
@@ -117,9 +122,7 @@ def check_queries(cbox: CBox, queries: tuple[Optional[Query], ...],
     env = check_cbox(cbox)
     reports = []
     for query in queries:
-        # each translation names its chain roles in its own copy of env
-        own = env if len(queries) == 1 else replace(env, sigs=dict(env.sigs))
-        problem = red.translate(cbox, query, own)
+        problem = red.translate(cbox, query, env)
         micros = {**shared, "translate": _now() - t}
         report = decide(problem, mode)
         report.query, report.micros = query, {**micros, **report.micros}
@@ -159,9 +162,6 @@ def decide(problem: alg.AlgebraicProblem, mode: str) -> Report:
 
 def check_subsumption(cbox: CBox, query: Query, mode: str = red.CHASE,
                       normalize: bool = False) -> Report:
-    if query not in cbox.queries:
-        # the query's roles resolve exactly like the CBox's own
-        cbox = replace(cbox, queries=cbox.queries + (query,))
     [report] = check_queries(cbox, (query,), mode, normalize)
     return report
 

@@ -227,8 +227,8 @@ C sub exists u . exists r . exists s . D
 
 @pytest.mark.parametrize("mode", [red.CHASE, red.INSTANTIATE])
 def test_the_queries_of_a_file_are_decided_as_one_by_one(mode):
-    # check_queries validates the CBox once, yet each translation names
-    # its own chain roles, so every report equals the one-query report
+    # check_queries validates the CBox once, and every report equals the
+    # one-query report
     cbox = parse_cbox(CHAINS_TEXT)
     together = pipeline.check_queries(cbox, cbox.queries, mode=mode)
     alone = [pipeline.check_subsumption(cbox, q, mode=mode)
@@ -238,6 +238,14 @@ def test_the_queries_of_a_file_are_decided_as_one_by_one(mode):
         assert a.query == b.query and a.subsumed == b.subsumed
         assert pipeline.emit_psi(a) == pipeline.emit_psi(b)
         assert pipeline.emit_reduction(a) == pipeline.emit_reduction(b)
+
+
+def test_a_query_the_cbox_lacks_is_sort_checked():
+    cbox = parse_cbox("decl role price : (concept, num)\nA sub B\n")
+    [query] = parse_cbox("decl role price : (concept, num)\n"
+                         "? A sub exists price . B\n").queries
+    with pytest.raises(syntax.CheckError, match="filler of 'price'"):
+        pipeline.check_queries(cbox, (query,))
 
 
 def _load_tracing():
