@@ -43,6 +43,7 @@ TOP_CONST = "__top"
 
 @dataclass(frozen=True)
 class Const:
+    """A constant: a concept name, or a proxy that names a term."""
     name: str
 
     def __str__(self) -> str:
@@ -64,6 +65,7 @@ class Lit:
 
 @dataclass(frozen=True)
 class Apply:
+    """An operator applied to its argument terms."""
     op: str
     args: tuple["FlatTerm", ...]
 
@@ -73,6 +75,7 @@ class Apply:
 
 @dataclass(frozen=True)
 class Meet:
+    """The meet of two or more terms."""
     args: tuple["FlatTerm", ...]
 
     def __post_init__(self):
@@ -88,6 +91,7 @@ FlatTerm = Union[Const, Lit, Apply, Meet]
 
 @dataclass(frozen=True)
 class Leq:
+    """The atom `lhs <= rhs`."""
     lhs: FlatTerm
     rhs: FlatTerm
 
@@ -124,6 +128,7 @@ def symbols(terms: Iterable[FlatTerm]
 
 @dataclass(frozen=True)
 class VarSlot:
+    """A template argument that is the variable x<index>."""
     index: int
 
     def __str__(self) -> str:
@@ -132,6 +137,7 @@ class VarSlot:
 
 @dataclass(frozen=True)
 class FixedSlot:
+    """A template argument fixed to a ground term."""
     term: FlatTerm
 
     def __str__(self) -> str:
@@ -168,6 +174,7 @@ def plain_template(op: str, arity: int, start: int = 0) -> OpTemplate:
 
 @dataclass(frozen=True)
 class Mon:
+    """Monotonicity of an operator of the given arity."""
     op: str
     arity: int
     guard = None                    # never guarded, unlike K1-K3
@@ -178,6 +185,7 @@ class Mon:
 
 @dataclass(frozen=True)
 class K1:
+    """g(x) <= h(x), optionally guarded."""
     g: OpTemplate
     h: OpTemplate
     guard: Optional[FlatTerm] = None
@@ -283,6 +291,7 @@ class Goal:
 
 @dataclass
 class AlgebraicProblem:
+    """A translated CBox: its axioms, its goal and its signature."""
     axioms: tuple[AlgAxiom, ...]
     goal: Goal
     # operator name -> argument sorts (the result sort is always concept)

@@ -18,18 +18,21 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
-import random
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from . import hornsat, oracle, pipeline, randgen
+from . import hornsat, pipeline
 from . import reduce as red
-from .interpolate import NotUnsat, interpolate_input
 from .syntax import (CBox, CheckError, Concept, LoctameError, Name, Query,
                      parse_cbox, parse_interpolation_input)
+
+# a module that only one command uses (the oracles and generators of
+# cross-check, interpolation, json) is imported inside that command, so
+# that every command starts up with only the modules it runs
+if TYPE_CHECKING:
+    from . import oracle
 
 
 def _load(path: str) -> str:
@@ -73,6 +76,7 @@ def _dumps(report: pipeline.Report, args: argparse.Namespace,
 
 
 def _json(body) -> str:
+    import json
     return json.dumps(body, indent=2) + "\n"
 
 
@@ -181,6 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def cmd_interpolate(args: argparse.Namespace) -> Outcome:
+    from .interpolate import NotUnsat, interpolate_input
     inp = parse_interpolation_input(_load(args.file))
     try:
         result, gcis = interpolate_input(inp)
@@ -208,6 +213,7 @@ def _completion(subs: dict[str, frozenset[str]], lhs: Concept,
                 rhs: Concept) -> Optional[bool]:
     """Completion's verdict on `lhs sub rhs`; None unless both sides are
     names, top or bot."""
+    from . import oracle
     try:
         a, b = oracle._atomic(lhs), oracle._atomic(rhs)
     except oracle.UnsupportedConstruct:
@@ -234,6 +240,7 @@ class _Tally:
         """Decide whether one query's verdicts disagree, for every source.
         Returns whether they agree.  A quiet check writes its line only on
         a failure or a cut search."""
+        from . import oracle
         self.checks += 1
         parts = [f"chase={_word(chase)}", f"instantiate={_word(inst)}"]
         bad = []
@@ -263,6 +270,7 @@ def _cross_check_queries(cbox: CBox, tally: _Tally,
     """Cross-check every query of a file, or of the guarded sample drawn
     from `seed`: the two modes, completion where both sides are names and
     the CBox is in normal form, and the countermodel search."""
+    from . import oracle
     try:
         subs = oracle.completion_classify(cbox)
     except LoctameError:
@@ -286,6 +294,9 @@ def _check_sample(seed: int, tally: _Tally) -> None:
     """One random instance against the oracles.  A guarded sample is
     checked as a file with its one query; a normal one pair by pair off
     two classifications, up to the first failure."""
+    import random
+
+    from . import oracle, randgen
     rng = random.Random(seed)
     if seed % 5 == 4:
         cbox = randgen.extended_cbox(rng)
@@ -305,6 +316,8 @@ def _check_sample(seed: int, tally: _Tally) -> None:
 
 
 def cmd_cross_check(args: argparse.Namespace) -> Outcome:
+    if args.samples < 0:
+        raise CheckError(f"--samples must be 0 or more, got {args.samples}")
     tally = _Tally()
     if args.file is not None:
         _cross_check_queries(parse_cbox(_load(args.file)), tally)

@@ -48,6 +48,7 @@ NumTerm = Union[Fraction, str]
 
 @dataclass(frozen=True)
 class NumAtom:
+    """A comparison of two numeric endpoints."""
     lhs: NumTerm
     rhs: NumTerm
     rel: str = "le"
@@ -120,6 +121,7 @@ class MixedClause:
 
 @dataclass
 class SplitProblem:
+    """A purified problem split by sort, its numeric atoms decided."""
     concept: PurifiedProblem          # numeric atoms stripped
     num_facts: list[NumAtom]
     mixed: list[MixedClause]
@@ -214,6 +216,7 @@ def split_problem(purified: PurifiedProblem) -> SplitProblem:
 
 @dataclass
 class CombineResult:
+    """The verdict of the combined numeric and lattice decision."""
     subsumed: bool
     result: Optional[hornsat.Result]        # the concept-side run, if any
     movements: list[tuple[str, AtomKey]] = field(default_factory=list)

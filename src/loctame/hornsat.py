@@ -66,6 +66,8 @@ Rule = tuple[int, tuple[AtomKey, ...], AtomKey, str]
 
 @dataclass(slots=True)
 class _Clause:
+    """A materialized clause: premise ids, conclusion, and how many
+    premises are still underived."""
     premises: tuple[int, ...]
     concl: AtomKey                  # interned only when the clause fires
     tag: str
@@ -75,6 +77,7 @@ class _Clause:
 
 @dataclass(slots=True)
 class Stats:
+    """Work counters of one solver."""
     premise_occurrences: int = 0
     decrements: int = 0
     trans_steps: int = 0            # transitivity steps that derive an atom
@@ -215,6 +218,8 @@ class Triggers:
 
 @dataclass
 class Result:
+    """A solver run: sat when the goal is not derived, and the solver,
+    which holds the least model."""
     sat: bool
     goal: Optional[AtomKey]
     solver: "HornSolver"
@@ -229,6 +234,7 @@ class Result:
 
 @dataclass
 class TraceStep:
+    """One step of a derivation: the atom, its reason and its premises."""
     atom: AtomKey
     kind: str                       # "fact" | "clause" | "trans"
     label: str                      # fact label or clause tag

@@ -125,12 +125,20 @@ def _check_fragment(cbox: CBox) -> None:
 
 def normalize(cbox: CBox) -> CBox:
     """The normalized CBox; queries are passed through untouched."""
+    return normalize_with_sources(cbox)[0]
+
+
+def normalize_with_sources(cbox: CBox) -> tuple[CBox, tuple[int, ...]]:
+    """The normalized CBox, and for each of its inclusions the index of
+    the input inclusion it was normalized from."""
     _check_fragment(cbox)
     nm = _Normalizer()
-    for g in cbox.gcis:
+    sources: list[int] = []
+    for i, g in enumerate(cbox.gcis):
         nm.reject_unsupported(g.lhs)
         nm.reject_unsupported(g.rhs)
         nm.gci(g.lhs, g.rhs)
+        sources += [i] * (len(nm.out) - len(sources))
 
     counter = itertools.count()
     role_incls = [step for ri in cbox.role_incls
@@ -138,4 +146,4 @@ def normalize(cbox: CBox) -> CBox:
 
     return CBox(roles=dict(cbox.roles), restrictions=(),
                 gcis=tuple(nm.out), role_incls=tuple(role_incls),
-                queries=cbox.queries)
+                queries=cbox.queries), tuple(sources)

@@ -35,13 +35,14 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from . import algebra as alg
-from . import concdom, hornsat, normalize as norm
+from . import concdom, hornsat
 from . import reduce as red
 from .syntax import CBox, LoctameError, Name, Query, check_cbox
 
 
 @dataclass
 class Report:
+    """One run of the reduction: its verdict and every stage's output."""
     subsumed: bool
     query: Optional[Query]
     problem: alg.AlgebraicProblem
@@ -50,6 +51,9 @@ class Report:
     combine: concdom.CombineResult
     mode: str = red.CHASE
     micros: dict[str, int] = field(default_factory=dict)
+    # per input fact, the index of the file's inclusion it was normalized
+    # from; None when the input was not normalized
+    sources: Optional[tuple[int, ...]] = None
 
     @property
     def psi(self) -> list[alg.FlatTerm]:
@@ -114,9 +118,11 @@ def check_queries(cbox: CBox, queries: tuple[Optional[Query], ...],
         # the query's roles resolve exactly like the CBox's own
         cbox = replace(cbox, queries=cbox.queries + extra)
     shared: dict[str, int] = {}
+    sources = None
     t = _now()
     if normalize:
-        cbox = norm.normalize(cbox)
+        from .normalize import normalize_with_sources
+        cbox, sources = normalize_with_sources(cbox)
         shared["normalize"] = _now() - t
         t = _now()
     env = check_cbox(cbox)
@@ -126,6 +132,7 @@ def check_queries(cbox: CBox, queries: tuple[Optional[Query], ...],
         micros = {**shared, "translate": _now() - t}
         report = decide(problem, mode)
         report.query, report.micros = query, {**micros, **report.micros}
+        report.sources = sources
         reports.append(report)
         shared, t = dict.fromkeys(shared, 0), _now()
     return reports
@@ -172,6 +179,7 @@ def subsumes(cbox: CBox, query: Query, mode: str = red.CHASE) -> bool:
 
 @dataclass
 class Classification:
+    """The names of a CBox and the goal-free run that relates them."""
     names: list[str]
     report: Report
 
@@ -287,8 +295,13 @@ def derivation(report: Report) -> list[str]:
     render = partial(render_atom, report.purified)
     moved = [f"moved from the numeric side [{tag}]: {render(atom)}"
              for tag, atom in comb.movements]
-    return moved + render_steps(comb.result.solver.trace(comb.sl.goal),
-                                render)
+    steps = comb.result.solver.trace(comb.sl.goal)
+    if report.sources is not None:
+        # an input step cites the file's inclusion, not the normalized one
+        steps = [replace(s, label=f"input:{report.sources[int(s.label[6:])]}")
+                 if s.kind == "fact" and s.label.startswith("input:") else s
+                 for s in steps]
+    return moved + render_steps(steps, render)
 
 
 def emit_psi(report: Report) -> str:

@@ -63,6 +63,7 @@ RESERVED = {
 
 @dataclass(frozen=True)
 class Name:
+    """A concept name."""
     name: str
 
     def __str__(self) -> str:
@@ -71,12 +72,16 @@ class Name:
 
 @dataclass(frozen=True)
 class Top:
+    """The top concept."""
+
     def __str__(self) -> str:
         return "top"
 
 
 @dataclass(frozen=True)
 class Bot:
+    """The bottom concept."""
+
     def __str__(self) -> str:
         return "bot"
 
@@ -87,6 +92,7 @@ BOT = Bot()
 
 @dataclass(frozen=True)
 class And:
+    """A conjunction of two or more concepts."""
     args: tuple["Concept", ...]
 
     def __post_init__(self):
@@ -104,6 +110,7 @@ class And:
 
 @dataclass(frozen=True)
 class Exists:
+    """An existential restriction: the role and its tuple of fillers."""
     role: str
     fillers: tuple["Concept", ...]
 
@@ -157,6 +164,7 @@ def _frac(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class GCI:
+    """A concept inclusion `lhs sub rhs`."""
     lhs: Concept
     rhs: Concept
 
@@ -237,6 +245,7 @@ class RoleRestriction:
 
 @dataclass(frozen=True)
 class Query:
+    """A `? lhs sub rhs` question."""
     lhs: Concept
     rhs: Concept
 
@@ -246,6 +255,7 @@ class Query:
 
 @dataclass(frozen=True)
 class CBox:
+    """A parsed file: role declarations, axioms and queries."""
     # role name -> sorts of all positions (subject first); subject is
     # always "concept"
     roles: dict[str, tuple[str, ...]] = field(default_factory=dict)

@@ -160,9 +160,10 @@ def test_explain_reads_normalize(tmp_path, capsys):
                      str(p)]) == 0
     assert capsys.readouterr().out == normalized
     assert cli.main(["explain", "--normalize", str(p)]) == 0
+    # an input step cites the file's inclusion, as without --normalize
     assert capsys.readouterr().out == ("? A sub D: subsumed\n"
-                                       "  A <= B   [input:1]\n"
-                                       "  B <= D   [input:2]\n"
+                                       "  A <= B   [input:0]\n"
+                                       "  B <= D   [input:1]\n"
                                        "  A <= D   [trans: A <= B; B <= D]\n")
 
 
@@ -319,9 +320,14 @@ def test_a_cut_sample_search_is_reported_and_no_failure(monkeypatch, capsys):
     assert "cross-check PASS: 1 checks, 0 failures" in out
 
 
-def test_cross_check_without_work_exits_two(capsys):
+def test_cross_check_without_work_exits_two(files, capsys):
     assert cli.main(["cross-check"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a negative count is rejected, also beside a file with queries
+    for argv in (["--samples", "-3"], [files["routes"], "--samples", "-3"]):
+        assert cli.main(["cross-check", *argv]) == 2
+        assert capsys.readouterr().err == ("error: --samples must be 0 or "
+                                           "more, got -3\n")
 
 
 def test_check_reads_stdin(monkeypatch, capsys):
@@ -421,18 +427,45 @@ def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this loctame."""
+    src = str(Path(loctame.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_check_imports_only_the_modules_it_runs(tmp_path):
+    # the oracles, the generators, interpolation and normalization belong
+    # to other commands, and a cold start pays for every module it imports
+    p = tmp_path / "one.lt"
+    p.write_text("A sub B\n? A sub B\n")
+    script = ("import sys\n"
+              "from loctame import cli\n"
+              "status = cli.main(['check', sys.argv[1]])\n"
+              "print(status, *sorted(m for m in sys.modules\n"
+              "                      if m.split('.')[0] == 'loctame'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(p)],
+                          capture_output=True, text=True, env=_fresh_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    assert out == ["? A sub B: subsumed"]
+    assert loaded.split() == ["0", "loctame", "loctame.algebra",
+                              "loctame.cli", "loctame.concdom",
+                              "loctame.hornsat", "loctame.pipeline",
+                              "loctame.reduce", "loctame.syntax"]
+
+
 def test_a_reader_closing_the_pipe_is_no_error(tmp_path):
     # three dumps of about 400 kB each: the pipe's buffer fills while the
     # first is written, so the reader is gone before the last one
     p = tmp_path / "scale.lt"
     queries = "".join(f"? C{i} sub C{i}\n" for i in range(3))
     p.write_text(render_cbox(randgen.scaling_family(100)) + queries)
-    src = str(Path(loctame.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "loctame.cli", "check", "--emit-reduction",
-         str(p)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+         str(p)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_fresh_env())
     assert proc.stdout.readline() == b"# ? C0 sub C0\n"
     proc.stdout.close()
     err = proc.stderr.read()
