@@ -157,8 +157,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
     # a dump does not say which mode made it: a `chase` dump leaves
     # transitivity to the solver, and an `instantiate` dump's transitivity
     # clauses are redundant under it
-    result = hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
-                                   transitive=True)
+    result = hornsat.solve_problem(sl.facts, sl.clauses, sl.goal)
     if result.sat:
         hornsat.model_check(result, sl.facts, sl.clauses, sl.goal)
     status = 1 if sl.goal is not None and result.sat else 0

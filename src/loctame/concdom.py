@@ -238,9 +238,8 @@ def _now() -> int:
 
 
 def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
-    chase = sl.mode == red.CHASE
     triggers = None
-    if chase:
+    if sl.mode == red.CHASE:
         # a family's block is its axiom's index, as for the materialized
         # clauses, so ranks follow the materialized clause list; meet
         # introduction comes after every axiom instance
@@ -248,13 +247,8 @@ def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
         triggers = hornsat.Triggers(
             list(concept.triggered.items()), concept.meets,
             meet_block=1 + max(blocks, default=0), universe=sl.universe)
-    solver = HornSolver(transitive=chase, triggers=triggers)
-    for atom, label in sl.facts:
-        solver.add_fact(atom, label)
-    for (premises, concl, tag), block in zip(sl.clauses, sl.blocks, strict=True):
-        solver.add_clause(premises, concl, tag, block)
-    solver.end_build()
-    return solver
+    return HornSolver(sl.facts, sl.clauses, sl.blocks,
+                      transitive=triggers is not None, triggers=triggers)
 
 
 def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineResult:

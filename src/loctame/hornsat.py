@@ -26,14 +26,19 @@ rule family of each Mon/K2/K3 axiom whose premises are all concept atoms
 (an `algebra.Family`: monotonicity of the operators whose arguments are
 all concepts and the instances of role compositions, indexed by tail and
 argument, and by guard), and meet introduction.  A family's own `rule`
-spells out each rule, for the index and the written-out reduction alike.
-A triggered rule fires when its last premise is
-popped, exactly when its materialized clause would have: every clause and
-rule carries a rank (its position in the materialized clause list: one
-block per axiom, in axiom order, then meet introduction), and the firings
-of one pop happen in rank order.  A rule whose premises all hold while
-the problem is being built fires then, as a materialized clause would
-when it is added.  A clause or rule with a twin of lower rank (the same
+spells out each rule, for the index and the written-out reduction alike;
+a meet rule's premises are spelled out only when it fires.
+
+A solver is made from its whole problem, the facts and then the clauses.
+A triggered rule fires exactly when its materialized clause would have:
+every clause and rule carries a rank (its position in the materialized
+clause list: one block per axiom, in axiom order, then meet
+introduction).  Like a clause, a rule counts down the premises it waits
+on.  A premise derived in the build before the rule's rank is settled
+then, as a clause added at that rank finds it derived; any other is
+settled at its pop.  A rule completed in the build fires at its rank
+before the constructor returns; the clauses and rules one pop completes
+fire in rank order.  A clause or rule with a twin of lower rank (the same
 premises and conclusion) never fires, as the deduplicated clause list
 holds only the first.  Each firing that derives an atom is recorded as a
 clause, so traces and models read the same as with the materialized
@@ -60,8 +65,9 @@ Reason = tuple
 _RANK_BITS = 40
 _NEVER = 1 << 62            # the build rank of an atom not derived in the build
 
-# a triggered rule: (rank, premises, conclusion, tag)
-Rule = tuple[int, tuple[AtomKey, ...], AtomKey, str]
+# a triggered rule: (rank, premise count, conclusion, tag, premises); a
+# meet rule's premises are None until it fires (Triggers.meet_premises)
+Rule = tuple[int, int, AtomKey, str, Optional[tuple[AtomKey, ...]]]
 
 
 @dataclass(slots=True)
@@ -85,6 +91,7 @@ class Stats:
     clauses: int = 0                # materialized clauses added
     trigger_probes: int = 0         # triggered rules looked up at a pop
                                     # of an atom not derived from the facts
+    rule_decrements: int = 0        # premises of triggered rules settled
 
 
 class Triggers:
@@ -138,14 +145,16 @@ class Triggers:
                 block, fam, {h: hi for hi, (h, _) in enumerate(fam.heads)},
                 {rhs: ci for ci, (*_, rhs) in enumerate(fam.choices)}))
         self.concluding.sort(key=itemgetter(0))
-        # each meet with its operands, without repeats
-        self.meets = [(m, tuple(dict.fromkeys(operands)))
-                      for m, operands in meets.items()]
+        # each meet with its operands, without repeats; operand -> the
+        # meets over it, each with its position and operand count
+        self.meets = {m: tuple(dict.fromkeys(operands))
+                      for m, operands in meets.items()}
         self.meet_base = meet_block << _RANK_BITS
-        self.meets_by_operand: dict[str, list[int]] = {}
-        for mi, (_, operands) in enumerate(self.meets):
+        self.meets_by_operand: dict[str, list[tuple[int, str, int]]] = {}
+        for mi, (m, operands) in enumerate(self.meets.items()):
             for o in operands:
-                self.meets_by_operand.setdefault(o, []).append(mi)
+                self.meets_by_operand.setdefault(o, []).append(
+                    (mi, m, len(operands)))
         self.universe = {z: zi for zi, z in enumerate(universe)}
         # the right-hand sides of every premise: an atom whose right-hand
         # side is not among them is a premise of no rule
@@ -172,7 +181,7 @@ class Triggers:
                                           for i in range(pos)):
                         continue
                     at, premises, concl = fam.rule(hi, ci)
-                    yield base | at, premises, concl, fam.tag
+                    yield base | at, len(premises), concl, fam.tag, premises
         for f, guarded in self.by_guard.get(b, ()):
             cis = guarded.get(a)
             if cis is None:
@@ -186,16 +195,20 @@ class Triggers:
                                           for z, t in zip(zs, tails)):
                         continue
                     at, premises, concl = fam.rule(hi, ci)
-                    yield base | at, premises, concl, fam.tag
+                    yield base | at, len(premises), concl, fam.tag, premises
         zi = self.universe.get(a)
         if zi is None:
             return
         width = len(self.universe)
-        for mi in self.meets_by_operand.get(b, ()):
-            m, operands = self.meets[mi]
+        for mi, m, count in self.meets_by_operand.get(b, ()):
             if m != a:
-                yield (self.meet_base | (mi * width + zi),
-                       tuple([(a, o) for o in operands]), (a, m), "meet-intro")
+                yield (self.meet_base | (mi * width + zi), count, (a, m),
+                       "meet-intro", None)
+
+    def meet_premises(self, concl: AtomKey) -> tuple[AtomKey, ...]:
+        """The premises z <= each operand of m of the rule for z <= m."""
+        z, m = concl
+        return tuple([(z, o) for o in self.meets[m]])
 
     def earlier_twin(self, rank: int, premises: frozenset[AtomKey],
                      concl: AtomKey) -> bool:
@@ -242,7 +255,9 @@ class TraceStep:
 
 
 class HornSolver:
-    def __init__(self, transitive: bool = False,
+    def __init__(self, facts: Iterable[tuple[AtomKey, str]] = (),
+                 clauses: Iterable[tuple[Iterable[AtomKey], AtomKey, str]] = (),
+                 blocks: Sequence[int] = (), transitive: bool = False,
                  triggers: Optional[Triggers] = None):
         self.transitive = transitive
         self.atom_ids: dict[AtomKey, int] = {}
@@ -271,11 +286,20 @@ class HornSolver:
         self.building = triggers is not None
         self._build_rank = -1
         if triggers is not None:
-            self.popped: set[int] = set()
             self.built: dict[int, int] = {}
             self._waiting: list[Rule] = []
+            # rank -> the premises the triggered rule still waits on
+            self._left: dict[int, int] = {}
             # conclusion -> the materialized clauses concluding it
             self._concluding: dict[AtomKey, list[int]] = {}
+        for atom, label in facts:
+            self.add_fact(atom, label)
+        for cid, (premises, concl, tag) in enumerate(clauses):
+            self._add_clause(premises, concl, tag, 0 if triggers is None
+                             else blocks[cid] << _RANK_BITS | cid)
+        if self.building:
+            self._build_until(_NEVER)
+            self.building = False
 
     # -- construction --------------------------------------------------------
 
@@ -300,15 +324,14 @@ class HornSolver:
         self._derive(self.atom(key), ("fact", label))
 
     def add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
-                   tag: str = "clause", block: int = 0) -> None:
-        """Add a materialized clause.  The block places it among the
-        triggered rules (see Triggers); clauses of one block keep the
-        order they are added in."""
-        rank = 0
-        if self.triggers is not None:
-            rank = block << _RANK_BITS | self.stats.clauses
-            if self.building:
-                self._build_until(rank)
+                   tag: str = "clause") -> None:
+        """Add a clause that ranks after the whole build."""
+        self._add_clause(premises, concl, tag, _NEVER)
+
+    def _add_clause(self, premises: Iterable[AtomKey], concl: AtomKey,
+                    tag: str, rank: int) -> None:
+        if self.building:
+            self._build_until(rank)
         self.stats.clauses += 1
         prem_ids: dict[int, None] = {}
         for p in premises:
@@ -331,14 +354,6 @@ class HornSolver:
             self._build_rank = rank
             self._fire(cid)
 
-    def end_build(self) -> None:
-        """Fire the triggered rules that the facts and the clauses added so
-        far complete; later facts are settled only once popped.  solve()
-        ends the build itself."""
-        if self.building:
-            self._build_until(_NEVER)
-            self.building = False
-
     def _build_until(self, rank: int) -> None:
         waiting = self._waiting
         while waiting and waiting[0][0] < rank:
@@ -359,12 +374,22 @@ class HornSolver:
             self.built[aid] = rank
             atom = self.atom_keys[aid]
             if atom[1] in self.triggers.premise_rhs:
-                has = self.has
                 for rule in self.triggers.rules_with(atom):
-                    # a rule waits once all its premises hold: the one
-                    # derived last queues it, once
-                    if rule[0] > rank and all(map(has, rule[1])):
+                    # derived before the rule's rank: settled now, as a
+                    # materialized clause added at that rank finds it
+                    if rule[0] > rank and self._settle(rule):
                         heapq.heappush(self._waiting, rule)
+
+    def _settle(self, rule: Rule) -> bool:
+        """Settle a premise of a triggered rule; was it the last one?"""
+        rank = rule[0]
+        left = self._left.get(rank, rule[1]) - 1
+        if left < 0:        # the rules' work bound: each premise settles once
+            raise LoctameError(f"work bound violated: the rule for {rule[2]} "
+                               f"settled more than its {rule[1]} premises")
+        self._left[rank] = left
+        self.stats.rule_decrements += 1
+        return left == 0
 
     def _fire(self, cid: int) -> None:
         clause = self.clauses[cid]
@@ -378,10 +403,14 @@ class HornSolver:
 
     def _fire_rule(self, rule: Rule) -> None:
         """Fire a triggered rule; only a firing that derives is recorded."""
-        rank, premises, concl, tag = rule
+        rank, _, concl, tag, premises = rule
         self.stats.fired_clauses += 1
         concl_id = self.atom(concl)
-        if concl_id in self.reasons or self._has_twin(rank, concl, premises):
+        if concl_id in self.reasons:
+            return
+        if premises is None:
+            premises = self.triggers.meet_premises(concl)
+        if self._has_twin(rank, concl, premises):
             return
         self.clauses.append(_Clause(
             tuple(self.atom_ids[p] for p in premises), concl, tag, 0, rank))
@@ -421,35 +450,22 @@ class HornSolver:
         Can be called again after add_fact/add_clause; propagation resumes
         where it stopped.
         """
-        self.end_build()
         goal_id = self.atom(goal) if goal is not None else None
-        queue, occ, clauses = self.queue, self.occ, self.clauses
-        reasons, keys, stats = self.reasons, self.atom_keys, self.stats
-        triggered, transitive = self.triggers is not None, self.transitive
+        queue, keys, reasons = self.queue, self.atom_keys, self.reasons
         # goal_id in reasons is False while there is no goal
         while queue and goal_id not in reasons:
             aid = queue.popleft()
-            if triggered:
-                self._pop_triggered(aid)
-            else:
-                for cid in occ.get(aid, ()):
-                    clause = clauses[cid]
-                    clause.missing -= 1
-                    stats.decrements += 1
-                    if clause.missing == 0:
-                        self._fire(cid)
+            self._pop(aid)
             # a<=a joins nothing: with w<=a it gives w<=a, with a<=c a<=c
-            if transitive and keys[aid][0] != keys[aid][1]:
+            if self.transitive and keys[aid][0] != keys[aid][1]:
                 self._trans_close(aid)
         return self._result(goal_id not in reasons, goal)
 
-    def _pop_triggered(self, aid: int) -> None:
+    def _pop(self, aid: int) -> None:
         """Fire what the popped atom completes, clauses and rules together
-        in rank order.  A rule waits on a premise unless that premise was
-        derived in the build before the rule's rank (as a materialized
-        clause added at that rank would); it fires at the pop of the last
-        premise it waits on."""
-        self.popped.add(aid)
+        in rank order (without triggers, every rank is 0: occurrence
+        order).  The atom settles each rule it did not settle in the
+        build."""
         ready: list[tuple] = []
         for cid in self.occ.get(aid, ()):
             clause = self.clauses[cid]
@@ -457,25 +473,17 @@ class HornSolver:
             self.stats.decrements += 1
             if clause.missing == 0:
                 ready.append((clause.rank, cid))
-        built, popped, ids = self.built, self.popped, self.atom_ids
-        own = built.get(aid, _NEVER)
-        # an atom derived from the facts (rank -1) ranks below every rule:
-        # the build fired each rule it completes
-        atom = self.atom_keys[aid]
-        rules = (self.triggers.rules_with(atom)
-                 if own >= 0 and atom[1] in self.triggers.premise_rhs else ())
-        for rule in rules:
-            self.stats.trigger_probes += 1
-            rank = rule[0]
-            if own < rank:
-                continue
-            for p in rule[1]:
-                pid = ids.get(p)
-                if pid is None or (pid not in popped
-                                   and built.get(pid, _NEVER) >= rank):
-                    break
-            else:
-                ready.append(rule)
+        triggers = self.triggers
+        if triggers is not None:
+            own = self.built.get(aid, _NEVER)
+            atom = self.atom_keys[aid]
+            # an atom derived from the facts (rank -1) ranks below every
+            # rule: the build settled it
+            if own >= 0 and atom[1] in triggers.premise_rhs:
+                for rule in triggers.rules_with(atom):
+                    self.stats.trigger_probes += 1
+                    if own >= rule[0] and self._settle(rule):
+                        ready.append(rule)
         if len(ready) > 1:
             ready.sort(key=itemgetter(0))
         for item in ready:
@@ -582,15 +590,9 @@ def _members(bitset: int) -> Iterator[int]:
 
 def solve_problem(facts: Iterable[tuple[AtomKey, str]],
                   clauses: Iterable[tuple[tuple[AtomKey, ...], AtomKey, str]],
-                  goal: Optional[AtomKey],
-                  transitive: bool = False) -> Result:
-    """Build a solver from facts and materialized clauses and solve."""
-    solver = HornSolver(transitive=transitive)
-    for atom, label in facts:
-        solver.add_fact(atom, label)
-    for premises, concl, tag in clauses:
-        solver.add_clause(premises, concl, tag)
-    return solver.solve(goal)
+                  goal: Optional[AtomKey]) -> Result:
+    """Solve facts and materialized clauses, closing under transitivity."""
+    return HornSolver(facts, clauses, transitive=True).solve(goal)
 
 
 def model_check(result: Result,

@@ -366,7 +366,7 @@ class _Attempt:
             theory = red.sl_instantiate(replace(
                 self.purified, facts=[], target=None, clauses=[]))
             solver = hornsat.solve_problem(theory.facts, theory.clauses,
-                                           None, transitive=True).solver
+                                           None).solver
             # the atoms derived from here on are those the A side adds
             # to the theory's model
             theory_size = len(solver.reasons)
@@ -384,8 +384,7 @@ class _Attempt:
 
             mb = hornsat.solve_problem(
                 [*self.b_facts, *theory.facts, *((a, "itp") for a in itp)],
-                theory.clauses + self._side_clauses(("B", "S")), self.goal,
-                transitive=True)
+                theory.clauses + self._side_clauses(("B", "S")), self.goal)
             if not mb.sat:
                 atoms = [s.atom for s in mb.solver.trace(self.goal)
                          if s.kind == "fact" and s.label == "itp"]
@@ -395,7 +394,7 @@ class _Attempt:
             joint = hornsat.solve_problem(
                 [*self.a_facts, *self.b_facts, *theory.facts],
                 theory.clauses + self._side_clauses(("A", "B", "S", "X")),
-                self.goal, transitive=True)
+                self.goal)
             if joint.sat:
                 if iteration == 1:
                     raise NotUnsat("the two sides are jointly satisfiable")

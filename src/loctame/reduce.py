@@ -92,14 +92,25 @@ class _Translator:
             self.op_role[op] = role
         return op
 
-    def role_apply(self, role: str, args: list[FlatTerm]) -> Apply:
-        """Apply a role's operator, expanding restriction chains."""
+    def restrictions(self, role: str) -> tuple[str, list[tuple]]:
+        """The unrestricted role under a chain of restrictions, and the
+        chain's links (base, position, concept), the role's own first."""
+        links = []
         exp = self.env.expansions.get(role)
-        if exp is None:
-            return Apply(self.register_op(role), tuple(args))
-        base, pos, concept = exp
-        plugged = self.term(concept, self.env.sigs[base][pos])
-        return self.role_apply(base, args[:pos - 1] + [plugged] + args[pos - 1:])
+        while exp is not None:
+            links.append(exp)
+            role = exp[0]
+            exp = self.env.expansions.get(role)
+        return role, links
+
+    def role_apply(self, role: str, args: list[FlatTerm]) -> Apply:
+        """Apply a role's operator, plugging in its restriction chain's
+        concepts, the role's own first."""
+        root, links = self.restrictions(role)
+        args = list(args)
+        for base, pos, concept in links:
+            args.insert(pos - 1, self.term(concept, self.env.sigs[base][pos]))
+        return Apply(self.register_op(root), tuple(args))
 
     def term(self, c: Concept, sort: str) -> FlatTerm:
         if isinstance(c, Top):
@@ -149,16 +160,14 @@ class _Translator:
     def raw_slots(self, role: str) -> tuple[str, list]:
         """The underlying operator of a (possibly restricted) role and its
         slot skeleton: None for an open filler, a ground term where a
-        restriction fixed one."""
-        exp = self.env.expansions.get(role)
-        if exp is None:
-            op = self.register_op(role)
-            return op, [None] * len(self.env.fillers(role))
-        base, pos, concept = exp
-        op, slots = self.raw_slots(base)
-        open_positions = [i for i, s in enumerate(slots) if s is None]
-        idx = open_positions[pos - 1]
-        slots[idx] = self.term(concept, self.env.sigs[base][pos])
+        restriction fixed one, the innermost restriction's first."""
+        root, links = self.restrictions(role)
+        op = self.register_op(root)
+        slots: list = [None] * len(self.env.fillers(root))
+        for base, pos, concept in reversed(links):
+            open_positions = [i for i, s in enumerate(slots) if s is None]
+            slots[open_positions[pos - 1]] = self.term(
+                concept, self.env.sigs[base][pos])
         return op, slots
 
     def template(self, role: str, start: int) -> tuple[OpTemplate, int]:

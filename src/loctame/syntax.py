@@ -21,7 +21,10 @@ intervals `num up 3`, `num down 7/2`, `num [1/2, 5]`.
 
 A concept nests at most MAX_NESTING levels: each `exists` and each pair
 of parentheses (around a sub-concept or a filler list) opens one.  Deeper
-input is a ParseError.
+input is a ParseError.  A restricted role's expansion (the concepts its
+restriction chain plugs in) nests at most MAX_NESTING levels too,
+counting each `exists` and each conjunction; a deeper one is a
+CheckError.
 """
 
 from __future__ import annotations
@@ -702,7 +705,35 @@ def resolve_roles(cbox: CBox) -> RoleEnv:
     if pending:
         names = ", ".join(sorted(r.name for r in pending))
         raise CheckError(f"unresolvable role restriction(s): {names}")
+    # a use of a restricted role plugs in its chain's concepts, so its
+    # expansion nests as deep as its base's and its concept; the passes
+    # after translation recurse that deep.  Each pass settles the roles
+    # whose concepts use only roles settled before, in resolution order; a
+    # role whose concept uses it grows until it is rejected
+    depth = dict.fromkeys(expansions, 0)
+    changed = True
+    while changed:
+        changed = False
+        for name, (base, _, concept) in expansions.items():
+            d = max(depth.get(base, 0), _nesting(concept, depth))
+            if d > MAX_NESTING:
+                raise CheckError(f"role {name!r} expands to a concept nested "
+                                 f"deeper than {MAX_NESTING} levels")
+            if d != depth[name]:
+                depth[name] = d
+                changed = True
     return RoleEnv(sigs, expansions)
+
+
+def _nesting(c: Concept, depth: dict[str, int]) -> int:
+    """How deep a concept's term nests: one level per `exists` and per
+    conjunction, and a restricted role's expansion (depth) at its use."""
+    if isinstance(c, Exists):
+        return 1 + max(depth.get(c.role, 0),
+                       *(_nesting(f, depth) for f in c.fillers))
+    if isinstance(c, And):
+        return 1 + max(_nesting(a, depth) for a in c.args)
+    return 0
 
 
 def concept_sort(c: Concept, env: RoleEnv) -> str:

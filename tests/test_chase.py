@@ -59,13 +59,8 @@ def _materialized(report: pipeline.Report):
     split = concdom.split_problem(full)
     sl = red.sl_instantiate(split.concept)
     if not split.mixed:
-        return hornsat.solve_problem(sl.facts, sl.clauses, sl.goal,
-                                     transitive=True), [], full
-    solver = hornsat.HornSolver(transitive=True)
-    for atom, label in sl.facts:
-        solver.add_fact(atom, label)
-    for premises, concl, tag in sl.clauses:
-        solver.add_clause(premises, concl, tag)
+        return hornsat.solve_problem(sl.facts, sl.clauses, sl.goal), [], full
+    solver = hornsat.HornSolver(sl.facts, sl.clauses, transitive=True)
     pending, movements = list(split.mixed), []
     while True:
         res = solver.solve(sl.goal)
@@ -411,22 +406,19 @@ def test_triggered_rules_derive_like_their_materialized_clauses(seed):
     rng = random.Random(seed)
     families, meets, universe, facts, extra, goal = _random_problem(rng)
 
-    plain = hornsat.HornSolver(transitive=True)
-    for a, label in facts:
-        plain.add_fact(a, label)
-    for _, premises, concl, tag in _materialized_clauses(
-            families, meets, universe, extra):
-        plain.add_clause(premises, concl, tag)
+    plain = hornsat.HornSolver(
+        facts, [(premises, concl, tag) for _, premises, concl, tag
+                in _materialized_clauses(families, meets, universe, extra)],
+        transitive=True)
     want = plain.solve(goal)
 
-    chase = hornsat.HornSolver(transitive=True,
-                               triggers=_triggers(families, meets, universe))
-    for a, label in facts:
-        chase.add_fact(a, label)
     # the materialized clauses drop their own twins, as the lattice
     # theory does, but not those of triggered rules
-    for block, premises, concl, tag in _first_of_twins(extra):
-        chase.add_clause(premises, concl, tag, block)
+    kept = _first_of_twins(extra)
+    chase = hornsat.HornSolver(
+        facts, [(premises, concl, tag) for _, premises, concl, tag in kept],
+        [block for block, *_ in kept], transitive=True,
+        triggers=_triggers(families, meets, universe))
     got = chase.solve(goal)
 
     assert got.sat == want.sat
@@ -440,9 +432,8 @@ def test_rules_complete_at_build_time_fire_before_solving():
     triggers = hornsat.Triggers(
         [(1, _mon_family("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
         meets={}, meet_block=2, universe=["a", "b", "fa", "fb"])
-    solver = hornsat.HornSolver(transitive=True, triggers=triggers)
-    solver.add_fact(("a", "b"), "input:0")
-    solver.end_build()
+    solver = hornsat.HornSolver([(("a", "b"), "input:0")], transitive=True,
+                                triggers=triggers)
     assert solver.has(("fa", "fb"))
     assert not solver.has(("fb", "fa"))
     step = solver.trace(("fa", "fb"))[-1]
@@ -456,10 +447,10 @@ def test_one_pop_fires_in_materialized_order():
     triggers = hornsat.Triggers(
         [(1, _mon_family("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
         meets={}, meet_block=3, universe=["a", "b", "x", "fa", "fb", "p"])
-    solver = hornsat.HornSolver(transitive=True, triggers=triggers)
-    solver.add_fact(("a", "x"), "input:0")
-    solver.add_fact(("x", "b"), "input:1")
-    solver.add_clause([("a", "b")], ("p", "p"), "Mon(g)", block=2)
+    solver = hornsat.HornSolver(
+        [(("a", "x"), "input:0"), (("x", "b"), "input:1")],
+        [([("a", "b")], ("p", "p"), "Mon(g)")], [2], transitive=True,
+        triggers=triggers)
     solver.solve()
     order = [solver.atom_keys[a] for a in solver.reasons]
     assert order[:5] == [("a", "x"), ("x", "b"), ("a", "b"), ("fa", "fb"),
@@ -545,3 +536,20 @@ def test_only_touched_atoms_are_interned():
     # 30 operator terms: a materialized Mon(f_r) alone would intern 870
     # conclusions and as many premises
     assert len(solver.atom_keys) < 300
+
+
+def test_meet_introduction_settles_each_premise_once():
+    # A0 and ... and Ak-1 sub B: the k atoms z <= Ai derived for each of
+    # z = X, bot and Ai settle one premise each of the meet rule for z, so
+    # the work doubles with k; reading every premise of a rule at each of
+    # its premise events read k(k+1)/2 atoms for X alone
+    def settled(k):
+        names = [f"A{i}" for i in range(k)]
+        cbox = parse_cbox(" and ".join(names) + " sub B\n"
+                          + "".join(f"X sub {a}\n" for a in names)
+                          + "? X sub B\n")
+        report = pipeline.check_subsumption(cbox, cbox.queries[0])
+        assert report.subsumed
+        return report.combine.result.stats.rule_decrements
+
+    assert (settled(200), settled(400)) == (600, 1200)

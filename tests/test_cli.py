@@ -386,6 +386,52 @@ def test_deeply_nested_concept_exits_two(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _restriction_chain(first: int, last: int, link: str) -> list[str]:
+    """Roles p(first) .. p(last): the first restricts w at 1 to A, and
+    link spells each later p(i) from i and prev = i - 1."""
+    return [f"role p{first} = restrict w at 1 to A",
+            *(link.format(i=i, prev=i - 1) for i in range(first + 1, last + 1))]
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_a_long_restriction_chain_is_decided(tmp_path, capsys, command):
+    # each link restricts the one before: the translated term is flat
+    p = tmp_path / "chain.lt"
+    chain = _restriction_chain(
+        1, 1199, "role p{i} = restrict p{prev} at 1 to A")
+    p.write_text("\n".join(["decl role w : 1201", *chain,
+                            "X sub exists p1199 . B",
+                            "? X sub exists p1199 . B"]) + "\n")
+    assert cli.main([command, str(p)]) == 0
+    if command == "check":
+        assert capsys.readouterr().out.endswith(": subsumed\n")
+
+
+def test_a_restriction_expanding_too_deep_exits_two(tmp_path, capsys):
+    # each link plugs the one before into a concept: p(i) expands i deep
+    p = tmp_path / "deep.lt"
+    chain = _restriction_chain(
+        0, 599, "role p{i} = restrict w at 1 to exists p{prev} . A")
+    p.write_text("\n".join(["decl role w : 3", *chain,
+                            "? X sub exists p599 . B"]) + "\n")
+    assert cli.main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: role 'p{MAX_NESTING + 1}' expands to a concept "
+                   f"nested deeper than {MAX_NESTING} levels\n")
+
+
+def test_the_deepest_concept_over_the_deepest_expansion_is_decided(
+        tmp_path, capsys):
+    p = tmp_path / "deep.lt"
+    chain = _restriction_chain(
+        0, MAX_NESTING, "role p{i} = restrict w at 1 to exists p{prev} . A")
+    deep = f"exists p{MAX_NESTING} . " * MAX_NESTING + "B"
+    p.write_text("\n".join(["decl role w : 3", *chain, f"X sub {deep}",
+                            f"? X sub {deep}"]) + "\n")
+    assert cli.main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.endswith(": subsumed\n")
+
+
 def test_nesting_at_the_bound_is_decided(tmp_path, capsys):
     p = tmp_path / "deep.lt"
     deep = "exists r . " * MAX_NESTING + "A"

@@ -28,26 +28,25 @@ def test_basic_chaining():
     facts = [(("a", "b"), "in")]
     clauses = [((("a", "b"),), ("b", "c"), "step1"),
                ((("a", "b"), ("b", "c")), ("a", "d"), "step2")]
-    res = hornsat.solve_problem(facts, clauses, ("a", "d"))
+    res = hornsat.HornSolver(facts, clauses).solve(("a", "d"))
     assert not res.sat
     assert res.holds(("b", "c"))
 
 
 def test_goal_missing_is_sat():
-    res = hornsat.solve_problem([(("a", "b"), "in")], [], ("b", "a"))
+    res = hornsat.HornSolver([(("a", "b"), "in")]).solve(("b", "a"))
     assert res.sat
     assert res.model() == {("a", "b")}
 
 
 def test_transitive_closure_built_in():
     facts = [(("a", "b"), "in"), (("b", "c"), "in"), (("c", "d"), "in")]
-    res = hornsat.solve_problem(facts, [], ("a", "d"), transitive=True)
+    res = hornsat.solve_problem(facts, [], ("a", "d"))
     assert not res.sat
 
 
 def test_clause_with_already_derived_premise():
-    solver = hornsat.HornSolver()
-    solver.add_fact(("a", "b"), "in")
+    solver = hornsat.HornSolver([(("a", "b"), "in")])
     solver.solve()
     # the premise is settled before the clause arrives
     solver.add_clause((("a", "b"),), ("b", "c"), "late")
@@ -57,8 +56,7 @@ def test_clause_with_already_derived_premise():
 
 
 def test_resumable_solving():
-    solver = hornsat.HornSolver()
-    solver.add_fact(("a", "b"), "in")
+    solver = hornsat.HornSolver([(("a", "b"), "in")])
     assert solver.solve(("a", "c")).sat
     solver.add_clause((("a", "b"),), ("a", "c"), "c0")
     assert not solver.solve(("a", "c")).sat
@@ -69,8 +67,8 @@ def test_resumable_solving():
 def test_work_bound(seed):
     rng = random.Random(seed)
     facts, clauses, goal = _problem(rng.randint(2, 5), rng)
-    res = hornsat.solve_problem(facts, clauses, goal,
-                                transitive=rng.random() < 0.5)
+    res = hornsat.HornSolver(facts, clauses,
+                             transitive=rng.random() < 0.5).solve(goal)
     assert res.stats.decrements <= res.stats.premise_occurrences
 
 
@@ -79,14 +77,14 @@ def test_work_bound(seed):
 def test_model_check_on_sat_runs(seed):
     rng = random.Random(seed)
     facts, clauses, goal = _problem(rng.randint(2, 4), rng)
-    res = hornsat.solve_problem(facts, clauses, goal)
+    res = hornsat.HornSolver(facts, clauses).solve(goal)
     if res.sat:
         hornsat.model_check(res, facts, clauses, goal)
 
 
 def test_model_check_flags_violations():
     facts = [(("a", "b"), "in")]
-    res = hornsat.solve_problem(facts, [], ("b", "a"))
+    res = hornsat.HornSolver(facts).solve(("b", "a"))
     assert res.sat
     with pytest.raises(LoctameError):
         # a fact the model never saw
@@ -110,8 +108,8 @@ def test_chase_equals_materialized_transitivity(seed):
     trans = [(((a, b), (b, c)), (a, c), "trans")
              for a in consts for b in consts for c in consts
              if a != b and b != c]
-    chase = hornsat.solve_problem(facts, clauses, None, transitive=True)
-    inst = hornsat.solve_problem(facts, clauses + trans, None)
+    chase = hornsat.solve_problem(facts, clauses, None)
+    inst = hornsat.HornSolver(facts, clauses + trans).solve()
     for atom in [(a, b) for a in consts for b in consts]:
         assert chase.solver.has(atom) == inst.solver.has(atom)
 
@@ -119,7 +117,7 @@ def test_chase_equals_materialized_transitivity(seed):
 def test_trace_is_well_founded():
     facts = [(("a", "b"), "in"), (("b", "c"), "in")]
     clauses = [((("a", "c"),), ("a", "d"), "c0")]
-    res = hornsat.solve_problem(facts, clauses, ("a", "d"), transitive=True)
+    res = hornsat.solve_problem(facts, clauses, ("a", "d"))
     assert not res.sat
     steps = res.solver.trace(("a", "d"))
     seen = set()
@@ -133,6 +131,6 @@ def test_trace_is_well_founded():
 
 
 def test_trace_of_underived_atom_raises():
-    res = hornsat.solve_problem([(("a", "b"), "in")], [], None)
+    res = hornsat.HornSolver([(("a", "b"), "in")]).solve()
     with pytest.raises(LoctameError):
         res.solver.trace(("b", "a"))
