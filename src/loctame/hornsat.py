@@ -20,6 +20,15 @@ conclusion is not derived: the steps that derive something.  It visits
 them in the order their partner atoms were popped, never string
 hashing, so a derivation reads the same in every process.
 
+A chase solver given a `Lattice` keeps the lattice theory's unit facts
+x<=x, bot<=x and x<=top (x in the universe) in these bitsets, known from
+the start, and interns one, with its ("fact", "refl" | "bound") reason,
+only when a clause, a rule, the goal, a join or a trace reads it.  The
+bounds pop as one block at their facts' place after the inputs: it sets
+their popped bits and reserves their pop numbers.  Only if an input put
+something below bot or above top (or outside the universe) would their
+pops derive anything; then each bound is interned and popped in turn.
+
 The chase mode also hands the solver a `Triggers` index instead of the
 clause families that grow with the square of the closure or faster: the
 rule family of each Mon/K2/K3 axiom whose premises are all concept atoms
@@ -48,10 +57,11 @@ families; only the atoms the rules actually touch are interned.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import LoctameError
 
@@ -64,10 +74,21 @@ Reason = tuple
 # the clause families the way the materialized clause list does
 _RANK_BITS = 40
 _NEVER = 1 << 62            # the build rank of an atom not derived in the build
+_BOUNDS = -1                # the queue entry where the block of bounds pops
 
 # a triggered rule: (rank, premise count, conclusion, tag, premises); a
 # meet rule's premises are None until it fires (Triggers.meet_premises)
 Rule = tuple[int, int, AtomKey, str, Optional[tuple[AtomKey, ...]]]
+
+
+class Lattice(NamedTuple):
+    """The lattice theory a transitive solver holds implicitly: x<=x,
+    bot<=x and x<=top for every x of the universe.  The solver's first
+    `inputs` facts are the inputs, after which the bounds pop."""
+    universe: Sequence
+    bot: object
+    top: object
+    inputs: int
 
 
 @dataclass(slots=True)
@@ -239,7 +260,10 @@ class Result:
     stats: Stats
 
     def model(self) -> set[AtomKey]:
-        return {self.solver.atom_keys[a] for a in self.solver.reasons}
+        solver = self.solver
+        model = {solver.atom_keys[a] for a in solver.reasons}
+        model.update(solver.unit_facts())
+        return model
 
     def holds(self, atom: AtomKey) -> bool:
         return self.solver.has(atom)
@@ -258,7 +282,8 @@ class HornSolver:
     def __init__(self, facts: Iterable[tuple[AtomKey, str]] = (),
                  clauses: Iterable[tuple[Iterable[AtomKey], AtomKey, str]] = (),
                  blocks: Sequence[int] = (), transitive: bool = False,
-                 triggers: Optional[Triggers] = None):
+                 triggers: Optional[Triggers] = None,
+                 lattice: Optional[Lattice] = None):
         self.transitive = transitive
         self.atom_ids: dict[AtomKey, int] = {}
         self.atom_keys: list[AtomKey] = []
@@ -271,7 +296,7 @@ class HornSolver:
             # constant -> its bit; per bit, the constant, and the bitsets of
             # its popped up-set and down-set and of those known derived
             # (popped or met by transitivity); per popped atom, its pop
-            # number
+            # number, and the next pop number
             self.bits: dict[object, int] = {}
             self.consts: list = []
             self.popped_up: list[int] = []
@@ -279,6 +304,10 @@ class HornSolver:
             self.up: list[int] = []
             self.down: list[int] = []
             self.pop_seq: dict[int, int] = {}
+            self._pops = 0
+        # set once the inputs are in: an atom interned from then on may be
+        # one of the unit facts the solver holds
+        self.lattice: Optional[Lattice] = None
         self.triggers = triggers
         # while building, atoms are stamped with the rank of the step that
         # derived them (facts: -1), and the triggered rules they complete
@@ -292,6 +321,11 @@ class HornSolver:
             self._left: dict[int, int] = {}
             # conclusion -> the materialized clauses concluding it
             self._concluding: dict[AtomKey, list[int]] = {}
+        facts = iter(facts)
+        if lattice is not None:
+            for atom, label in itertools.islice(facts, lattice.inputs):
+                self.add_fact(atom, label)
+            self._hold(lattice)
         for atom, label in facts:
             self.add_fact(atom, label)
         for cid, (premises, concl, tag) in enumerate(clauses):
@@ -309,7 +343,61 @@ class HornSolver:
             aid = len(self.atom_keys)
             self.atom_ids[key] = aid
             self.atom_keys.append(key)
+            lattice = self.lattice
+            if lattice is not None and (key[0] == key[1] or key[0] == lattice.bot
+                                        or key[1] == lattice.top):
+                label = self._unit_label(key)
+                if label is not None:
+                    self.reasons[aid] = ("fact", label)
         return aid
+
+    def _unit_label(self, key: AtomKey) -> Optional[str]:
+        """"refl" or "bound" for a unit fact the solver holds, else None."""
+        a, b = key
+        lattice = self.lattice
+        if lattice is None or not (a == b or a == lattice.bot
+                                   or b == lattice.top):
+            return None
+        n = len(lattice.universe)
+        if self.bits.get(a, n) >= n or self.bits.get(b, n) >= n:
+            return None
+        return "refl" if a == b else "bound"
+
+    def unit_facts(self) -> list[AtomKey]:
+        """The unit facts the solver holds, in the order of their facts:
+        x<=x for every x of the universe, then bot<=x and x<=top for each
+        x in turn."""
+        lattice = self.lattice
+        if lattice is None:
+            return []
+        universe, bot, top = lattice.universe, lattice.bot, lattice.top
+        return [(x, x) for x in universe] + list(dict.fromkeys(
+            atom for x in universe for atom in ((bot, x), (x, top))
+            if atom[0] != atom[1]))
+
+    def _hold(self, lattice: Lattice) -> None:
+        """Take in the unit facts: their bits are known, the triggered rules
+        settle their premises among them, as they did those of the facts,
+        and the bounds' block is queued after the inputs."""
+        universe, n = lattice.universe, len(lattice.universe)
+        self.bits = {x: i for i, x in enumerate(universe)}
+        self.consts = list(universe)
+        self.popped_up, self.popped_down = [0] * n, [0] * n
+        bot, top = self.bits[lattice.bot], self.bits[lattice.top]
+        self.up = [1 << i | 1 << top for i in range(n)]
+        self.down = [1 << i | 1 << bot for i in range(n)]
+        self.up[bot] = self.down[top] = (1 << n) - 1
+        self.lattice = lattice
+        triggers = self.triggers
+        if triggers is not None:
+            ids, reasons, rhs = self.atom_ids, self.reasons, triggers.premise_rhs
+            for atom in self.unit_facts():
+                # an input may be one of them: it settled its rules itself
+                if atom[1] in rhs and ids.get(atom) not in reasons:
+                    for rule in triggers.rules_with(atom):
+                        if self._settle(rule):
+                            heapq.heappush(self._waiting, rule)
+        self.queue.append(_BOUNDS)
 
     def _bit(self, c) -> int:
         i = self.bits[c] = len(self.consts)
@@ -413,7 +501,7 @@ class HornSolver:
         if self._has_twin(rank, concl, premises):
             return
         self.clauses.append(_Clause(
-            tuple(self.atom_ids[p] for p in premises), concl, tag, 0, rank))
+            tuple(map(self.atom, premises)), concl, tag, 0, rank))
         self._derive(concl_id, ("clause", len(self.clauses) - 1))
 
     def _has_twin(self, rank: int, concl: AtomKey,
@@ -433,7 +521,9 @@ class HornSolver:
 
     def has(self, key: AtomKey) -> bool:
         aid = self.atom_ids.get(key)
-        return aid is not None and aid in self.reasons
+        if aid is not None:
+            return aid in self.reasons
+        return self._unit_label(key) is not None
 
     def _result(self, sat: bool, goal: Optional[AtomKey]) -> Result:
         # the work bound the algorithm's linearity rests on: each premise
@@ -455,6 +545,9 @@ class HornSolver:
         # goal_id in reasons is False while there is no goal
         while queue and goal_id not in reasons:
             aid = queue.popleft()
+            if aid == _BOUNDS:
+                self._pop_bounds()
+                continue
             self._pop(aid)
             # a<=a joins nothing: with w<=a it gives w<=a, with a<=c a<=c
             if self.transitive and keys[aid][0] != keys[aid][1]:
@@ -492,6 +585,33 @@ class HornSolver:
             else:
                 self._fire_rule(item)
 
+    def _pop_bounds(self) -> None:
+        """Pop the bounds bot<=x and x<=top, in the order of their facts:
+        as one block, unless their pops would derive something."""
+        lattice, bits = self.lattice, self.bits
+        n = len(lattice.universe)
+        bot, top = bits[lattice.bot], bits[lattice.top]
+        if self.popped_down[bot] or self.popped_up[top] or len(self.consts) > n:
+            # each bound is interned and popped as its fact was, but one
+            # an input gave, which popped as that input
+            bounds = [aid for aid in map(self.atom, self.unit_facts()[n:])
+                      if self.reasons[aid] == ("fact", "bound")]
+            if self.triggers is not None:
+                self.built.update(dict.fromkeys(bounds, -1))
+            self.queue.extendleft(reversed(bounds))
+            return
+        # every join of a bound concludes a unit fact: set the popped bits
+        # and keep each bound's place in the pop order (_pop_order)
+        everything = (1 << n) - 1
+        popped_up, popped_down = self.popped_up, self.popped_down
+        popped_up[bot] |= everything
+        popped_down[top] |= everything
+        for i in range(n):
+            popped_down[i] |= 1 << bot
+            popped_up[i] |= 1 << top
+        self._bounds_at = self._pops
+        self._pops += 2 * n
+
     def _trans_close(self, aid: int) -> None:
         """Join a popped atom a<=b, a != b, with the popped atoms w<=a and
         b<=c."""
@@ -503,7 +623,8 @@ class HornSolver:
         y = bits.get(b)
         if y is None:
             y = self._bit(b)
-        self.pop_seq[aid] = len(self.pop_seq)
+        self.pop_seq[aid] = self._pops
+        self._pops += 1
         popped_up, popped_down = self.popped_up, self.popped_down
         up, down = self.up, self.down
         popped_up[x] |= 1 << y
@@ -511,10 +632,15 @@ class HornSolver:
         up[x] |= 1 << y
         down[y] |= 1 << x
         consts, ids, reasons = self.consts, self.atom_ids, self.reasons
-        # extend to the left, then to the right
+        get, atom = ids.get, self.atom
+        # extend to the left, then to the right; a partner the block of
+        # bounds popped may not be interned yet
         new = popped_down[x] & ~down[y] & ~(1 << x)
         if new:
-            lefts = [(ids[(consts[w], a)], w) for w in _members(new)]
+            lefts = []
+            for w in _members(new):
+                left = get((consts[w], a))
+                lefts.append((atom((consts[w], a)) if left is None else left, w))
             for left, w in sorted(lefts, key=self._pop_order):
                 key = (consts[w], b)
                 down[y] |= 1 << w
@@ -524,7 +650,10 @@ class HornSolver:
                     self._derive(self.atom(key), ("trans", left, aid))
         new = popped_up[y] & ~up[x] & ~(1 << y)
         if new:
-            rights = [(ids[(b, consts[c])], c) for c in _members(new)]
+            rights = []
+            for c in _members(new):
+                right = get((b, consts[c]))
+                rights.append((atom((b, consts[c])) if right is None else right, c))
             for right, c in sorted(rights, key=self._pop_order):
                 key = (a, consts[c])
                 up[x] |= 1 << c
@@ -535,15 +664,24 @@ class HornSolver:
 
     def _pop_order(self, partner: tuple[int, int]) -> int:
         """The pop number of a partner atom, given as (atom, bit)."""
-        return self.pop_seq[partner[0]]
+        seq = self.pop_seq.get(partner[0])
+        if seq is None:
+            # a bound the block popped: bot<=x and x<=top popped in turn
+            # for each x, and bot<=top where it came first
+            a, b = self.atom_keys[partner[0]]
+            lattice, bits = self.lattice, self.bits
+            seq = self._bounds_at + min(
+                2 * bits[b] if a == lattice.bot else _NEVER,
+                2 * bits[a] + 1 if b == lattice.top else _NEVER)
+        return seq
 
     # -- inspection ------------------------------------------------------------
 
     def trace(self, atom: AtomKey) -> list[TraceStep]:
         """The derivation of an atom, premises before conclusions."""
-        root = self.atom_ids.get(atom)
-        if root is None or root not in self.reasons:
+        if not self.has(atom):
             raise LoctameError(f"atom was not derived: {atom}")
+        root = self.atom(atom)
         steps: list[TraceStep] = []
         emitted: set[int] = set()
         on_path: set[int] = set()

@@ -415,6 +415,9 @@ def _encode_role_incl(enc: _Encoder, ri) -> None:
 # the most branching decisions one domain size's search may take; a
 # search that needs more ends as cut (SearchCut) instead of running on
 DPLL_BUDGET = 100_000
+# the most tuples of one role a domain size's encoding may enumerate; a
+# wider role cuts the search at that size (SearchCut)
+MAX_ROLE_TUPLES = 100_000
 
 
 class SearchCut(LoctameError):
@@ -669,6 +672,10 @@ def bounded_model_search(cbox: CBox, query: Query,
         raise ValueError("max_size must be between 1 and 4")
     env = resolve_roles(cbox)
     for size in range(1, max_size + 1):
+        # every role is encoded over its size^arity tuples: a wide role
+        # would exhaust memory long before the decision budget
+        if any(size ** len(sig) > MAX_ROLE_TUPLES for sig in env.sigs.values()):
+            raise SearchCut(size)
         enc = _Encoder(env, size)
         _encode_cbox(enc, cbox, query)
         if enc.trivially_unsat:

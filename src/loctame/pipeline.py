@@ -93,7 +93,8 @@ class Report:
         st = solver.stats
         return {
             "atoms_interned": len(solver.atom_keys),
-            "atoms_derived": len(solver.reasons),
+            # the least model, with the unit facts the chase holds implicitly
+            "atoms_derived": len(res.model()) if res is not None else 0,
             "clauses_built": st.clauses,
             "rules_fired": st.fired_clauses,
             "premise_occurrences": st.premise_occurrences,

@@ -477,8 +477,11 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     Facts: the inputs, then reflexivity, the bottom/top bounds and each
     meet below its operands.  Clauses: the purified axiom instances with
     each family of purified.triggered in its axiom's place, then meet
-    introduction (S4); with triggered off, the chase solver fires those
-    two from its trigger index instead.  In `instantiate` mode,
+    introduction (S4).  With triggered off, the chase solver fires those
+    two from its trigger index instead, and holds the unit facts x <= x,
+    bot <= x and x <= top in its bitsets (hornsat.Lattice), so neither
+    they nor a meet-below fact equal to one of them is written; an input
+    equal to one stays, with its own label.  In `instantiate` mode,
     transitivity over all ordered triples is materialized too; in `chase`
     mode the solver's built-in transitive closure covers it.  Facts and
     clauses are deduplicated, the first label or tag winning, so inputs
@@ -511,15 +514,17 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
     for clause in heapq.merge(purified.clauses, written, key=itemgetter(3)):
         add_clause(*clause)
     universe = [c for c, s in purified.sorts.items() if s == CONCEPT]
-    for x in universe:
-        add_fact((x, x), "refl")
     bot, top = purified.ids[alg.BOT_CONST], purified.ids[alg.TOP_CONST]
-    for x in universe:
-        add_fact((bot, x), "bound")
-        add_fact((x, top), "bound")
+    if triggered:
+        for x in universe:
+            add_fact((x, x), "refl")
+        for x in universe:
+            add_fact((bot, x), "bound")
+            add_fact((x, top), "bound")
     for m, operands in purified.meets.items():
         for o in operands:
-            add_fact((m, o), "meet-below")
+            if triggered or not (m == o or m == bot or o == top):
+                add_fact((m, o), "meet-below")
     if triggered:
         for m, operands in purified.meets.items():
             for z in universe:

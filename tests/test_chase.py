@@ -383,14 +383,22 @@ def _triggers(families, meets, universe):
         meets, meet_block=2 * len(families) + 1, universe=universe)
 
 
+# the reasons of the unit facts x <= x, bot <= x and x <= top, which the
+# chase holds in its bitsets and interns only where something reads them
+_UNIT_REASONS = (("fact", "refl"), ("fact", "bound"))
+
+
 def _derivations(solver: hornsat.HornSolver, names=None) -> list:
-    """Each derived atom with its reason, in derivation order; with names,
-    over the names of the constants."""
+    """Each derived atom with its reason, in derivation order, but for the
+    unit facts (_assert_unit_facts_hold checks those); with names, over
+    the names of the constants."""
     keys = solver.atom_keys
     if names is not None:
         keys = [(names[a], names[b]) for a, b in keys]
     out = []
     for aid, reason in solver.reasons.items():
+        if reason in _UNIT_REASONS:
+            continue
         if reason[0] == "clause":
             clause = solver.clauses[reason[1]]
             reason = (clause.tag, tuple(keys[p] for p in clause.premises))
@@ -398,6 +406,19 @@ def _derivations(solver: hornsat.HornSolver, names=None) -> list:
             reason = ("trans", keys[reason[1]], keys[reason[2]])
         out.append((keys[aid], reason))
     return out
+
+
+def _assert_unit_facts_hold(got: hornsat.Result, want: hornsat.Result,
+                            rename=lambda atom: atom) -> None:
+    """Every unit fact the reference solver derived holds in the chase:
+    has() and model() see it, interned or not."""
+    units = [want.solver.atom_keys[aid]
+             for aid, reason in want.solver.reasons.items()
+             if reason in _UNIT_REASONS]
+    assert units
+    model = got.model()
+    for atom in map(rename, units):
+        assert got.solver.has(atom) and atom in model
 
 
 @settings(max_examples=300, deadline=None)
@@ -496,6 +517,10 @@ exists s . B sub exists r . exists r . A
     res, _, full = _materialized(report)
     assert (_derivations(report.combine.result.solver, report.purified.names)
             == _derivations(res.solver, full.names))
+    ids = {name: c for c, name in report.purified.names.items()}
+    names = full.names
+    _assert_unit_facts_hold(report.combine.result, res, lambda atom: (
+        ids[names[atom[0]]], ids[names[atom[1]]]))
 
 
 def test_scaling_family_instantiates_only_k1():
@@ -504,10 +529,12 @@ def test_scaling_family_instantiates_only_k1():
     # K1 instances of `r sub s`
     report = pipeline.classify(randgen.scaling_family(300)).report
     assert {tag for *_, tag in report.combine.sl.clauses} == {"K1"}
-    solver = report.combine.result.solver
-    assert len(solver.reasons) == 2908
-    # the materialized K2 instances alone interned 10,000 premise atoms
-    assert len(solver.atom_keys) < 2 * len(solver.reasons)
+    result = report.combine.result
+    solver = result.solver
+    # the 2,908 atoms of the least model, 1,706 of them unit facts the
+    # solver holds in its bitsets without interning them
+    assert len(result.model()) == 2908
+    assert len(solver.reasons) == len(solver.atom_keys) == 1202
 
 
 def test_no_triggered_rule_concludes_reflexivity(monkeypatch):
@@ -553,3 +580,133 @@ def test_meet_introduction_settles_each_premise_once():
         return report.combine.result.stats.rule_decrements
 
     assert (settled(200), settled(400)) == (600, 1200)
+
+
+# ---------------------------------------------------------------------------
+# the unit facts the chase holds in its bitsets
+# ---------------------------------------------------------------------------
+
+class _ExplicitFacts(hornsat.HornSolver):
+    """A solver given its lattice's unit facts as facts after the inputs,
+    in the lattice theory's order, and no lattice: the reference for the
+    solver that holds them implicitly."""
+
+    def __init__(self, facts, clauses=(), blocks=(), transitive=False,
+                 triggers=None, lattice=None):
+        if lattice is not None:
+            universe, bot, top = lattice.universe, lattice.bot, lattice.top
+            facts = list(facts)
+            facts[lattice.inputs:lattice.inputs] = (
+                [((x, x), "refl") for x in universe]
+                + [(atom, "bound") for x in universe
+                   for atom in ((bot, x), (x, top))])
+        super().__init__(facts, clauses, blocks, transitive, triggers)
+
+
+def _bounds_popped_one_by_one(solver: hornsat.HornSolver) -> int:
+    """How many bounds the solver interned and popped one by one."""
+    return sum(solver.reasons[aid] == ("fact", "bound")
+               for aid in solver.pop_seq)
+
+
+def _lattice_problem(rng: random.Random):
+    """A random chase problem with bot and top in its universe, inputs and
+    clauses that put constants below bot or above top or state unit facts,
+    sometimes a meet over top, a constant outside the universe, or a unit
+    fact as the goal."""
+    families, meets, universe, facts, extra, goal = _random_problem(rng)
+    for c in ("bot", "top"):
+        universe.insert(rng.randint(0, len(universe)), c)
+
+    def unit_like():
+        x = rng.choice(universe)
+        return rng.choice(((x, "bot"), ("top", x), ("bot", x), (x, "top"),
+                           (x, x)))
+
+    inputs = [f for f in facts if f[1].startswith("input:")]
+    for _ in range(rng.randint(0, 2)):
+        inputs.append((unit_like(), f"input:{len(inputs)}"))
+    if rng.random() < 0.1:
+        inputs.append(((rng.choice(universe), "z"), f"input:{len(inputs)}"))
+    below = [f for f in facts if f[1] == "meet-below"]
+    if meets and rng.random() < 0.3:
+        m = rng.choice(list(meets))
+        meets[m] += ("top",)
+        below.append(((m, "top"), "meet-below"))
+    extra = extra + [(2 * rng.randint(0, len(families)),
+                      ((rng.choice(universe), rng.choice(universe)),),
+                      unit_like(), f"U{i}") for i in range(rng.randint(0, 2))]
+    extra.sort(key=lambda c: c[0])
+    if rng.random() < 0.2:
+        goal = unit_like()
+    return families, meets, universe, inputs, below, extra, goal, unit_like
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_the_lattice_solver_derives_like_its_explicit_unit_facts(seed):
+    rng = random.Random(seed)
+    (families, meets, universe, inputs, below, extra, goal,
+     unit_like) = _lattice_problem(rng)
+    kept = _first_of_twins(extra)
+    lattice = hornsat.Lattice(universe, "bot", "top", inputs=len(inputs))
+    want, got = (cls(inputs + below,
+                     [(premises, concl, tag) for _, premises, concl, tag in kept],
+                     [block for block, *_ in kept], transitive=True,
+                     triggers=_triggers(families, meets, universe),
+                     lattice=lattice)
+                 for cls in (_ExplicitFacts, hornsat.HornSolver))
+    late = unit_like() if rng.random() < 0.5 else (rng.choice(universe),
+                                                   rng.choice(universe))
+    for step in range(2):
+        if step:
+            # a moved fact; one equal to a unit fact changes nothing
+            want.add_fact(late, "moved:late")
+            got.add_fact(late, "moved:late")
+        w, g = want.solve(goal), got.solve(goal)
+        assert g.sat == w.sat
+        assert _derivations(got) == _derivations(want)
+        assert g.model() == w.model()
+        _assert_unit_facts_hold(g, w)
+        assert g.stats == w.stats
+        model = sorted(w.model())
+        for atom in rng.sample(model, min(5, len(model))):
+            assert got.trace(atom) == want.trace(atom)
+        if goal is not None and not g.sat:
+            assert got.trace(goal) == want.trace(goal)
+
+
+_BOUND_CASES = [
+    "A sub bot\nC sub A\nC sub exists r . A\n? C sub D\n? exists r . C sub D\n",
+    "top sub B\nB sub exists r . C\nexists r . top sub D\n? A sub D\n"
+    "? top sub B\n",
+    "A sub exists r . bot\nB sub A\n? B sub C\n? exists r . B sub bot\n",
+    "top sub B and C\nB and C sub exists r . top\n"
+    "? top sub exists r . top\n? bot sub A\n? A sub top\n",
+]
+
+
+def _bound_case_outputs():
+    """Per case, each query's explain lines and the classification pairs,
+    and how many bounds the solvers popped one by one."""
+    outputs, one_by_one = [], 0
+    for text in _BOUND_CASES:
+        cbox = parse_cbox(text)
+        for query in cbox.queries:
+            report, lines = pipeline.explain(cbox, query)
+            outputs.append((report.subsumed, lines))
+            one_by_one += _bounds_popped_one_by_one(report.combine.result.solver)
+        cls = pipeline.classify(cbox)
+        outputs.append(cls.pairs())
+        one_by_one += _bounds_popped_one_by_one(cls.report.combine.result.solver)
+    return outputs, one_by_one
+
+
+def test_inputs_below_bottom_or_above_top_explain_like_explicit_facts(
+        monkeypatch):
+    held, popped = _bound_case_outputs()
+    monkeypatch.setattr(concdom, "HornSolver", _ExplicitFacts)
+    explicit, _ = _bound_case_outputs()
+    assert held == explicit
+    # an input below bot or above top makes the bounds pop one by one
+    assert popped > 0

@@ -121,3 +121,16 @@ def test_num_entails_dbm_rejects_odd_relations():
     from loctame.concdom import NumAtom
     with pytest.raises(UnsupportedConstruct):
         oracle.num_entails_dbm([], NumAtom("a", "b", rel="lt"))
+
+
+def test_a_wide_role_cuts_the_search_before_encoding_it():
+    # 2^30 tuples of w at size 2: encoding them would exhaust memory, so
+    # the search is cut there; size 1 (one tuple) is still searched
+    fillers = ", ".join(["B"] * 28)
+    cbox = parse_cbox("decl role w : 30\nrole v = restrict w at 1 to B\n"
+                      f"A sub exists v . ({fillers})\nA sub B\n? A sub B\n")
+    sigs = resolve_roles(cbox).sigs
+    assert (len(sigs["w"]), len(sigs["v"])) == (30, 29)
+    with pytest.raises(oracle.SearchCut) as cut:
+        bounded_model_search(cbox, cbox.queries[0], max_size=3)
+    assert cut.value.size == 2
