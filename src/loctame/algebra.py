@@ -298,8 +298,6 @@ class AlgebraicProblem:
     ops: dict[str, tuple[str, ...]]
     # constant name -> sort
     consts: dict[str, str]
-    # operator name -> the role it interprets (for rendering)
-    op_role: dict[str, str]
 
 
 # ---------------------------------------------------------------------------

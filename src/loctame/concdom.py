@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import hornsat, reduce as red
-from .algebra import BOT_CONST, TOP_CONST, Const, FlatTerm, Lit
+from .algebra import Const, FlatTerm, Lit
 from .hornsat import AtomKey, HornSolver
 from .reduce import NUM_BOT, PurifiedProblem
 from .syntax import Interval, LoctameError, NUM
@@ -237,20 +237,15 @@ def _now() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def _build_solver(concept: PurifiedProblem, sl: red.SLProblem) -> HornSolver:
-    if sl.mode != red.CHASE:
-        return HornSolver(sl.facts, sl.clauses, sl.blocks)
-    # a family's block is its axiom's index, as for the materialized
-    # clauses, so ranks follow the materialized clause list; meet
-    # introduction comes after every axiom instance
-    blocks = [*concept.triggered, *sl.blocks]
-    triggers = hornsat.Triggers(
-        list(concept.triggered.items()), concept.meets,
-        meet_block=1 + max(blocks, default=0), universe=sl.universe)
-    # the solver holds the unit facts sl_instantiate left out
-    lattice = hornsat.Lattice(
-        sl.universe, concept.ids[BOT_CONST], concept.ids[TOP_CONST],
-        inputs=sum(label.startswith("input:") for _, label in sl.facts))
+def _build_solver(concept: PurifiedProblem, sl: red.SLProblem,
+                  mode: str) -> HornSolver:
+    if mode != red.CHASE:
+        return HornSolver(sl.facts, sl.clauses)
+    # the solver takes in the lattice sl_instantiate left out; a family's
+    # block is its axiom's index, as for the materialized clauses, so
+    # ranks follow the materialized clause list
+    lattice = red.lattice_of(concept)
+    triggers = hornsat.Triggers(list(concept.triggered.items()), lattice)
     return HornSolver(sl.facts, sl.clauses, sl.blocks, transitive=True,
                       triggers=triggers, lattice=lattice)
 
@@ -271,7 +266,7 @@ def combine_solve(purified: PurifiedProblem, mode: str = red.CHASE) -> CombineRe
                             triggered=(mode != red.CHASE))
     micros["sl_instantiate"] = _now() - t
     t = _now()
-    solver = _build_solver(split.concept, sl)
+    solver = _build_solver(split.concept, sl, mode)
     micros["build"] = _now() - t
     micros["propagate"] = 0
     if split.mixed:

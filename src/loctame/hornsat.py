@@ -20,21 +20,26 @@ conclusion is not derived: the steps that derive something.  It visits
 them in the order their partner atoms were popped, never string
 hashing, so a derivation reads the same in every process.
 
-A chase solver given a `Lattice` keeps the lattice theory's unit facts
-x<=x, bot<=x and x<=top (x in the universe) in these bitsets, known from
-the start, and interns one, with its ("fact", "refl" | "bound") reason,
-only when a clause, a rule, the goal, a join or a trace reads it.  The
-bounds pop as one block at their facts' place after the inputs: it sets
-their popped bits and reserves their pop numbers.  Only if an input put
-something below bot or above top (or outside the universe) would their
-pops derive anything; then each bound is interned and popped in turn.
+`Lattice` is the one definition of the lattice theory over a universe:
+its unit facts, meet bounds and meet introduction, which
+reduce.sl_instantiate writes out.  A chase solver given one takes it in
+after the facts it is given, its inputs.  It keeps the unit facts x<=x,
+bot<=x and x<=top in these bitsets, known from the start, and interns
+one, with its ("fact", "refl" | "bound") reason, only when a clause, a
+rule, the goal, a join or a trace reads it; then it adds the meet bounds
+as facts.  The bounds pop as one block at their facts' place after the
+inputs: it sets their popped bits and reserves a pop number per unit
+fact.  Only if an input put something below bot or above top (or outside
+the universe) would their pops derive anything; then each bound is
+interned and popped in turn.
 
 The chase mode also hands the solver a `Triggers` index instead of the
 clause families that grow with the square of the closure or faster: the
 rule family of each Mon/K2/K3 axiom whose premises are all concept atoms
 (an `algebra.Family`: monotonicity of the operators whose arguments are
 all concepts and the instances of role compositions, indexed by tail and
-argument, and by guard), and meet introduction.  A family's own `rule`
+argument, and by guard), and the lattice's meet introduction.  A
+family's own `rule`
 spells out each rule, for the index and the written-out reduction alike;
 a meet rule's premises are spelled out only when it fires.
 
@@ -60,8 +65,9 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import LoctameError
 
@@ -74,21 +80,88 @@ Reason = tuple
 # the clause families the way the materialized clause list does
 _RANK_BITS = 40
 _NEVER = 1 << 62            # the build rank of an atom not derived in the build
+# meet introduction's block, after every axiom's
+_MEET_BASE = _NEVER - (1 << _RANK_BITS)
 _BOUNDS = -1                # the queue entry where the block of bounds pops
 
 # a triggered rule: (rank, premise count, conclusion, tag, premises); a
-# meet rule's premises are None until it fires (Triggers.meet_premises)
+# meet rule's premises are None until it fires (Lattice.meet_premises)
 Rule = tuple[int, int, AtomKey, str, Optional[tuple[AtomKey, ...]]]
 
 
-class Lattice(NamedTuple):
-    """The lattice theory a transitive solver holds implicitly: x<=x,
-    bot<=x and x<=top for every x of the universe.  The solver's first
-    `inputs` facts are the inputs, after which the bounds pop."""
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The lattice theory over a universe.  Its unit facts are x<=x for
+    every x, then bot<=x and x<=top for each x in turn, each at its first
+    place; its meet bounds put each meet below each of its operands, but
+    where that is a unit fact.  Meet introduction has the rule  z <= each
+    distinct operand of m  ->  z <= m  for each meet m and each z != m,
+    m-major, then z in universe order."""
     universe: Sequence
     bot: object
     top: object
-    inputs: int
+    meets: Mapping          # meet (of the universe) -> its operands
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.universe)}
+
+    @cached_property
+    def unit_facts(self) -> dict[AtomKey, int]:
+        """Each unit fact -> its place among them, in their order."""
+        universe, bot, top = self.universe, self.bot, self.top
+        units = dict.fromkeys([(x, x) for x in universe] + [
+            atom for x in universe for atom in ((bot, x), (x, top))])
+        return {atom: i for i, atom in enumerate(units)}
+
+    def unit_label(self, atom: AtomKey) -> Optional[str]:
+        """"refl" or "bound" for a unit fact, else None."""
+        if atom in self.unit_facts:
+            return "refl" if atom[0] == atom[1] else "bound"
+        return None
+
+    @cached_property
+    def meet_bounds(self) -> list[tuple[AtomKey, str]]:
+        """The meet bounds as labeled facts."""
+        return [(atom, "meet-below") for atom in dict.fromkeys(
+            (m, o) for m, operands in self.meets.items() for o in operands)
+            if atom not in self.unit_facts]
+
+    def meet_premises(self, concl: AtomKey) -> tuple[AtomKey, ...]:
+        z, m = concl
+        return tuple(dict.fromkeys([(z, o) for o in self.meets[m]]))
+
+    def meet_intro(self) -> Iterator[tuple[tuple[AtomKey, ...], AtomKey, str]]:
+        """The meet rules in order, as tagged clauses."""
+        for m in self.meets:
+            for z in self.universe:
+                if z != m:
+                    yield self.meet_premises((z, m)), (z, m), "meet-intro"
+
+    def meet_intro_count(self) -> int:
+        return len(self.meets) * (len(self.universe) - 1)
+
+    @cached_property
+    def meets_over(self) -> dict:
+        """Each operand -> the meets over it, each as (the place of its
+        first rule, the meet, its count of distinct operands)."""
+        out: dict = {}
+        for mi, (m, operands) in enumerate(self.meets.items()):
+            distinct = dict.fromkeys(operands)
+            for o in distinct:
+                out.setdefault(o, []).append(
+                    (mi * len(self.universe), m, len(distinct)))
+        return out
+
+    def meet_rules_with(self, atom: AtomKey) -> Iterator[tuple]:
+        """The meet rules with the atom among their premises, as (place,
+        premise count, conclusion)."""
+        z, o = atom
+        zi = self.index.get(z)
+        if zi is not None:
+            for at, m, count in self.meets_over.get(o, ()):
+                if m != z:
+                    yield at + zi, count, (z, m)
 
 
 @dataclass(slots=True)
@@ -124,14 +197,11 @@ class Triggers:
     head is its choice's right-hand side, such as Mon's rule for (t, t),
     concludes what reflexivity gives, so it is never yielded.
 
-    meets: meet constant -> operand constants, in order, all in meet_block.
-    The rule for the meet m and the constant z != m is  z <= operands(m)
-    ->  z <= m  at position index(m) * |universe| + index(z).
+    lattice: its meet introduction, each rule at its place after every
+    family.
     """
 
-    def __init__(self, families: Iterable[tuple],
-                 meets: dict[str, tuple[str, ...]], meet_block: int,
-                 universe: Sequence[str]):
+    def __init__(self, families: Iterable[tuple], lattice: Lattice):
         # tail constant -> (family, position, indices of the choices with
         # that tail there); (family, position, z) -> indices of the heads
         # with that z there; guard -> (family, guarded constant -> indices
@@ -166,21 +236,11 @@ class Triggers:
                 block, fam, {h: hi for hi, (h, _) in enumerate(fam.heads)},
                 {rhs: ci for ci, (*_, rhs) in enumerate(fam.choices)}))
         self.concluding.sort(key=itemgetter(0))
-        # each meet with its operands, without repeats; operand -> the
-        # meets over it, each with its position and operand count
-        self.meets = {m: tuple(dict.fromkeys(operands))
-                      for m, operands in meets.items()}
-        self.meet_base = meet_block << _RANK_BITS
-        self.meets_by_operand: dict[str, list[tuple[int, str, int]]] = {}
-        for mi, (m, operands) in enumerate(self.meets.items()):
-            for o in operands:
-                self.meets_by_operand.setdefault(o, []).append(
-                    (mi, m, len(operands)))
-        self.universe = {z: zi for zi, z in enumerate(universe)}
+        self.lattice = lattice
         # the right-hand sides of every premise: an atom whose right-hand
         # side is not among them is a premise of no rule
         self.premise_rhs = {*self.by_tail, *self.by_guard,
-                            *self.meets_by_operand}
+                            *lattice.meets_over}
 
     def rules_with(self, atom: AtomKey) -> Iterator[Rule]:
         """Every rule that has the atom among its premises and concludes
@@ -217,19 +277,8 @@ class Triggers:
                         continue
                     at, premises, concl = fam.rule(hi, ci)
                     yield base | at, len(premises), concl, fam.tag, premises
-        zi = self.universe.get(a)
-        if zi is None:
-            return
-        width = len(self.universe)
-        for mi, m, count in self.meets_by_operand.get(b, ()):
-            if m != a:
-                yield (self.meet_base | (mi * width + zi), count, (a, m),
-                       "meet-intro", None)
-
-    def meet_premises(self, concl: AtomKey) -> tuple[AtomKey, ...]:
-        """The premises z <= each operand of m of the rule for z <= m."""
-        z, m = concl
-        return tuple([(z, o) for o in self.meets[m]])
+        for at, count, concl in self.lattice.meet_rules_with(atom):
+            yield _MEET_BASE | at, count, concl, "meet-intro", None
 
     def earlier_twin(self, rank: int, premises: frozenset[AtomKey],
                      concl: AtomKey) -> bool:
@@ -262,7 +311,7 @@ class Result:
     def model(self) -> set[AtomKey]:
         solver = self.solver
         model = {solver.atom_keys[a] for a in solver.reasons}
-        model.update(solver.unit_facts())
+        model.update(solver.lattice.unit_facts if solver.lattice else ())
         return model
 
     def holds(self, atom: AtomKey) -> bool:
@@ -321,13 +370,10 @@ class HornSolver:
             self._left: dict[int, int] = {}
             # conclusion -> the materialized clauses concluding it
             self._concluding: dict[AtomKey, list[int]] = {}
-        facts = iter(facts)
-        if lattice is not None:
-            for atom, label in itertools.islice(facts, lattice.inputs):
-                self.add_fact(atom, label)
-            self._hold(lattice)
         for atom, label in facts:
             self.add_fact(atom, label)
+        if lattice is not None:
+            self._hold(lattice)
         for cid, (premises, concl, tag) in enumerate(clauses):
             self._add_clause(premises, concl, tag, 0 if triggers is None
                              else blocks[cid] << _RANK_BITS | cid)
@@ -344,44 +390,19 @@ class HornSolver:
             self.atom_ids[key] = aid
             self.atom_keys.append(key)
             lattice = self.lattice
-            if lattice is not None and (key[0] == key[1] or key[0] == lattice.bot
-                                        or key[1] == lattice.top):
-                label = self._unit_label(key)
-                if label is not None:
-                    self.reasons[aid] = ("fact", label)
+            label = lattice.unit_label(key) if lattice is not None else None
+            if label is not None:
+                self.reasons[aid] = ("fact", label)
         return aid
 
-    def _unit_label(self, key: AtomKey) -> Optional[str]:
-        """"refl" or "bound" for a unit fact the solver holds, else None."""
-        a, b = key
-        lattice = self.lattice
-        if lattice is None or not (a == b or a == lattice.bot
-                                   or b == lattice.top):
-            return None
-        n = len(lattice.universe)
-        if self.bits.get(a, n) >= n or self.bits.get(b, n) >= n:
-            return None
-        return "refl" if a == b else "bound"
-
-    def unit_facts(self) -> list[AtomKey]:
-        """The unit facts the solver holds, in the order of their facts:
-        x<=x for every x of the universe, then bot<=x and x<=top for each
-        x in turn."""
-        lattice = self.lattice
-        if lattice is None:
-            return []
-        universe, bot, top = lattice.universe, lattice.bot, lattice.top
-        return [(x, x) for x in universe] + list(dict.fromkeys(
-            atom for x in universe for atom in ((bot, x), (x, top))
-            if atom[0] != atom[1]))
-
     def _hold(self, lattice: Lattice) -> None:
-        """Take in the unit facts: their bits are known, the triggered rules
-        settle their premises among them, as they did those of the facts,
-        and the bounds' block is queued after the inputs."""
-        universe, n = lattice.universe, len(lattice.universe)
-        self.bits = {x: i for i, x in enumerate(universe)}
-        self.consts = list(universe)
+        """Take in the lattice after the inputs: the unit facts' bits are
+        known, the triggered rules settle their premises among them, as
+        they did those of the inputs, and the bounds' block is queued; the
+        meet bounds follow as facts."""
+        n = len(lattice.universe)
+        self.bits = dict(lattice.index)
+        self.consts = list(lattice.universe)
         self.popped_up, self.popped_down = [0] * n, [0] * n
         bot, top = self.bits[lattice.bot], self.bits[lattice.top]
         self.up = [1 << i | 1 << top for i in range(n)]
@@ -391,13 +412,15 @@ class HornSolver:
         triggers = self.triggers
         if triggers is not None:
             ids, reasons, rhs = self.atom_ids, self.reasons, triggers.premise_rhs
-            for atom in self.unit_facts():
+            for atom in lattice.unit_facts:
                 # an input may be one of them: it settled its rules itself
                 if atom[1] in rhs and ids.get(atom) not in reasons:
                     for rule in triggers.rules_with(atom):
                         if self._settle(rule):
                             heapq.heappush(self._waiting, rule)
         self.queue.append(_BOUNDS)
+        for atom, label in lattice.meet_bounds:
+            self.add_fact(atom, label)
 
     def _bit(self, c) -> int:
         i = self.bits[c] = len(self.consts)
@@ -497,7 +520,7 @@ class HornSolver:
         if concl_id in self.reasons:
             return
         if premises is None:
-            premises = self.triggers.meet_premises(concl)
+            premises = self.triggers.lattice.meet_premises(concl)
         if self._has_twin(rank, concl, premises):
             return
         self.clauses.append(_Clause(
@@ -523,7 +546,7 @@ class HornSolver:
         aid = self.atom_ids.get(key)
         if aid is not None:
             return aid in self.reasons
-        return self._unit_label(key) is not None
+        return self.lattice is not None and key in self.lattice.unit_facts
 
     def _result(self, sat: bool, goal: Optional[AtomKey]) -> Result:
         # the work bound the algorithm's linearity rests on: each premise
@@ -594,14 +617,16 @@ class HornSolver:
         if self.popped_down[bot] or self.popped_up[top] or len(self.consts) > n:
             # each bound is interned and popped as its fact was, but one
             # an input gave, which popped as that input
-            bounds = [aid for aid in map(self.atom, self.unit_facts()[n:])
-                      if self.reasons[aid] == ("fact", "bound")]
+            bounds = [aid for aid in map(self.atom, itertools.islice(
+                lattice.unit_facts, n, None))
+                if self.reasons[aid] == ("fact", "bound")]
             if self.triggers is not None:
                 self.built.update(dict.fromkeys(bounds, -1))
             self.queue.extendleft(reversed(bounds))
             return
         # every join of a bound concludes a unit fact: set the popped bits
-        # and keep each bound's place in the pop order (_pop_order)
+        # and reserve a pop number per unit fact, for each bound's place
+        # in the pop order (_pop_order)
         everything = (1 << n) - 1
         popped_up, popped_down = self.popped_up, self.popped_down
         popped_up[bot] |= everything
@@ -610,7 +635,7 @@ class HornSolver:
             popped_down[i] |= 1 << bot
             popped_up[i] |= 1 << top
         self._bounds_at = self._pops
-        self._pops += 2 * n
+        self._pops += len(lattice.unit_facts)
 
     def _trans_close(self, aid: int) -> None:
         """Join a popped atom a<=b, a != b, with the popped atoms w<=a and
@@ -666,13 +691,9 @@ class HornSolver:
         """The pop number of a partner atom, given as (atom, bit)."""
         seq = self.pop_seq.get(partner[0])
         if seq is None:
-            # a bound the block popped: bot<=x and x<=top popped in turn
-            # for each x, and bot<=top where it came first
-            a, b = self.atom_keys[partner[0]]
-            lattice, bits = self.lattice, self.bits
-            seq = self._bounds_at + min(
-                2 * bits[b] if a == lattice.bot else _NEVER,
-                2 * bits[a] + 1 if b == lattice.top else _NEVER)
+            # a bound the block popped, at its place among the unit facts
+            seq = self._bounds_at + self.lattice.unit_facts[
+                self.atom_keys[partner[0]]]
         return seq
 
     # -- inspection ------------------------------------------------------------

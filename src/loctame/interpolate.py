@@ -75,8 +75,6 @@ class InterpolationProblem:
     a_atoms: tuple[Leq, ...]
     b_atoms: tuple[Leq, ...]
     neg: Leq
-    # operator name -> role it interprets, for rendering only
-    op_role: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
 
 
 @dataclass
@@ -140,8 +138,8 @@ def _axiom_ground_terms(axioms: Iterable[AlgAxiom]) -> list[FlatTerm]:
     return out
 
 
-def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
-                       op_role: dict[str, str]) -> alg.AlgebraicProblem:
+def _algebraic_problem(axioms: tuple[AlgAxiom, ...],
+                       goal: Goal) -> alg.AlgebraicProblem:
     """The problem the reduction runs on: constants from the atoms and the
     axioms' ground terms, operators from the Mon axioms (so the chase
     fires their monotonicity from its trigger index)."""
@@ -151,7 +149,7 @@ def _algebraic_problem(axioms: tuple[AlgAxiom, ...], goal: Goal,
     ops = {ax.op: (CONCEPT,) * ax.arity
            for ax in axioms if isinstance(ax, Mon)}
     return alg.AlgebraicProblem(axioms=axioms, goal=goal, ops=ops,
-                                consts=consts, op_role=dict(op_role))
+                                consts=consts)
 
 
 @dataclass
@@ -267,7 +265,7 @@ class _Attempt:
         goal = Goal(problem.a_atoms + problem.b_atoms, problem.neg)
         # the term table: separation names its defined constants here too
         table = red.PurifiedProblem.of(
-            _algebraic_problem(problem.axioms, goal, problem.op_role))
+            _algebraic_problem(problem.axioms, goal))
         psi = alg.psi_closure(table, alg.goal_seeds(table, table.goal_atoms()),
                               problem.axioms)
         instances = alg.instantiate(table, problem.axioms,
@@ -467,7 +465,7 @@ def entails(axioms: Iterable[AlgAxiom], facts: Iterable[Leq], target: Leq) -> bo
     """Does the conjunction of facts entail the target over the axioms?
     Decided by the subsumption pipeline's own reduction, in chase mode."""
     goal = Goal(tuple(facts), target)
-    problem = _algebraic_problem(tuple(axioms), goal, {})
+    problem = _algebraic_problem(tuple(axioms), goal)
     return pipeline.decide(problem, red.CHASE).subsumed
 
 
@@ -583,16 +581,13 @@ def from_input(inp: InterpolationInput) -> InterpolationProblem:
     n_a = len(inp.a_gcis)
     if prob.goal.target is None:
         raise LoctameError("the negated inclusion did not translate")
-    return InterpolationProblem(
-        axioms=prob.axioms,
-        a_atoms=prob.goal.assumptions[:n_a],
-        b_atoms=prob.goal.assumptions[n_a:],
-        neg=prob.goal.target,
-        op_role=dict(prob.op_role),
-    )
+    return InterpolationProblem(axioms=prob.axioms,
+                                a_atoms=prob.goal.assumptions[:n_a],
+                                b_atoms=prob.goal.assumptions[n_a:],
+                                neg=prob.goal.target)
 
 
-def _concept_of(t: FlatTerm, op_role: dict[str, str]) -> Concept:
+def _concept_of(t: FlatTerm) -> Concept:
     if isinstance(t, Const):
         if t.name == alg.TOP_CONST:
             return Top()
@@ -600,19 +595,17 @@ def _concept_of(t: FlatTerm, op_role: dict[str, str]) -> Concept:
             return Bot()
         return Name(t.name)
     if isinstance(t, Apply):
-        role = op_role.get(t.op)
-        if role is None:
-            role = t.op[2:] if t.op.startswith("f_") else t.op
-        return Exists(role, tuple(_concept_of(a, op_role) for a in t.args))
+        # reduce.op_name names role r's operator f_r; one built by hand may not
+        role = t.op[2:] if t.op.startswith("f_") else t.op
+        return Exists(role, tuple(_concept_of(a) for a in t.args))
     if isinstance(t, Meet):
-        return And(tuple(_concept_of(a, op_role) for a in t.args))
+        return And(tuple(_concept_of(a) for a in t.args))
     raise LoctameError(f"cannot render {t!r} as a concept")
 
 
-def interpolant_gcis(result: InterpolationResult,
-                     op_role: dict[str, str]) -> list[GCI]:
+def interpolant_gcis(result: InterpolationResult) -> list[GCI]:
     """The interpolant as concept inclusions (empty list: top holds)."""
-    return [GCI(_concept_of(a.lhs, op_role), _concept_of(a.rhs, op_role))
+    return [GCI(_concept_of(a.lhs), _concept_of(a.rhs))
             for a in result.interpolant]
 
 
@@ -620,4 +613,4 @@ def interpolate_input(inp: InterpolationInput
                       ) -> tuple[InterpolationResult, list[GCI]]:
     problem = from_input(inp)
     result = interpolate(problem)
-    return result, interpolant_gcis(result, problem.op_role)
+    return result, interpolant_gcis(result)

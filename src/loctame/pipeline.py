@@ -72,8 +72,7 @@ class Report:
     def clause_count(self) -> int:
         """len(self.sl.clauses), without writing out the full reduction in
         `chase` mode: the solver's clauses and the family rules, each
-        counted once, and meet introduction for every meet and every
-        other constant."""
+        counted once, and the rules of its lattice's meet introduction."""
         sl = self.combine.sl
         if sl is None:
             return 0
@@ -83,7 +82,7 @@ class Report:
         keys.update((frozenset(p), c)
                     for fam in self.purified.triggered.values()
                     for _, p, c in fam.rules())
-        return len(keys) + len(self.purified.meets) * (len(sl.universe) - 1)
+        return len(keys) + self.combine.result.solver.lattice.meet_intro_count()
 
     @property
     def stats(self) -> dict[str, int]:
@@ -196,13 +195,15 @@ class Classification:
         return res
 
     def holds(self, a: str, b: str) -> bool:
-        """Is the name a subsumed by the name b?"""
+        """Is the name a subsumed by the name b?  A name the reduction
+        lacks (only a query or an unused role restriction mentions it) is
+        a fresh constant: below b iff top is, above a iff bot is."""
         res = self._run()
         if res is None or a == b:
             return True
-        # a name only a query mentions is no constant of the reduction
         ids = self.report.purified.ids
-        return a in ids and b in ids and res.holds((ids[a], ids[b]))
+        return res.holds((ids.get(a, ids[alg.TOP_CONST]),
+                          ids.get(b, ids[alg.BOT_CONST])))
 
     def pairs(self) -> list[tuple[str, str]]:
         """Every (a, b) of distinct names with a subsumed by b, in
@@ -211,12 +212,19 @@ class Classification:
         if res is None:
             return [(a, b) for a in self.names for b in self.names if a != b]
         index = {name: i for i, name in enumerate(self.names)}
-        names = self.report.purified.names
+        ids = self.report.purified.ids
+        # constant -> the names it stands for left and right of an atom:
+        # the fresh ones stand with top on the left, with bot on the right
+        left = {ids[a]: (a,) for a in self.names if a in ids}
+        right = dict(left)
+        left[ids[alg.TOP_CONST]] = right[ids[alg.BOT_CONST]] = tuple(
+            a for a in self.names if a not in ids)
         above: dict[str, list[str]] = {}
         for x, y in res.model():
-            a, b = names[x], names[y]
-            if a != b and a in index and b in index:
-                above.setdefault(a, []).append(b)
+            for a in left.get(x, ()):
+                for b in right.get(y, ()):
+                    if a != b:
+                        above.setdefault(a, []).append(b)
         return [(a, b) for a in self.names
                 for b in sorted(above.get(a, ()), key=index.__getitem__)]
 

@@ -9,11 +9,11 @@ Three steps live here:
   flatten_purify  every functional/meet term of the goal and the
                   instantiated clause set is named by a definitional
                   proxy constant;
-  sl_instantiate  the semilattice theory itself is unrolled over the
-                  occurring constants (reflexivity, bounds, meet bounds,
-                  meet introduction; in `instantiate` mode also explicit
-                  transitivity, which `chase` mode delegates to the
-                  solver).
+  sl_instantiate  the semilattice theory is written out over the
+                  occurring constants: their hornsat.Lattice (unit facts,
+                  meet bounds, meet introduction), and in `instantiate`
+                  mode explicit transitivity, which `chase` mode
+                  delegates to the solver.
 
 PurifiedProblem is the operation's one term table (an algebra.TermTable):
 every term is numbered once, the closure and the instances are built
@@ -23,9 +23,10 @@ that interpolation's separation adds, _i0, _i1, ...), and `unfold`
 renders one back as a term object, each id once, so shared subterms stay
 shared.
 
-sl_instantiate is the one builder of the semilattice theory: the
-pipeline unrolls it over a purified problem, and interpolation over its
-term table alone, once per round, as separation adds defined constants.
+hornsat.Lattice defines the theory once (lattice_of makes a problem's),
+and sl_instantiate is its one writer: the pipeline writes it over a
+purified problem, and interpolation over its term table alone, once per
+round, as separation adds defined constants.
 
 The instances of the Mon/K2/K3 axioms whose premises are all concept
 atoms (monotonicity of the operators whose arguments are all concepts,
@@ -37,8 +38,9 @@ which is linear in the closure terms involved), so the proxies, the
 dumped reduction and every derivation read the same in both modes.
 sl_instantiate writes the families out (each in its axiom's place among
 the instances, then meet introduction) for `instantiate` mode's solver
-and for the full reduction a report shows; the `chase` solver fires them
-and meet introduction from its trigger index (hornsat.Triggers) instead.
+and for the full reduction a report shows; the `chase` solver takes in
+the lattice and fires the families and meet introduction from its
+trigger index (hornsat.Triggers) instead.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import algebra as alg
+from . import hornsat
 from .algebra import (Apply, Const, FixedSlot, FlatTerm, Goal, Instance, K1,
                       K2, K3, Leq, Lit, Meet, Mon, OpTemplate, VarSlot)
 from .syntax import (CBox, CheckError, CONCEPT, Concept, Interval, NUM,
@@ -75,7 +78,6 @@ class _Translator:
         self.cbox = cbox
         self.env = env if env is not None else check_cbox(cbox)
         self.ops: dict[str, tuple[str, ...]] = {}
-        self.op_role: dict[str, str] = {}
         self.consts: dict[str, str] = {}
         self.chain_counter = 0
 
@@ -89,7 +91,6 @@ class _Translator:
         op = op_name(role)
         if op not in self.ops:
             self.ops[op] = self.env.fillers(role)
-            self.op_role[op] = role
         return op
 
     def restrictions(self, role: str) -> tuple[str, list[tuple]]:
@@ -242,13 +243,9 @@ def translate(cbox: CBox, query: Optional[Query] = None,
     for op in tr.ops:
         axioms.append(Mon(op, len(tr.ops[op])))
 
-    return alg.AlgebraicProblem(
-        axioms=tuple(axioms),
-        goal=Goal(tuple(assumptions), target),
-        ops=tr.ops,
-        consts=tr.consts,
-        op_role=tr.op_role,
-    )
+    return alg.AlgebraicProblem(axioms=tuple(axioms),
+                                goal=Goal(tuple(assumptions), target),
+                                ops=tr.ops, consts=tr.consts)
 
 
 def _incl_sort(lhs: Concept, rhs: Concept, env: RoleEnv) -> str:
@@ -452,10 +449,8 @@ class SLProblem:
     facts: list[tuple[AtomKey, str]]          # (atom, label)
     clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]]
     goal: Optional[AtomKey]
-    universe: list
-    mode: str
-    # per clause, the index of the axiom it instantiates (0 for the
-    # lattice theory's clauses); the chase ranks clauses by it
+    # per clause but transitivity, the index of the axiom it instantiates
+    # (0 for the lattice theory's clauses); the chase ranks clauses by it
     blocks: list[int] = field(default_factory=list)
     # constant -> its name, where the constants are table ids (None where
     # they are names already, as in a parsed dump)
@@ -471,23 +466,19 @@ def _concept_atom(table: PurifiedProblem, a: AtomKey) -> AtomKey:
 
 def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
                    triggered: bool = True) -> SLProblem:
-    """Unroll the lattice theory over the concept constants of a purified
-    problem; the one builder of the theory.
+    """Write a purified problem out with its lattice theory (lattice_of).
 
-    Facts: the inputs, then reflexivity, the bottom/top bounds and each
-    meet below its operands.  Clauses: the purified axiom instances with
-    each family of purified.triggered in its axiom's place, then meet
-    introduction (S4).  With triggered off, the chase solver fires those
-    two from its trigger index instead, and holds the unit facts x <= x,
-    bot <= x and x <= top in its bitsets (hornsat.Lattice), so neither
-    they nor a meet-below fact equal to one of them is written; an input
-    equal to one stays, with its own label.  In `instantiate` mode,
-    transitivity over all ordered triples is materialized too; in `chase`
-    mode the solver's built-in transitive closure covers it.  Facts and
-    clauses are deduplicated, the first label or tag winning, so inputs
-    and axiom instances keep their own; the transitivity instances are
-    distinct by construction and are only checked against the clauses
-    before them.
+    Facts: the inputs, then the lattice's unit facts and meet bounds.
+    Clauses: the purified axiom instances with each family of
+    purified.triggered in its axiom's place, then meet introduction (S4).
+    With triggered off, only the inputs and the purified axiom instances
+    are written: the chase solver takes in the lattice and fires the
+    families from its trigger index.  `instantiate` mode also materializes
+    transitivity over all ordered triples, which the chase solver closes
+    under itself.  Facts and clauses are deduplicated, the first label or
+    tag winning, so an input equal to a lattice fact keeps its own label;
+    the transitivity instances are distinct by construction and are only
+    checked against the clauses before them.
     """
     if mode not in (INSTANTIATE, CHASE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,36 +504,32 @@ def sl_instantiate(purified: PurifiedProblem, mode: str = CHASE,
                for _, premises, concl in fam.rules())
     for clause in heapq.merge(purified.clauses, written, key=itemgetter(3)):
         add_clause(*clause)
-    universe = [c for c, s in purified.sorts.items() if s == CONCEPT]
-    bot, top = purified.ids[alg.BOT_CONST], purified.ids[alg.TOP_CONST]
+    lattice = lattice_of(purified)
     if triggered:
-        for x in universe:
-            add_fact((x, x), "refl")
-        for x in universe:
-            add_fact((bot, x), "bound")
-            add_fact((x, top), "bound")
-    for m, operands in purified.meets.items():
-        for o in operands:
-            if triggered or not (m == o or m == bot or o == top):
-                add_fact((m, o), "meet-below")
-    if triggered:
-        for m, operands in purified.meets.items():
-            for z in universe:
-                if z != m:
-                    add_clause(tuple(dict.fromkeys((z, o) for o in operands)),
-                               (z, m), "meet-intro")
+        for atom in lattice.unit_facts:
+            add_fact(atom, lattice.unit_label(atom))
+        for atom, label in lattice.meet_bounds:
+            add_fact(atom, label)
+        for clause in lattice.meet_intro():
+            add_clause(*clause)
     if mode == INSTANTIATE:
         taken = _transitivity_twins(clauses)
-        for x, y, z in itertools.permutations(universe, 3):
+        for x, y, z in itertools.permutations(lattice.universe, 3):
             if (x, y, z) not in taken:
                 clauses.append((((x, y), (y, z)), (x, z), "trans"))
-        blocks.extend([0] * (len(clauses) - len(blocks)))
 
     goal = (_concept_atom(purified, purified.target)
             if purified.target is not None else None)
     return SLProblem(facts=list(facts.items()), clauses=clauses, goal=goal,
-                     universe=universe, mode=mode, blocks=blocks,
-                     names=purified.names)
+                     blocks=blocks, names=purified.names)
+
+
+def lattice_of(purified: PurifiedProblem) -> hornsat.Lattice:
+    """The lattice theory over a purified problem's concept constants."""
+    return hornsat.Lattice(
+        [c for c, s in purified.sorts.items() if s == CONCEPT],
+        purified.ids[alg.BOT_CONST], purified.ids[alg.TOP_CONST],
+        purified.meets)
 
 
 def _transitivity_twins(clauses) -> set[tuple]:
@@ -567,7 +554,7 @@ def sl_clause_count(purified: PurifiedProblem) -> int:
     without materializing the transitivity instances (which grow cubically
     in the universe)."""
     sl = sl_instantiate(purified, CHASE)
-    m = len(sl.universe)
+    m = len(lattice_of(purified).universe)
     return (len(sl.clauses) + m * (m - 1) * (m - 2)
             - len(_transitivity_twins(sl.clauses)))
 
@@ -594,16 +581,12 @@ def parse_reduction(text: str) -> SLProblem:
     facts: list[tuple[AtomKey, str]] = []
     clauses: list[tuple[tuple[AtomKey, ...], AtomKey, str]] = []
     goal: Optional[AtomKey] = None
-    names: dict[str, None] = {}
 
     def atom(s: str, lineno: int) -> AtomKey:
         parts = s.split("<=")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise CheckError(f"line {lineno}: bad atom {s.strip()!r}")
-        a, b = parts[0].strip(), parts[1].strip()
-        names.setdefault(a, None)
-        names.setdefault(b, None)
-        return (a, b)
+        return (parts[0].strip(), parts[1].strip())
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -624,5 +607,4 @@ def parse_reduction(text: str) -> SLProblem:
             goal = atom(line[5:], lineno)
         else:
             raise CheckError(f"line {lineno}: expected fact/clause/goal")
-    return SLProblem(facts=facts, clauses=clauses, goal=goal,
-                     universe=list(names), mode=CHASE)
+    return SLProblem(facts=facts, clauses=clauses, goal=goal)

@@ -160,8 +160,7 @@ def _without_trans(sl: red.SLProblem) -> red.SLProblem:
     n = len(sl.clauses)
     while n and sl.clauses[n - 1][2] == "trans":
         n -= 1
-    return replace(sl, clauses=sl.clauses[:n], blocks=sl.blocks[:n],
-                   mode=red.CHASE)
+    return replace(sl, clauses=sl.clauses[:n], blocks=sl.blocks[:n])
 
 
 def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
@@ -181,7 +180,7 @@ def test_report_keeps_the_full_reduction_on_demand(defs_cbox):
 
 def test_the_full_reduction_is_the_instantiate_one_without_transitivity(
         freight_cbox, defs_cbox, anatomy_cbox, routes_cbox, guards_cbox):
-    # the same facts, universe, goal, proxies and clauses, in the same order
+    # the same facts, goal, proxies and clauses, in the same order
     cases = [(cbox, cbox.queries[0]) for cbox in (
         freight_cbox, defs_cbox, anatomy_cbox, routes_cbox, guards_cbox)]
     for seed in range(40):
@@ -376,11 +375,14 @@ def _mon_family(tag, terms):
                       tuple((args, (), t) for t, args in terms))
 
 
-def _triggers(families, meets, universe):
+def _triggers(families, lattice):
     return hornsat.Triggers(
         [(2 * j + 1, f if isinstance(f, alg.Family) else _mon_family(*f))
-         for j, f in enumerate(families)],
-        meets, meet_block=2 * len(families) + 1, universe=universe)
+         for j, f in enumerate(families)], lattice)
+
+
+# a lattice without meets, for trigger indices of families alone
+_NO_MEETS = hornsat.Lattice([], "bot", "top", {})
 
 
 # the reasons of the unit facts x <= x, bot <= x and x <= top, which the
@@ -439,7 +441,8 @@ def test_triggered_rules_derive_like_their_materialized_clauses(seed):
     chase = hornsat.HornSolver(
         facts, [(premises, concl, tag) for _, premises, concl, tag in kept],
         [block for block, *_ in kept], transitive=True,
-        triggers=_triggers(families, meets, universe))
+        triggers=_triggers(families, hornsat.Lattice(universe, "bot", "top",
+                                                     meets)))
     got = chase.solve(goal)
 
     assert got.sat == want.sat
@@ -452,7 +455,7 @@ def test_triggered_rules_derive_like_their_materialized_clauses(seed):
 def test_rules_complete_at_build_time_fire_before_solving():
     triggers = hornsat.Triggers(
         [(1, _mon_family("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
-        meets={}, meet_block=2, universe=["a", "b", "fa", "fb"])
+        _NO_MEETS)
     solver = hornsat.HornSolver([(("a", "b"), "input:0")], transitive=True,
                                 triggers=triggers)
     assert solver.has(("fa", "fb"))
@@ -467,7 +470,7 @@ def test_one_pop_fires_in_materialized_order():
     # triggered Mon rule of block 1, and the rule's conclusion comes first
     triggers = hornsat.Triggers(
         [(1, _mon_family("Mon(f)", [("fa", ("a",)), ("fb", ("b",))]))],
-        meets={}, meet_block=3, universe=["a", "b", "x", "fa", "fb", "p"])
+        _NO_MEETS)
     solver = hornsat.HornSolver(
         [(("a", "x"), "input:0"), (("x", "b"), "input:1")],
         [([("a", "b")], ("p", "p"), "Mon(g)")], [2], transitive=True,
@@ -587,19 +590,20 @@ def test_meet_introduction_settles_each_premise_once():
 # ---------------------------------------------------------------------------
 
 class _ExplicitFacts(hornsat.HornSolver):
-    """A solver given its lattice's unit facts as facts after the inputs,
-    in the lattice theory's order, and no lattice: the reference for the
-    solver that holds them implicitly."""
+    """A solver given its lattice's unit facts and then its meet bounds as
+    facts after the inputs, in the lattice theory's order, and no lattice:
+    the reference for the solver that holds them implicitly."""
 
     def __init__(self, facts, clauses=(), blocks=(), transitive=False,
                  triggers=None, lattice=None):
         if lattice is not None:
             universe, bot, top = lattice.universe, lattice.bot, lattice.top
-            facts = list(facts)
-            facts[lattice.inputs:lattice.inputs] = (
-                [((x, x), "refl") for x in universe]
-                + [(atom, "bound") for x in universe
-                   for atom in ((bot, x), (x, top))])
+            facts = (list(facts) + [((x, x), "refl") for x in universe]
+                     + [(atom, "bound") for x in universe
+                        for atom in ((bot, x), (x, top))]
+                     + [((m, o), "meet-below")
+                        for m, operands in lattice.meets.items()
+                        for o in operands])
         super().__init__(facts, clauses, blocks, transitive, triggers)
 
 
@@ -628,32 +632,30 @@ def _lattice_problem(rng: random.Random):
         inputs.append((unit_like(), f"input:{len(inputs)}"))
     if rng.random() < 0.1:
         inputs.append(((rng.choice(universe), "z"), f"input:{len(inputs)}"))
-    below = [f for f in facts if f[1] == "meet-below"]
     if meets and rng.random() < 0.3:
         m = rng.choice(list(meets))
         meets[m] += ("top",)
-        below.append(((m, "top"), "meet-below"))
     extra = extra + [(2 * rng.randint(0, len(families)),
                       ((rng.choice(universe), rng.choice(universe)),),
                       unit_like(), f"U{i}") for i in range(rng.randint(0, 2))]
     extra.sort(key=lambda c: c[0])
     if rng.random() < 0.2:
         goal = unit_like()
-    return families, meets, universe, inputs, below, extra, goal, unit_like
+    return families, meets, universe, inputs, extra, goal, unit_like
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_the_lattice_solver_derives_like_its_explicit_unit_facts(seed):
     rng = random.Random(seed)
-    (families, meets, universe, inputs, below, extra, goal,
+    (families, meets, universe, inputs, extra, goal,
      unit_like) = _lattice_problem(rng)
     kept = _first_of_twins(extra)
-    lattice = hornsat.Lattice(universe, "bot", "top", inputs=len(inputs))
-    want, got = (cls(inputs + below,
+    lattice = hornsat.Lattice(universe, "bot", "top", meets)
+    want, got = (cls(inputs,
                      [(premises, concl, tag) for _, premises, concl, tag in kept],
                      [block for block, *_ in kept], transitive=True,
-                     triggers=_triggers(families, meets, universe),
+                     triggers=_triggers(families, lattice),
                      lattice=lattice)
                  for cls in (_ExplicitFacts, hornsat.HornSolver))
     late = unit_like() if rng.random() < 0.5 else (rng.choice(universe),
@@ -683,6 +685,9 @@ _BOUND_CASES = [
     "A sub exists r . bot\nB sub A\n? B sub C\n? exists r . B sub bot\n",
     "top sub B and C\nB and C sub exists r . top\n"
     "? top sub exists r . top\n? bot sub A\n? A sub top\n",
+    # f_r(C) <= bot is derived after the bounds popped as a block
+    "role r o s sub id\nA sub exists r . C\nC sub exists s . bot\n"
+    "? A sub B\n",
 ]
 
 
@@ -710,3 +715,24 @@ def test_inputs_below_bottom_or_above_top_explain_like_explicit_facts(
     assert held == explicit
     # an input below bot or above top makes the bounds pop one by one
     assert popped > 0
+
+
+def test_bounds_popped_as_a_block_join_in_their_places(monkeypatch):
+    # A <= bot, derived after the block, joins the bounds bot <= x the
+    # block popped, which keep the places of their facts in the pop order
+    orderings = []
+    order = hornsat.HornSolver._pop_order
+
+    def record(self, partner):
+        orderings.append(partner[0] not in self.pop_seq)
+        return order(self, partner)
+
+    monkeypatch.setattr(hornsat.HornSolver, "_pop_order", record)
+    cbox = parse_cbox(_BOUND_CASES[-1])
+    report, lines = pipeline.explain(cbox, cbox.queries[0])
+    assert lines[-2:] == ["__bot <= B   [bound]",
+                          "A <= B   [trans: A <= __bot; __bot <= B]"]
+    assert _bounds_popped_one_by_one(report.combine.result.solver) == 0
+    in_block = sum(orderings)
+    pipeline.classify(cbox)
+    assert (in_block, sum(orderings) - in_block) == (7, 5)

@@ -263,6 +263,46 @@ def test_classify_json_lists_a_name_only_a_query_mentions(tmp_path, capsys):
     assert body["subsumers"] == {"A": ["A", "B"], "B": ["B"], "Z": ["Z"]}
 
 
+# CBoxes with a name the reduction lacks, and their proper subsumptions:
+# D, B, or X and Y only a query mentions, or D only an unused role
+# restriction
+_LACKED_NAME_CASES = [
+    ("A sub bot\nA sub C\n? A sub D\n", [("A", "C"), ("A", "D")]),
+    ("top sub C\n? B sub C\n", [("B", "C")]),
+    ("decl role w : 3\nrole p = restrict w at 1 to D\nA sub bot\n",
+     [("A", "D")]),
+    ("top sub bot\nA sub C\n? X sub Y\n",
+     [(a, b) for a in "ACXY" for b in "ACXY" if a != b]),
+]
+
+
+@pytest.mark.parametrize("mode", ["chase", "instantiate"])
+@pytest.mark.parametrize("text, proper", _LACKED_NAME_CASES,
+                         ids=["query-below-bot", "query-above-top",
+                              "unused-restriction", "two-lacked"])
+def test_classify_agrees_with_check_on_a_name_the_reduction_lacks(
+        tmp_path, capsys, mode, text, proper):
+    p = tmp_path / "lacked.lt"
+    p.write_text(text)
+    assert cli.main(["classify", f"--mode={mode}", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(line.split(" sub ")) for line in lines[:-1]] == proper
+    assert cli.main(["classify", "--json", f"--mode={mode}", str(p)]) == 0
+    subsumers = json.loads(capsys.readouterr().out)["subsumers"]
+    assert [(a, b) for a, bs in subsumers.items() for b in bs
+            if a != b] == proper
+    # check, given every pair of names as a query, decides the same
+    names = sorted(subsumers)
+    axioms = "".join(line + "\n" for line in text.splitlines()
+                     if not line.startswith("?"))
+    p.write_text(axioms + "".join(f"? {a} sub {b}\n" for a in names
+                                  for b in names if a != b))
+    cli.main(["check", "--json", f"--mode={mode}", str(p)])
+    verdicts = json.loads(capsys.readouterr().out)
+    assert [tuple(v["query"][2:].split(" sub ")) for v in verdicts
+            if v["verdict"] == "subsumed"] == proper
+
+
 def test_interpolate_json_schema(files, capsys):
     assert cli.main(["interpolate", "--json", files["split"]]) == 0
     body = json.loads(capsys.readouterr().out)

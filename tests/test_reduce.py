@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from loctame import algebra as alg
-from loctame import pipeline, randgen
+from loctame import interpolate as itp, pipeline, randgen
 from loctame import reduce as red
 from loctame.syntax import parse_cbox
 
@@ -17,7 +17,9 @@ from tests.conftest import purified_problem
 def test_translate_names_and_operators(defs_cbox):
     prob = red.translate(defs_cbox, defs_cbox.queries[0])
     assert set(prob.ops) == {"f_r1", "f_r2"}
-    assert prob.op_role == {"f_r1": "r1", "f_r2": "r2"}
+    # each operator renders back as the role it interprets
+    assert {itp._concept_of(alg.Apply(op, (alg.Const("A"),))).role
+            for op in prob.ops} == {"r1", "r2"}
     # one assumption per concept axiom, in axiom order, plus the target
     assert len(prob.goal.assumptions) == len(defs_cbox.gcis)
     assert prob.goal.target is not None
@@ -88,7 +90,7 @@ def test_clause_count_subtracts_a_clause_that_is_a_transitivity_instance():
                       "B sub exists s . exists r . C\n? A sub B\n")
     purified = _purified(cbox, cbox.queries[0])
     sl = red.sl_instantiate(purified, red.INSTANTIATE)
-    m = len(sl.universe)
+    m = len(red.lattice_of(purified).universe)
     assert m == 7
     assert sum(1 for *_, tag in sl.clauses if tag == "trans") \
         == m * (m - 1) * (m - 2) - 1
@@ -125,9 +127,9 @@ def test_sl_instantiate_fact_labels(anatomy_cbox):
     sl = red.sl_instantiate(purified, red.CHASE)
     labels = {lbl.split(":")[0] for _, lbl in sl.facts}
     assert labels == {"input", "refl", "bound", "meet-below"}
-    universe = {sl.names[x] for x in sl.universe}
-    assert alg.TOP_CONST in universe and alg.BOT_CONST in universe
-    for x in sl.universe:
+    universe = red.lattice_of(purified).universe
+    assert {alg.TOP_CONST, alg.BOT_CONST} <= {sl.names[x] for x in universe}
+    for x in universe:
         assert ((x, x)) in {a for a, _ in sl.facts}
 
 
@@ -139,7 +141,7 @@ def test_instantiate_mode_materializes_transitivity(anatomy_cbox):
     tags_inst = {t for _, _, t in inst.clauses}
     assert "trans" not in tags_chase
     assert "trans" in tags_inst
-    m = len(inst.universe)
+    m = len(red.lattice_of(purified).universe)
     n_trans = sum(1 for _, _, t in inst.clauses if t == "trans")
     # all ordered triples, minus instances colliding with purified clauses
     assert n_trans <= m * (m - 1) * (m - 2)
